@@ -13,12 +13,29 @@ from .errors import DimensionMismatch, EmptyIntersection, InconsistentSystem
 # Residual cutoff deciding whether a right-hand side is attainable.
 CONSISTENCY_RTOL = 1e-8
 
+# A wide block keeps its QR factors only when ||R||_F * ||T^-1||_F, an upper
+# bound on sigma_max / sigma_min, stays below this.  The SVD rank cutoff,
+# max(rows, n) * eps * sigma_max, is about 1e-13 * sigma_max at n = 500, so a
+# certified block is full rank by a margin that rounding cannot erase.
+QR_CONDITION_LIMIT = 1e8
+
+# Diagonal blocks up to this order are inverted directly by LAPACK.
+_TRIANGULAR_LEAF = 32
+
 
 class AffineSubspace:
     """One affine block U = {x in R^n : A x = b} with a cached factorization.
 
-    Construction runs a single rank-revealing SVD of the constraint matrix.
-    The numerical rank uses the threshold max(rows, n) * eps * sigma_max.
+    A wide block (rows <= n) is factored by one Householder QR of A^T,
+    A^T = Q [T; 0], and kept at rank = rows when the bound
+    ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT certifies that
+    sigma_min / sigma_max is far above the rank cutoff below.  Tall blocks,
+    and wide blocks that miss the certificate (dependent or nearly dependent
+    rows), fall back to a rank-revealing SVD with the numerical rank
+    threshold max(rows, n) * eps * sigma_max.  Both routes give the same rank
+    on every block whose singular values clear the threshold by more than
+    rounding.
+
     Projections afterwards cost one pair of thin matrix-vector products:
     whichever of the row-space basis (rank columns) or the direction-space
     basis (n - rank columns) is thinner is used, via
@@ -45,21 +62,10 @@ class AffineSubspace:
         if b.shape != (rows,):
             raise DimensionMismatch(f"rhs has length {b.size}, expected {rows}")
 
-        # Full right factor is needed: V[:, :r] spans the row space and
-        # V[:, r:] the direction (null) space.
-        if rows >= n:
-            U, s, Vh = np.linalg.svd(A, full_matrices=False)
-        else:
-            U, s, Vh = np.linalg.svd(A, full_matrices=True)
-        sigma_max = s[0] if s.size else 0.0
-        cutoff = max(rows, n) * np.finfo(float).eps * sigma_max
-        rank = int(np.count_nonzero(s > cutoff))
-
-        # Minimum-norm solution z0 = A^+ b; also serves as the anchor point.
-        if rank > 0:
-            z0 = Vh[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
-        else:
-            z0 = np.zeros(n)
+        factors = _factor_qr(A, b) if rows <= n else None
+        if factors is None:
+            factors = _factor_svd(A, b)
+        rank, z0, row_basis, null_basis = factors
         misfit = np.linalg.norm(A @ z0 - b)
         if misfit > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(b)):
             raise InconsistentSystem(
@@ -71,8 +77,8 @@ class AffineSubspace:
         self.rank = rank
         self.label = label
         self.anchor = z0
-        self._row_basis = np.ascontiguousarray(Vh[:rank].T)
-        self._null_basis = np.ascontiguousarray(Vh[rank:].T)
+        self._row_basis = np.ascontiguousarray(row_basis)
+        self._null_basis = np.ascontiguousarray(null_basis)
         self._use_null = (n - rank) <= rank
         for arr in (self.constraint_matrix, self.rhs, self.anchor,
                     self._row_basis, self._null_basis):
@@ -129,6 +135,68 @@ class AffineSubspace:
     def __repr__(self):
         rows, n = self.constraint_matrix.shape
         return f"AffineSubspace({rows}x{n}, rank={self.rank}, label={self.label})"
+
+
+def _factor_qr(A, b):
+    """Factors of a wide block from a QR of A^T, or None if not certified.
+
+    With A^T = Q [T; 0], A = T^T Q[:, :rows]^T, so Q[:, :rows] spans the row
+    space, Q[:, rows:] the null space, and z0 = Q[:, :rows] T^-T b.
+    """
+    rows = A.shape[0]
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    T = R[:rows]
+    try:
+        # A nearly singular T may overflow to inf or nan; both fail the test.
+        with np.errstate(all="ignore"):
+            T_inv = _triangular_inverse(T)
+            bound = np.linalg.norm(T) * np.linalg.norm(T_inv)
+    except np.linalg.LinAlgError:
+        return None
+    if not bound <= QR_CONDITION_LIMIT:
+        return None
+    row_basis = Q[:, :rows]
+    return rows, row_basis @ (T_inv.T @ b), row_basis, Q[:, rows:]
+
+
+def _triangular_inverse(T):
+    """Inverse of an upper-triangular matrix by recursive 2x2 blocking.
+
+    inv([[T11, T12], [0, T22]]) = [[X11, -X11 T12 X22], [0, X22]] with
+    Xii = inv(Tii); about a quarter of the flops of a general inverse.
+    """
+    k = T.shape[0]
+    if k <= _TRIANGULAR_LEAF:
+        return np.linalg.inv(T)
+    h = k // 2
+    X11 = _triangular_inverse(T[:h, :h])
+    X22 = _triangular_inverse(T[h:, h:])
+    X = np.zeros_like(T)
+    X[:h, :h] = X11
+    X[h:, h:] = X22
+    X[:h, h:] = -(X11 @ T[:h, h:]) @ X22
+    return X
+
+
+def _factor_svd(A, b):
+    """Rank-revealing factors of any block from its SVD."""
+    rows, n = A.shape
+    # Full right factor is needed: V[:, :r] spans the row space and
+    # V[:, r:] the direction (null) space.
+    if rows >= n:
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    else:
+        U, s, Vh = np.linalg.svd(A, full_matrices=True)
+    sigma_max = s[0] if s.size else 0.0
+    cutoff = max(rows, n) * np.finfo(float).eps * sigma_max
+    rank = int(np.count_nonzero(s > cutoff))
+
+    # Minimum-norm solution z0 = A^+ b; also serves as the anchor point.
+    if rank > 0:
+        z0 = Vh[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
+    else:
+        z0 = np.zeros(n)
+    return rank, z0, Vh[:rank].T, Vh[rank:].T
 
 
 def intersection_subspace(subspaces):

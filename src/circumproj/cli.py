@@ -165,15 +165,18 @@ def cmd_solve(args):
     except ValueError as exc:
         return _fail(f"bad --weights: {exc}")
 
-    config = SolverConfig(
-        method=method,
-        weights=weights,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
-        stop_rule=stop_rule,
-        workers=args.workers,
-        record_residuals=False,
-    )
+    try:
+        config = SolverConfig(
+            method=method,
+            weights=weights,
+            tolerance=args.tolerance,
+            max_iterations=args.max_iterations,
+            stop_rule=stop_rule,
+            workers=args.workers,
+            record_residuals=False,
+        )
+    except ValueError as exc:
+        return _fail(str(exc))
     try:
         result = solve(instance, config)
     except NumericalBreakdown as exc:
@@ -234,13 +237,17 @@ def _load_bench_config(path):
         if not cfg[key]:
             raise ValueError(f"config key {key!r} must be a nonempty list")
     cfg["methods"] = [Method(m).value for m in cfg["methods"]]
+    for workers in cfg["workers"]:
+        # SolverConfig owns the solver settings' validity rules.
+        SolverConfig(method=cfg["methods"][0], tolerance=cfg["tolerance"],
+                     max_iterations=cfg["max_iterations"], workers=workers)
     return cfg
 
 
 def cmd_bench(args):
     try:
         cfg = _load_bench_config(args.config)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
     out_path = args.out or cfg["out"]
 

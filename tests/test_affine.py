@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circumproj import (
     AffineSubspace,
@@ -11,7 +13,30 @@ from circumproj import (
     project_intersection,
     residual,
 )
+from circumproj import affine
 from oracles import kkt_project, kkt_project_blocks, kkt_residuals, point_in_subspace
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the blocks that went through the SVD factorization."""
+    calls = []
+    factor_svd = affine._factor_svd
+
+    def spy(A, b):
+        calls.append(A.shape)
+        return factor_svd(A, b)
+
+    monkeypatch.setattr(affine, "_factor_svd", spy)
+    return calls
+
+
+def block_with_singular_values(rng, singular_values, n):
+    """rows x n matrix U diag(s) V^T with random orthonormal U and V."""
+    rows = len(singular_values)
+    U, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, rows)))
+    return (U * np.asarray(singular_values)) @ V.T
 
 
 class TestConstruction:
@@ -266,3 +291,89 @@ class TestGeometricIdentities:
             scale = 1.0 + np.linalg.norm(base)
             assert np.linalg.norm(via_proj - base) <= 1e-8 * scale
             assert np.linalg.norm(via_refl - base) <= 1e-8 * scale
+
+
+class TestWideFactorization:
+    @pytest.mark.parametrize("rows, n", [(1, 5), (4, 9), (7, 7), (33, 50), (60, 60), (101, 130)])
+    def test_full_rank_blocks_take_qr(self, rng, svd_calls, rows, n):
+        A = rng.standard_normal((rows, n))
+        b = A @ rng.standard_normal(n)
+        U = AffineSubspace(A, b)
+        assert svd_calls == []
+        assert U.rank == rows
+        assert U.direction_dim == n - rows
+        assert U.direction_basis().shape == (n, n - rows)
+        min_norm, *_ = np.linalg.lstsq(A, b, rcond=None)
+        np.testing.assert_allclose(U.anchor, min_norm, atol=1e-10 * (1 + np.linalg.norm(min_norm)))
+        x = rng.standard_normal(n)
+        np.testing.assert_allclose(U.project(x), kkt_project(A, b, x), atol=1e-9)
+
+    def test_tall_blocks_take_svd(self, rng, svd_calls):
+        A = rng.standard_normal((9, 4))
+        U = AffineSubspace(A, A @ rng.standard_normal(4))
+        assert svd_calls == [(9, 4)]
+        assert U.rank == 4
+
+    def test_uncertified_full_rank_block_falls_back(self, rng, svd_calls):
+        # sigma_min = 1e-10 sigma_max: above the rank cutoff (~2e-15 sigma_max)
+        # but below what the QR certificate accepts.
+        n = 10
+        A = block_with_singular_values(rng, [1.0] * 5 + [1e-10], n)
+        b = A @ rng.standard_normal(n)
+        U = AffineSubspace(A, b)
+        assert svd_calls == [(6, n)]
+        assert U.rank == 6
+        assert np.linalg.norm(A @ U.anchor - b) <= 1e-12
+        np.testing.assert_allclose(U.direction_basis().T @ U.anchor, 0.0, atol=1e-12)
+
+    def test_rank_deficient_block_matches_numpy(self, rng, svd_calls):
+        n = 40
+        A = block_with_singular_values(rng, [1.0] * 7 + [1e-17], n)
+        U = AffineSubspace(A, A @ rng.standard_normal(n))
+        assert svd_calls == [(8, n)]
+        assert U.rank == np.linalg.matrix_rank(A) == 7
+        assert U.direction_dim == n - 7
+
+    def test_exactly_singular_triangle_falls_back(self, svd_calls):
+        A = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        U = AffineSubspace(A, [1.0, 2.0])
+        assert svd_calls == [(2, 3)]
+        assert U.rank == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 12),
+    extra=st.integers(0, 40),
+    gap_exponent=st.sampled_from([None, 0, -4, -9, -11, -13, -17, -20, -30]),
+    scale_exponent=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wide_block_properties(rows, extra, gap_exponent, scale_exponent, seed):
+    """Nearly dependent rows: the rank agrees with the SVD threshold and the
+    factors give a feasible, orthogonal projection on either route."""
+    rng = np.random.default_rng(seed)
+    n = rows + extra
+    A = rng.standard_normal((rows, n))
+    if rows > 1 and gap_exponent is not None:
+        # Last row = combination of the others + a perturbation of size 10^gap.
+        A[-1] = rng.standard_normal(rows - 1) @ A[:-1] + 10.0 ** gap_exponent * rng.standard_normal(n)
+    A *= 10.0 ** scale_exponent
+    s = np.linalg.svd(A, compute_uv=False)
+    cutoff = max(rows, n) * np.finfo(float).eps * s[0]
+    # Singular values within rounding of the cutoff have no well-defined rank.
+    assume(np.all((s > 10 * cutoff) | (s < cutoff / 10)))
+    b = A @ rng.standard_normal(n)
+    U = AffineSubspace(A, b)
+
+    assert U.rank == np.linalg.matrix_rank(A) == np.count_nonzero(s > cutoff)
+    basis = np.hstack([U.row_space_basis(), U.direction_basis()])
+    np.testing.assert_allclose(basis.T @ basis, np.eye(n), atol=1e-12)
+    np.testing.assert_allclose(U.direction_basis().T @ U.anchor, 0.0,
+                               atol=1e-12 * (1 + np.linalg.norm(U.anchor)))
+    x = 10.0 ** scale_exponent * rng.standard_normal(n)
+    p = U.project(x)
+    scale = 1 + np.linalg.norm(b) + s[0] * np.linalg.norm(x)
+    assert np.linalg.norm(A @ p - b) <= 1e-12 * scale
+    np.testing.assert_allclose(U.direction_basis().T @ (x - p), 0.0,
+                               atol=1e-12 * (1 + np.linalg.norm(x)))

@@ -104,6 +104,18 @@ class TestSolve:
         code = run_cli("solve", "--inst", str(tmp_path / "nope.json"), "--method", "pcrm")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"),
+        ("--tolerance", "0"),
+        ("--tolerance", "-1"),
+        ("--max-iterations", "0"),
+    ])
+    def test_invalid_solver_setting_exits_2(self, descriptor_file, capsys, flag, value):
+        code = run_cli("solve", "--inst", str(descriptor_file), "--method", "pcrm",
+                       flag, value)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_csv_append(self, descriptor_file, tmp_path):
         out = tmp_path / "records.csv"
         run_cli("solve", "--inst", str(descriptor_file), "--method", "pcrm",
@@ -165,6 +177,25 @@ class TestBench:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"methods": []}))
         assert run_cli("bench", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"workers": [0]},
+        {"workers": [1, 0]},
+        {"tolerance": 0},
+        {"tolerance": -1e-5},
+        {"max_iterations": 0},
+        {"workers": ["2"]},
+    ])
+    def test_invalid_solver_setting_exits_2(self, tmp_path, capsys, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "m_values": [30], "n_values": [5], "coherence_values": [0.0],
+            "methods": ["pcrm"], "seeds": [1], **override,
+        }))
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+        assert "bad config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unconverged_cell_exits_5(self, tmp_path):
         cfg = tmp_path / "cfg.json"
