@@ -15,6 +15,7 @@ from .analysis import (
     estimate_regularity,
     friedrichs_cosine,
     principal_cosines,
+    verify_error_bound,
 )
 from .circumcenter import CircumcenterSystem, circumcenter, gram_system
 from .errors import (

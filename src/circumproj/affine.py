@@ -13,10 +13,11 @@ from .errors import DimensionMismatch, EmptyIntersection, InconsistentSystem
 # Residual cutoff deciding whether a right-hand side is attainable.
 CONSISTENCY_RTOL = 1e-8
 
-# A wide block keeps its QR factors only when ||R||_F * ||T^-1||_F, an upper
-# bound on sigma_max / sigma_min, stays below this.  The SVD rank cutoff,
-# max(rows, n) * eps * sigma_max, is about 1e-13 * sigma_max at n = 500, so a
-# certified block is full rank by a margin that rounding cannot erase.
+# A block keeps its QR factors only when their triangle T has
+# ||T||_F * ||T^-1||_F, an upper bound on sigma_max / sigma_min, below this.
+# The SVD rank cutoff, max(rows, n) * eps * sigma_max, is about
+# 1e-13 * sigma_max at n = 500, so a certified block is full rank by a margin
+# that rounding cannot erase.
 QR_CONDITION_LIMIT = 1e8
 
 # Diagonal blocks up to this order are inverted directly by LAPACK.
@@ -29,12 +30,16 @@ class AffineSubspace:
     A wide block (rows <= n) is factored by one Householder QR of A^T,
     A^T = Q [T; 0], and kept at rank = rows when the bound
     ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT certifies that
-    sigma_min / sigma_max is far above the rank cutoff below.  Tall blocks,
-    and wide blocks that miss the certificate (dependent or nearly dependent
-    rows), fall back to a rank-revealing SVD with the numerical rank
-    threshold max(rows, n) * eps * sigma_max.  Both routes give the same rank
-    on every block whose singular values clear the threshold by more than
-    rounding.
+    sigma_min / sigma_max is far above the rank cutoff below.  A tall block
+    (rows > n) is factored by one R-only Householder QR of [A | b], whose
+    leading n x n triangle R and last column c = Q^T b give z0 = R^-1 c
+    without forming Q; under the same certificate on R it is kept at
+    rank = n, with row basis I_n and an empty null basis, so its projection
+    is the point z0.  Blocks that miss the certificate (dependent or nearly
+    dependent rows or columns) fall back to a rank-revealing SVD with the
+    numerical rank threshold max(rows, n) * eps * sigma_max.  All routes give
+    the same rank on every block whose singular values clear the threshold
+    by more than rounding.
 
     Projections afterwards cost one pair of thin matrix-vector products:
     whichever of the row-space basis (rank columns) or the direction-space
@@ -62,7 +67,7 @@ class AffineSubspace:
         if b.shape != (rows,):
             raise DimensionMismatch(f"rhs has length {b.size}, expected {rows}")
 
-        factors = _factor_qr(A, b) if rows <= n else None
+        factors = _factor_qr(A, b) if rows <= n else _factor_tall_qr(A, b)
         if factors is None:
             factors = _factor_svd(A, b)
         rank, z0, row_basis, null_basis = factors
@@ -145,7 +150,32 @@ def _factor_qr(A, b):
     """
     rows = A.shape[0]
     Q, R = np.linalg.qr(A.T, mode="complete")
-    T = R[:rows]
+    T_inv = _certified_inverse(R[:rows])
+    if T_inv is None:
+        return None
+    row_basis = Q[:, :rows]
+    return rows, row_basis @ (T_inv.T @ b), row_basis, Q[:, rows:]
+
+
+def _factor_tall_qr(A, b):
+    """Factors of a tall block from an R-only QR of [A | b], or None if not certified.
+
+    With [A | b] = Q [[R, c], [0, d]] and R invertible, A has full column
+    rank, so the row space is all of R^n, the null space is {0}, and z0 =
+    R^-1 c is the least-squares solution; |d| is its misfit, which the
+    caller's consistency check sees.
+    """
+    n = A.shape[1]
+    Rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
+    R_inv = _certified_inverse(Rb[:n, :n])
+    if R_inv is None:
+        return None
+    return n, R_inv @ Rb[:n, n], np.eye(n), np.zeros((n, 0))
+
+
+def _certified_inverse(T):
+    """Inverse of an upper triangle T, or None unless
+    ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT."""
     try:
         # A nearly singular T may overflow to inf or nan; both fail the test.
         with np.errstate(all="ignore"):
@@ -153,10 +183,7 @@ def _factor_qr(A, b):
             bound = np.linalg.norm(T) * np.linalg.norm(T_inv)
     except np.linalg.LinAlgError:
         return None
-    if not bound <= QR_CONDITION_LIMIT:
-        return None
-    row_basis = Q[:, :rows]
-    return rows, row_basis @ (T_inv.T @ b), row_basis, Q[:, rows:]
+    return T_inv if bound <= QR_CONDITION_LIMIT else None
 
 
 def _triangular_inverse(T):
@@ -202,9 +229,11 @@ def _factor_svd(A, b):
 def intersection_subspace(subspaces):
     """Stack the blocks into one subspace representing the intersection.
 
-    One direct rank-revealing factorization of the stacked system; the
-    result's `project` is the exact best-approximation oracle onto the
-    intersection.
+    One direct factorization of the stacked system (see AffineSubspace: a
+    certified QR, or the SVD when the stack is rank deficient or nearly so);
+    the result's `project` is the exact best-approximation oracle onto the
+    intersection.  A tall stack of full column rank pins a single point, which
+    its R-only QR finds without forming Q.
 
     Raises EmptyIntersection when the stacked system is inconsistent.
     """

@@ -96,22 +96,42 @@ def angle_report(u_subspace, v_subspace):
     )
 
 
+def _sample_points(stacked, samples, seed):
+    """The intersection's anchor plus `samples` standard-normal offsets."""
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    return stacked.anchor + rng.standard_normal((samples, stacked.ambient_dim))
+
+
 def estimate_regularity(instance, samples, seed):
     """Empirical regularity constant max dist(x, S) / max_i dist(x, U_i).
 
     Samples standard-normal points around a feasible anchor; points already
     in the intersection (to tolerance) are skipped.  The true constant is an
     upper bound over all of space, so the sampled value only bounds it from
-    below.  Always >= 1; exactly 1 for a single block.
+    below.  Always >= 1; exactly 1 for a single block.  Raises ValueError
+    when samples < 1.
     """
     stacked = intersection_subspace(instance.subspaces)
-    n = instance.ambient_dim
-    rng = np.random.default_rng(seed)
-    anchor = stacked.project(np.zeros(n))
-    points = anchor + rng.standard_normal((int(samples), n))
+    points = _sample_points(stacked, samples, seed)
     per_block_max = residual(instance.subspaces, points)
     to_intersection = stacked.distance(points)
     keep = per_block_max > 1e-12 * (1.0 + np.linalg.norm(points, axis=-1))
     if not np.any(keep):
         return 1.0
     return float(max(1.0, np.max(to_intersection[keep] / per_block_max[keep])))
+
+
+def verify_error_bound(u_subspace, v_subspace, constant, samples, seed):
+    """True when dist(x, U∩V) <= constant * max(dist(x, U), dist(x, V)) + 1e-9
+    holds at every point sampled as in estimate_regularity.
+
+    Raises ValueError when samples < 1.
+    """
+    stacked = intersection_subspace([u_subspace, v_subspace])
+    points = _sample_points(stacked, samples, seed)
+    lhs = stacked.distance(points)
+    rhs = constant * residual([u_subspace, v_subspace], points)
+    return not np.any(lhs > rhs + 1e-9)

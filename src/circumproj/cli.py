@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import angle_report, estimate_regularity, intersection_subspace
+from .analysis import angle_report, estimate_regularity, verify_error_bound
 from .errors import CircumprojError, NumericalBreakdown
 from .problems import (
     GenerationDescriptor,
@@ -160,6 +160,8 @@ def cmd_solve(args):
             if instance.known_solution is not None
             else StopRule.FEASIBILITY_RESIDUAL
         )
+    if args.weights is not None and method in (Method.CRM, Method.PCRM):
+        return _fail(f"--weights applies to fspm and cimmino only, not {method.value}")
     try:
         weights = _parse_weights(args.weights, instance.block_count)
     except ValueError as exc:
@@ -338,23 +340,25 @@ def cmd_analyze(args):
     except (OSError, ValueError, KeyError, CircumprojError) as exc:
         return _fail(f"cannot load instance: {exc}")
 
-    if args.mode == "angles":
-        if instance.block_count > 2:
-            return _fail("angle mode needs an instance with at most 2 blocks")
-        if instance.block_count == 2:
-            u_sub, v_sub = instance.subspaces
+    if args.mode == "angles" and instance.block_count > 2:
+        return _fail("angle mode needs an instance with at most 2 blocks")
+    try:
+        if args.mode == "angles":
+            if instance.block_count == 2:
+                u_sub, v_sub = instance.subspaces
+            else:
+                u_sub = v_sub = instance.subspaces[0]
+            report = angle_report(u_sub, v_sub)
+            payload = report.to_dict()
+            payload["bound_verified"] = verify_error_bound(
+                u_sub, v_sub, report.error_bound_constant, args.samples, args.seed)
         else:
-            u_sub = v_sub = instance.subspaces[0]
-        report = angle_report(u_sub, v_sub)
-        payload = report.to_dict()
-        payload.update(_verify_bound(u_sub, v_sub, report, args.samples, args.seed))
-    else:
-        value = estimate_regularity(instance, args.samples, args.seed)
-        payload = {
-            "regularity_estimate": value,
-            "samples": args.samples,
-            "seed": args.seed,
-        }
+            payload = {
+                "regularity_estimate": estimate_regularity(instance, args.samples, args.seed)
+            }
+    except ValueError as exc:
+        return _fail(str(exc))
+    payload.update(samples=args.samples, seed=args.seed)
 
     text = json.dumps(payload, indent=2)
     print(text)
@@ -362,20 +366,6 @@ def cmd_analyze(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return 0
-
-
-def _verify_bound(u_sub, v_sub, report, samples, seed):
-    stacked = intersection_subspace([u_sub, v_sub])
-    n = u_sub.ambient_dim
-    rng = np.random.default_rng(seed)
-    anchor = stacked.project(np.zeros(n))
-    points = anchor + rng.standard_normal((samples, n))
-    lhs = stacked.distance(points)
-    rhs = report.error_bound_constant * np.maximum(
-        u_sub.distance(points), v_sub.distance(points)
-    )
-    violations = int(np.count_nonzero(lhs > rhs + 1e-9))
-    return {"bound_verified": violations == 0, "samples": samples, "seed": seed}
 
 
 def build_parser():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from circumproj import (
     AffineSubspace,
+    build_instance,
     DimensionMismatch,
     EmptyIntersection,
     InconsistentSystem,
@@ -308,11 +309,12 @@ class TestWideFactorization:
         x = rng.standard_normal(n)
         np.testing.assert_allclose(U.project(x), kkt_project(A, b, x), atol=1e-9)
 
-    def test_tall_blocks_take_svd(self, rng, svd_calls):
+    def test_tall_blocks_take_tall_qr(self, rng, svd_calls):
         A = rng.standard_normal((9, 4))
         U = AffineSubspace(A, A @ rng.standard_normal(4))
-        assert svd_calls == [(9, 4)]
+        assert svd_calls == []
         assert U.rank == 4
+        assert U.direction_basis().shape == (4, 0)
 
     def test_uncertified_full_rank_block_falls_back(self, rng, svd_calls):
         # sigma_min = 1e-10 sigma_max: above the rank cutoff (~2e-15 sigma_max)
@@ -339,6 +341,93 @@ class TestWideFactorization:
         U = AffineSubspace(A, [1.0, 2.0])
         assert svd_calls == [(2, 3)]
         assert U.rank == 1
+
+
+class TestTallFactorization:
+    @pytest.mark.parametrize("rows, n", [(2, 1), (9, 4), (51, 50), (300, 40)])
+    def test_full_rank_blocks_take_qr(self, rng, svd_calls, rows, n):
+        A = rng.standard_normal((rows, n))
+        b = A @ rng.standard_normal(n)
+        U = AffineSubspace(A, b)
+        assert svd_calls == []
+        assert U.rank == n
+        assert U.direction_basis().shape == (n, 0)
+        np.testing.assert_array_equal(U.row_space_basis(), np.eye(n))
+        solution, *_ = np.linalg.lstsq(A, b, rcond=None)
+        np.testing.assert_allclose(U.anchor, solution, atol=1e-10 * (1 + np.linalg.norm(solution)))
+        P = U.project(rng.standard_normal((3, n)))
+        np.testing.assert_array_equal(P, np.tile(U.anchor, (3, 1)))
+
+    def test_dependent_columns_fall_back(self, rng, svd_calls):
+        A = rng.standard_normal((30, 8))
+        A[:, 7] = A[:, 0] - 2.0 * A[:, 1]
+        U = AffineSubspace(A, A @ rng.standard_normal(8))
+        assert svd_calls == [(30, 8)]
+        assert U.rank == np.linalg.matrix_rank(A) == 7
+        assert U.direction_dim == 1
+
+    def test_uncertified_full_rank_block_falls_back(self, rng, svd_calls):
+        # sigma_min = 1e-10 sigma_max: full rank by the SVD cutoff, but below
+        # what the QR certificate accepts.
+        A = block_with_singular_values(rng, [1.0] * 5 + [1e-10], 12).T
+        b = A @ rng.standard_normal(6)
+        U = AffineSubspace(A, b)
+        assert svd_calls == [(12, 6)]
+        assert U.rank == 6
+        assert np.linalg.norm(A @ U.anchor - b) <= 1e-12
+
+    def test_inconsistent_rhs_raises(self, rng, svd_calls):
+        A = rng.standard_normal((10, 3))
+        with pytest.raises(InconsistentSystem):
+            AffineSubspace(A, rng.standard_normal(10))
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_stacked_instance_anchor_is_planted_point(self, svd_calls, seed):
+        inst = build_instance(1000, 50, 0.1, seed)
+        S = intersection_subspace(inst.subspaces)
+        assert svd_calls == []
+        assert S.rank == 50
+        assert np.linalg.norm(S.anchor - inst.known_solution) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 12),
+    extra=st.integers(1, 40),
+    gap_exponent=st.sampled_from([None, 0, -4, -9, -11, -13, -17, -20, -30]),
+    scale_exponent=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tall_block_properties(n, extra, gap_exponent, scale_exponent, seed):
+    """Nearly dependent columns: the rank agrees with the SVD threshold and the
+    factors give a feasible, orthogonal projection on either route."""
+    rng = np.random.default_rng(seed)
+    rows = n + extra
+    A = rng.standard_normal((rows, n))
+    if n > 1 and gap_exponent is not None:
+        # Last column = combination of the others + a perturbation of size 10^gap.
+        A[:, -1] = (A[:, :-1] @ rng.standard_normal(n - 1)
+                    + 10.0 ** gap_exponent * rng.standard_normal(rows))
+    A *= 10.0 ** scale_exponent
+    s = np.linalg.svd(A, compute_uv=False)
+    cutoff = max(rows, n) * np.finfo(float).eps * s[0]
+    # Singular values within rounding of the cutoff have no well-defined rank.
+    assume(np.all((s > 10 * cutoff) | (s < cutoff / 10)))
+    b = A @ rng.standard_normal(n)
+    U = AffineSubspace(A, b)
+
+    assert U.rank == np.linalg.matrix_rank(A) == np.count_nonzero(s > cutoff)
+    basis = np.hstack([U.row_space_basis(), U.direction_basis()])
+    np.testing.assert_allclose(basis.T @ basis, np.eye(n), atol=1e-12)
+    np.testing.assert_allclose(U.direction_basis().T @ U.anchor, 0.0,
+                               atol=1e-12 * (1 + np.linalg.norm(U.anchor)))
+    x = 10.0 ** scale_exponent * rng.standard_normal(n)
+    p = U.project(x)
+    scale = 1 + np.linalg.norm(b) + s[0] * np.linalg.norm(x)
+    assert np.linalg.norm(A @ p - b) <= 1e-12 * scale
+    np.testing.assert_allclose(U.direction_basis().T @ (x - p), 0.0,
+                               atol=1e-12 * (1 + np.linalg.norm(x)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -11,6 +11,7 @@ from circumproj import (
     estimate_regularity,
     friedrichs_cosine,
     intersection_subspace,
+    verify_error_bound,
 )
 
 
@@ -155,3 +156,31 @@ class TestEstimateRegularity:
         a = estimate_regularity(inst, 500, seed=7)
         b = estimate_regularity(inst, 500, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_nonpositive_samples_rejected(self, samples):
+        inst = ProblemInstance(subspaces=(x_axis(), y_axis()), ambient_dim=2)
+        with pytest.raises(ValueError, match="samples"):
+            estimate_regularity(inst, samples, seed=0)
+
+
+class TestVerifyErrorBound:
+    def test_orthogonal_lines_hold_their_constant(self):
+        assert verify_error_bound(x_axis(), y_axis(), np.sqrt(5.0), 2000, seed=3) is True
+
+    def test_too_small_constant_fails(self):
+        # dist(x, U∩V) >= max(dist(x, U), dist(x, V)) for every x.
+        assert verify_error_bound(x_axis(), diagonal_line(), 0.5, 200, seed=3) is False
+
+    def test_report_constant_holds_on_random_pair(self, rng):
+        n = 7
+        planted = rng.standard_normal(n)
+        A1, A2 = rng.standard_normal((2, n)), rng.standard_normal((3, n))
+        U, V = AffineSubspace(A1, A1 @ planted), AffineSubspace(A2, A2 @ planted)
+        constant = angle_report(U, V).error_bound_constant
+        assert verify_error_bound(U, V, constant, 1000, seed=1)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_nonpositive_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            verify_error_bound(x_axis(), y_axis(), np.sqrt(5.0), samples, seed=0)

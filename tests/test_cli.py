@@ -116,6 +116,18 @@ class TestSolve:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("method", ["crm", "pcrm"])
+    @pytest.mark.parametrize("weights", ["uniform", "cimmino", "0.5,0.1,0.1,0.1,0.1,0.1"])
+    def test_weights_rejected_for_circumcentered_methods(self, descriptor_file, capsys,
+                                                         method, weights):
+        code = run_cli("solve", "--inst", str(descriptor_file), "--method", method,
+                       "--weights", weights)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--weights" in captured.err
+
     def test_csv_append(self, descriptor_file, tmp_path):
         out = tmp_path / "records.csv"
         run_cli("solve", "--inst", str(descriptor_file), "--method", "pcrm",
@@ -249,3 +261,14 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["friedrichs_cosine"] == 0.0
         assert payload["intersection_dim"] == 3  # direction dim of the block
+
+    @pytest.mark.parametrize("mode", ["angles", "regularity"])
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_nonpositive_samples_exit_2(self, two_block_descriptor, capsys, mode, samples):
+        code = run_cli("analyze", "--inst", str(two_block_descriptor),
+                       "--mode", mode, "--samples", samples)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "samples" in captured.err
