@@ -116,7 +116,10 @@ class AffineSubspace:
 
     def project(self, x):
         """Orthogonal projection of x onto the subspace (row-wise if 2-D)."""
-        x = self._check(x)
+        return self._project(self._check(x))
+
+    def _project(self, x):
+        # The projection of an x whose shape the caller has already checked.
         if self._use_null:
             N = self._null_basis
             return self.anchor + (x @ N) @ N.T

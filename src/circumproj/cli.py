@@ -387,7 +387,8 @@ def build_parser():
     p_solve.add_argument("--inst", required=True)
     p_solve.add_argument("--method", required=True,
                          choices=[m.value for m in Method])
-    p_solve.add_argument("--workers", type=int, default=1)
+    p_solve.add_argument("--workers", type=int, default=1,
+                         help="recorded in the CSV; does not change the computation")
     p_solve.add_argument("--tolerance", type=float, default=1e-5)
     p_solve.add_argument("--max-iterations", type=int, default=10_000)
     p_solve.add_argument("--stop-rule", default="auto",

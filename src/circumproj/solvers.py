@@ -6,8 +6,14 @@ Three operators act on the same block list:
   preset p_0 = 0, p_i = 1/m.
 * CRM: circumcenter of x and its m sequentially composed reflections
   (inherently sequential; each reflection feeds the next).
-* P-CRM: circumcenter of x and the m independent reflections of x, which can
-  be fanned out to a thread pool.
+* P-CRM: circumcenter of x and the m independent reflections of x.
+
+F-SPM and P-CRM take all m projections of x from one stacked kernel, two
+BLAS calls per group of blocks with the same basis kind and width, and
+`solve` reads the feasibility residual of x off those same projections.
+Everything runs in the calling thread: the `workers` setting is accepted
+and recorded but does not change the computation, so P-CRM results are
+bitwise identical for every worker count.
 
 Projection accounting: every reflection costs exactly one projection, so one
 CRM/P-CRM iteration over m blocks counts m projections; one F-SPM iteration
@@ -15,13 +21,11 @@ counts one projection per positive weight p_i, i >= 1.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .affine import residual
 from .circumcenter import circumcenter
 from .errors import (
     DimensionMismatch,
@@ -84,7 +88,7 @@ class SolverConfig:
     tolerance: float = 1e-5
     max_iterations: int = 10_000
     stop_rule: StopRule = StopRule.REL_ERR_TO_KNOWN
-    workers: int = 1
+    workers: int = 1  # validated and recorded; solves run in the calling thread
     record_residuals: bool = True
 
     def __post_init__(self):
@@ -96,6 +100,8 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.weights is not None and self.method in (Method.CRM, Method.PCRM):
+            raise ValueError(f"weights apply to fspm and cimmino only, not {self.method.value}")
 
 
 @dataclass
@@ -138,173 +144,155 @@ class SolveResult:
 
 
 class _BlockKernel:
-    """Batched projection kernels over a fixed tiling of the block list.
+    """All m block projections of one point, from bases stacked once.
 
-    Blocks are grouped into at most TARGET_TILES contiguous tiles at
-    construction; within a tile the cached bases are zero-padded to a common
-    width and stacked, so projecting one point against a whole tile is a
-    pair of batched matmuls instead of a Python loop.  The tiling depends
-    only on the block list, never on the worker count, and every tile is
-    evaluated by its own matmul calls, so outputs are bitwise reproducible
-    under any parallel schedule.
+    Blocks are grouped by the basis their projection uses (`_use_null`) and
+    its width w.  A group's g bases are stored transposed as one (g, w, n)
+    array, so projecting x onto its blocks is one matrix-vector product with
+    the flattened (g w, n) stack, giving every block's coefficients, plus one
+    batched product mapping them back.  Nothing is padded: the stacks hold
+    sum_i w_i n numbers, and there is one group per distinct (route, width).
     """
-
-    TARGET_TILES = 8
 
     def __init__(self, subspaces):
-        subspaces = list(subspaces)
         n = subspaces[0].ambient_dim
-        self.block_count = len(subspaces)
-        self.ambient_dim = n
-        tile_ranges = np.array_split(
-            np.arange(self.block_count), min(self.block_count, self.TARGET_TILES)
-        )
-        self.tiles = [self._build_tile(idx, subspaces, n) for idx in tile_ranges]
-
-    @staticmethod
-    def _build_tile(idx, subspaces, n):
-        parts = []
-        for use_null in (True, False):
-            members = [i for i in idx if subspaces[i]._use_null is use_null]
-            if not members:
-                continue
-            bases = [
-                subspaces[i].direction_basis() if use_null else subspaces[i].row_space_basis()
-                for i in members
-            ]
-            width = max(b.shape[1] for b in bases)
-            stacked = np.zeros((len(members), n, width))
-            for row, basis in enumerate(bases):
-                stacked[row, :, : basis.shape[1]] = basis
+        by_basis = {}
+        for i, U in enumerate(subspaces):
+            by_basis.setdefault((U._use_null, _projection_basis(U).shape[1]), []).append(i)
+        self.groups = []
+        for (use_null, w), members in by_basis.items():
+            # Filled row by row to get C order: np.stack of the transposed
+            # bases would keep their strides and slow both products.
+            basis_t = np.empty((len(members), w, n))
+            for row, i in enumerate(members):
+                basis_t[row] = _projection_basis(subspaces[i]).T
             anchors = np.stack([subspaces[i].anchor for i in members])
-            parts.append((
-                use_null,
-                np.asarray(members, dtype=np.intp),
-                stacked,
-                np.ascontiguousarray(stacked.transpose(0, 2, 1)),
-                anchors,
-            ))
-        return parts
-
-    def project_tile(self, tile, x, out):
-        """Write P_i(x) into out[i] for every block i of the tile."""
-        for use_null, members, basis, basis_t, anchors in tile:
-            coeff = np.matmul(basis_t, x)
-            span = np.matmul(basis, coeff[..., None])[..., 0]
-            if use_null:
-                out[members] = anchors + span
-            else:
-                out[members] = x - span + anchors
+            members = slice(None) if len(members) == len(subspaces) else np.asarray(members)
+            self.groups.append((use_null, members, basis_t, anchors))
 
     def project_all(self, x, out):
-        for tile in self.tiles:
-            self.project_tile(tile, x, out)
+        """Write P_i(x) into out[i] for every block i."""
+        for use_null, members, basis_t, anchors in self.groups:
+            g, w, n = basis_t.shape
+            coeff = basis_t.reshape(g * w, n) @ x
+            span = np.matmul(coeff.reshape(g, 1, w), basis_t)[:, 0]
+            out[members] = anchors + span if use_null else x - span + anchors
+        return out
 
 
-class _ReflectionPool:
-    """Evaluates all block projections of one point, optionally in parallel.
+def _projection_basis(U):
+    """The thinner basis U.project uses: null(A) or range(A^T)."""
+    return U.direction_basis() if U._use_null else U.row_space_basis()
 
-    Tiles are chunked across at most `workers` tasks; each task writes only
-    its own tiles' rows of the shared output array.
+
+def _max_distance(x, proj):
+    """max_i ||P_i(x) - x|| from the rows of proj."""
+    diff = proj - x
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
+
+
+class _Operator:
+    """One method's step over a fixed block list, with its point buffer.
+
+    `project(x)` writes every P_i(x) into rows 1..m of `points`, from a
+    stacked kernel built on first use, and returns those rows.  `step(x,
+    proj)` gives the next iterate; a caller that already holds proj =
+    project(x) passes it in, and with proj=None the step projects x itself.
     """
 
-    def __init__(self, subspaces, workers):
-        self.kernel = _BlockKernel(subspaces)
-        self.workers = max(1, min(int(workers), len(self.kernel.tiles)))
-        self._pool = None
-        self._chunks = None
-        if self.workers > 1:
-            self._chunks = [
-                chunk for chunk in np.array_split(
-                    np.arange(len(self.kernel.tiles)), self.workers
-                ) if chunk.size
-            ]
-            self._pool = ThreadPoolExecutor(max_workers=self.workers - 1)
-            # spawn the threads now so the first step does not pay for it
-            for fut in [self._pool.submit(lambda: None)
-                        for _ in range(self.workers - 1)]:
-                fut.result()
+    def __init__(self, subspaces):
+        self.subspaces = subspaces
+        self.per_iter = len(subspaces)
+        self.points = np.empty((len(subspaces) + 1, subspaces[0].ambient_dim))
+        self._kernel = None
 
-    def project_into(self, x, out):
-        """Fill out[i] with the projection of x onto block i."""
-        if self._pool is None:
-            self.kernel.project_all(x, out)
-            return
-        futures = [
-            self._pool.submit(self._run_chunk, chunk, x, out)
-            for chunk in self._chunks[1:]
-        ]
-        self._run_chunk(self._chunks[0], x, out)
-        for fut in futures:
-            fut.result()
-
-    def _run_chunk(self, tile_indices, x, out):
-        tiles = self.kernel.tiles
-        for t in tile_indices:
-            self.kernel.project_tile(tiles[t], x, out)
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+    def project(self, x):
+        if self._kernel is None:
+            self._kernel = _BlockKernel(self.subspaces)
+        return self._kernel.project_all(x, self.points[1:])
 
 
-def _fspm_apply(x, subspaces, weights):
-    y = weights[0] * x
-    for w, U in zip(weights[1:], subspaces):
-        y += w * U.project(x)
-    return y
+class _Fspm(_Operator):
+    """p_0 x + sum_i p_i P_i(x)."""
+
+    def __init__(self, subspaces, weights):
+        super().__init__(subspaces)
+        self.weights = weights
+        self.per_iter = int(np.count_nonzero(weights[1:] > 0))
+
+    def step(self, x, proj=None):
+        if proj is None:
+            proj = self.project(x)
+        return self.weights[0] * x + self.weights[1:] @ proj
 
 
-def fspm_step(x, subspaces, weights):
-    """One weighted simultaneous-projection step p_0 x + sum_i p_i P_i(x)."""
-    weights = validate_weights(weights, len(subspaces))
-    return _fspm_apply(np.asarray(x, dtype=float), subspaces, weights)
+class _Pcrm(_Operator):
+    """Circumcenter of x and its m independent reflections 2 P_i(x) - x."""
+
+    def step(self, x, proj=None):
+        if proj is None:
+            proj = self.project(x)
+        pts = self.points
+        pts[0] = x
+        np.multiply(proj, 2.0, out=pts[1:])
+        pts[1:] -= x
+        return circumcenter(pts)
 
 
-def crm_step(x, subspaces):
-    """Circumcenter of x and its sequentially composed reflections."""
+class _Crm(_Operator):
+    """Circumcenter of x and its m sequentially composed reflections.
+
+    Each reflection 2 P_i(y) - y uses the block's projection without
+    AffineSubspace's shape check, since x was checked once.  The projections
+    of x itself are not used, so proj is ignored, and the stacked kernel is
+    built only if a residual asks for them.
+    """
+
+    def step(self, x, proj=None):
+        pts = self.points
+        pts[0] = y = x
+        for i, U in enumerate(self.subspaces):
+            y = pts[i + 1] = 2.0 * U._project(y) - y
+        return circumcenter(pts)
+
+
+def _step_input(x, subspaces, ndims=(1,)):
     subspaces = list(subspaces)
     if not subspaces:
         raise ValueError("need at least one subspace")
     x = np.asarray(x, dtype=float)
-    pts = np.empty((len(subspaces) + 1, x.size))
-    pts[0] = x
-    y = x
-    for i, U in enumerate(subspaces):
-        y = U.reflect(y)
-        pts[i + 1] = y
-    return circumcenter(pts)
+    n = subspaces[0].ambient_dim
+    if x.ndim not in ndims or x.shape[-1] != n:
+        raise DimensionMismatch(f"point has shape {x.shape}, ambient dimension is {n}")
+    return x, subspaces
 
 
-def _reflections_from_projections(x, pts):
-    # pts rows 1..m hold P_i(x); turn them into 2 P_i(x) - x in place.
-    pts[1:] *= 2.0
-    pts[1:] -= x
+def fspm_step(x, subspaces, weights):
+    """One weighted simultaneous-projection step p_0 x + sum_i p_i P_i(x).
+
+    A 2-D x is a batch of points, stepped row by row.
+    """
+    x, subspaces = _step_input(x, subspaces, ndims=(1, 2))
+    operator = _Fspm(subspaces, validate_weights(weights, len(subspaces)))
+    if x.ndim == 1:
+        return operator.step(x)
+    return np.array([operator.step(row) for row in x]).reshape(x.shape)
+
+
+def crm_step(x, subspaces):
+    """Circumcenter of x and its sequentially composed reflections."""
+    x, subspaces = _step_input(x, subspaces)
+    return _Crm(subspaces).step(x)
 
 
 def pcrm_step(x, subspaces, workers=1):
     """Circumcenter of x and its m independent reflections.
 
-    Reflections are computed concurrently when workers > 1; the output is
-    bitwise identical for every worker count.
+    `workers` is accepted for compatibility and does not change the
+    computation, so the output is bitwise identical for every worker count.
     """
-    subspaces = list(subspaces)
-    if not subspaces:
-        raise ValueError("need at least one subspace")
-    x = np.asarray(x, dtype=float)
-    pts = np.empty((len(subspaces) + 1, x.size))
-    pts[0] = x
-    with _ReflectionPool(subspaces, workers) as pool:
-        pool.project_into(x, pts[1:])
-    _reflections_from_projections(x, pts)
-    return circumcenter(pts)
+    x, subspaces = _step_input(x, subspaces)
+    return _Pcrm(subspaces).step(x)
 
 
 def solve(instance, config, x0=None):
@@ -312,7 +300,10 @@ def solve(instance, config, x0=None):
 
     Stops when the configured rule fires (status CONVERGED) or after
     config.max_iterations steps (status MAX_ITER).  Wall time is measured
-    around the iteration loop only; the trace records every iterate.
+    around the iteration loop only; the trace records every iterate.  The
+    feasibility residual of x_k is read off the projections P_i(x_k) that
+    the F-SPM and P-CRM steps from x_k use anyway, and an iteration that
+    stops without recording a residual projects nothing.
 
     Raises MissingReference when stop_rule is REL_ERR_TO_KNOWN but the
     instance has no known solution, and NumericalBreakdown (with the partial
@@ -342,29 +333,11 @@ def solve(instance, config, x0=None):
             weights = cimmino_weights(m)
         else:
             weights = uniform_weights(m)
-        weights = validate_weights(weights, m)
-        per_iter = int(np.count_nonzero(weights[1:] > 0))
-        pool = None
-        kernel = _BlockKernel(subspaces)
-        proj = np.empty((m, n))
-
-        def step(x):
-            kernel.project_all(x, proj)
-            return weights[0] * x + weights[1:] @ proj
+        operator = _Fspm(subspaces, validate_weights(weights, m))
     elif method is Method.CRM:
-        per_iter = m
-        pool = None
-        step = lambda x: crm_step(x, subspaces)
+        operator = _Crm(subspaces)
     else:
-        per_iter = m
-        pool = _ReflectionPool(subspaces, config.workers)
-        pts = np.empty((m + 1, n))
-
-        def step(x):
-            pts[0] = x
-            pool.project_into(x, pts[1:])
-            _reflections_from_projections(x, pts)
-            return circumcenter(pts)
+        operator = _Pcrm(subspaces)
 
     need_resid = config.record_residuals or rule is StopRule.FEASIBILITY_RESIDUAL
     tol = config.tolerance
@@ -373,40 +346,37 @@ def solve(instance, config, x0=None):
     nproj = 0
     prev = None
     start = time.perf_counter()
-    try:
-        while True:
-            if not np.all(np.isfinite(x)):
-                trace.append(k, float("nan"), float("nan"), nproj, time.perf_counter() - start)
-                trace.status = Status.DIVERGED_NUMERICALLY
-                trace.wall_time_s = time.perf_counter() - start
-                raise NumericalBreakdown(
-                    f"non-finite iterate at iteration {k}", trace=trace, point=x
-                )
-            resid = float(residual(subspaces, x)) if need_resid else float("nan")
-            dist = float(np.linalg.norm(x - reference)) if reference is not None else float("nan")
-            trace.append(k, resid, dist, nproj, time.perf_counter() - start)
+    while True:
+        if not np.all(np.isfinite(x)):
+            trace.append(k, float("nan"), float("nan"), nproj, time.perf_counter() - start)
+            trace.status = Status.DIVERGED_NUMERICALLY
+            trace.wall_time_s = time.perf_counter() - start
+            raise NumericalBreakdown(
+                f"non-finite iterate at iteration {k}", trace=trace, point=x
+            )
+        proj = operator.project(x) if need_resid else None
+        resid = _max_distance(x, proj) if need_resid else float("nan")
+        dist = float(np.linalg.norm(x - reference)) if reference is not None else float("nan")
+        trace.append(k, resid, dist, nproj, time.perf_counter() - start)
 
-            if rule is StopRule.REL_ERR_TO_KNOWN:
-                stop = dist <= tol * ref_norm if ref_norm > 0 else dist <= tol
-            elif rule is StopRule.FEASIBILITY_RESIDUAL:
-                stop = resid <= tol * (1.0 + float(np.linalg.norm(x)))
-            else:
-                stop = prev is not None and float(np.linalg.norm(x - prev)) <= tol
-            if stop:
-                trace.status = Status.CONVERGED
-                break
-            if k >= config.max_iterations:
-                trace.status = Status.MAX_ITER
-                break
+        if rule is StopRule.REL_ERR_TO_KNOWN:
+            stop = dist <= tol * ref_norm if ref_norm > 0 else dist <= tol
+        elif rule is StopRule.FEASIBILITY_RESIDUAL:
+            stop = resid <= tol * (1.0 + float(np.linalg.norm(x)))
+        else:
+            stop = prev is not None and float(np.linalg.norm(x - prev)) <= tol
+        if stop:
+            trace.status = Status.CONVERGED
+            break
+        if k >= config.max_iterations:
+            trace.status = Status.MAX_ITER
+            break
 
-            prev = x
-            x = step(x)
-            nproj += per_iter
-            k += 1
-        trace.wall_time_s = time.perf_counter() - start
-    finally:
-        if pool is not None:
-            pool.close()
+        prev = x
+        x = operator.step(x, proj)
+        nproj += operator.per_iter
+        k += 1
+    trace.wall_time_s = time.perf_counter() - start
     return SolveResult(point=x, trace=trace)
 
 

@@ -1,10 +1,12 @@
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from circumproj import (
     AffineSubspace,
+    DimensionMismatch,
     InsufficientData,
     InvalidWeights,
     IterationTrace,
@@ -18,14 +20,17 @@ from circumproj import (
     build_instance,
     build_underdetermined_instance,
     cimmino_weights,
+    circumcenter,
     crm_step,
     estimate_rate,
     fspm_step,
     pcrm_step,
+    residual,
     solve,
     uniform_weights,
     validate_weights,
 )
+from circumproj import solvers
 from conftest import hyperplane_instance, random_block_instance
 from oracles import kkt_project_blocks
 
@@ -59,6 +64,127 @@ class TestWeights:
             SolverConfig(method="pcrm", max_iterations=0)
         with pytest.raises(ValueError):
             SolverConfig(method="pcrm", workers=0)
+
+    @pytest.mark.parametrize("method", ["crm", "pcrm"])
+    def test_config_rejects_weights_for_circumcentered_methods(self, method):
+        with pytest.raises(ValueError, match="weights"):
+            SolverConfig(method=method, weights=[0.9, 0.05, 0.05])
+        with pytest.raises(ValueError, match="weights"):
+            SolverConfig(method=method, weights=uniform_weights(2))
+
+    @pytest.mark.parametrize("method", ["fspm", "cimmino"])
+    def test_config_keeps_weights_for_fspm(self, method):
+        cfg = SolverConfig(method=method, weights=[0.9, 0.05, 0.05])
+        np.testing.assert_array_equal(cfg.weights, [0.9, 0.05, 0.05])
+
+
+def mixed_blocks(seed=5, n=10):
+    """Blocks taking every route through the stacked kernel.
+
+    Row-path blocks of widths 1 and 3, null-path blocks of widths 3 and 4,
+    a rank-0 block, a full-rank tall block with an empty null basis and a
+    rank-deficient block that the SVD fallback factors, all through one
+    planted point.  No two blocks share both route and width.
+    """
+    gen = np.random.default_rng(seed)
+    planted = gen.standard_normal(n)
+    mats = [
+        gen.standard_normal((1, n)),
+        gen.standard_normal((3, n)),
+        gen.standard_normal((7, n)),
+        gen.standard_normal((6, n)),
+        np.zeros((2, n)),
+        gen.standard_normal((n + 2, n)),
+    ]
+    dependent = gen.standard_normal((2, n))
+    mats.append(np.vstack([dependent, dependent[0] - 3.0 * dependent[1]]))
+    return [AffineSubspace(A, A @ planted, label=i) for i, A in enumerate(mats)]
+
+
+class TestBlockKernel:
+    def test_mixed_blocks_take_every_route(self):
+        blocks = mixed_blocks()
+        assert [U.rank for U in blocks] == [1, 3, 7, 6, 0, 10, 2]
+        assert [U._use_null for U in blocks] == [False, False, True, True, False, True, False]
+        assert blocks[5].direction_basis().shape == (10, 0)
+
+    def test_project_all_matches_per_block_projection(self, rng):
+        blocks = mixed_blocks()
+        kernel = solvers._BlockKernel(blocks)
+        out = np.empty((len(blocks), 10))
+        for _ in range(5):
+            x = 10.0 * rng.standard_normal(10)
+            kernel.project_all(x, out)
+            for i, U in enumerate(blocks):
+                np.testing.assert_allclose(out[i], U.project(x), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("use_null", [False, True])
+    def test_single_route_instances(self, rng, use_null):
+        blocks = [U for U in mixed_blocks() if U._use_null is use_null]
+        kernel = solvers._BlockKernel(blocks)
+        x = rng.standard_normal(10)
+        out = kernel.project_all(x, np.empty((len(blocks), 10)))
+        np.testing.assert_allclose(out, np.stack([U.project(x) for U in blocks]),
+                                   rtol=0, atol=1e-12)
+
+    def test_groups_share_route_and_width_without_padding(self, rng):
+        blocks = mixed_blocks() + mixed_blocks(seed=6)
+        kernel = solvers._BlockKernel(blocks)
+        assert len(kernel.groups) == 7
+        for use_null, members, basis_t, anchors in kernel.groups:
+            assert len(members) == 2 == basis_t.shape[0] == anchors.shape[0]
+            assert basis_t.flags.c_contiguous
+            widths = {solvers._projection_basis(blocks[i]).shape[1] for i in members}
+            assert widths == {basis_t.shape[1]}
+            assert {blocks[i]._use_null for i in members} == {use_null}
+        x = rng.standard_normal(10)
+        out = kernel.project_all(x, np.empty((len(blocks), 10)))
+        np.testing.assert_allclose(out, np.stack([U.project(x) for U in blocks]),
+                                   rtol=0, atol=1e-12)
+
+    def test_one_wide_block_does_not_pad_the_thin_ones(self):
+        n = 60
+        blocks = build_underdetermined_instance(n, [20] + [1] * 30, 0.0, 2).subspaces
+        kernel = solvers._BlockKernel(blocks)
+        assert sum(g[2].size for g in kernel.groups) == (20 + 30) * n
+        x = np.linspace(-1.0, 1.0, n)
+        out = kernel.project_all(x, np.empty((len(blocks), n)))
+        np.testing.assert_allclose(out, np.stack([U.project(x) for U in blocks]),
+                                   rtol=0, atol=1e-12)
+
+    def test_steps_match_per_block_definitions(self, rng):
+        blocks = mixed_blocks()
+        x = rng.standard_normal(10)
+        proj = np.stack([U.project(x) for U in blocks])
+        w = uniform_weights(len(blocks))
+        np.testing.assert_allclose(fspm_step(x, blocks, w), w[0] * x + w[1:] @ proj,
+                                   rtol=0, atol=1e-12)
+        y = x
+        chain = [x]
+        for U in blocks:
+            y = U.reflect(y)
+            chain.append(y)
+        np.testing.assert_array_equal(crm_step(x, blocks), circumcenter(np.stack(chain)))
+
+    def test_steps_reject_wrong_dimension(self):
+        blocks = mixed_blocks()
+        for step in (lambda x: fspm_step(x, blocks, uniform_weights(len(blocks))),
+                     lambda x: crm_step(x, blocks),
+                     lambda x: pcrm_step(x, blocks)):
+            with pytest.raises(DimensionMismatch):
+                step(np.zeros(9))
+
+    def test_fspm_step_steps_a_batch_row_by_row(self, rng):
+        blocks = mixed_blocks()
+        w = uniform_weights(len(blocks))
+        X = rng.standard_normal((3, 10))
+        np.testing.assert_array_equal(fspm_step(X, blocks, w),
+                                      np.stack([fspm_step(x, blocks, w) for x in X]))
+        assert fspm_step(np.empty((0, 10)), blocks, w).shape == (0, 10)
+        with pytest.raises(DimensionMismatch):
+            fspm_step(np.zeros((2, 3, 10)), blocks, w)
+        with pytest.raises(DimensionMismatch):
+            pcrm_step(X, blocks)
 
 
 class TestFspmStep:
@@ -275,6 +401,79 @@ class TestSolve:
         np.testing.assert_array_equal(res1.point, res4.point)
         assert res1.trace.iteration_count == res4.trace.iteration_count
         assert res1.trace.total_projections == res4.trace.total_projections
+
+
+class TestResidualReuse:
+    """solve reads the residual of x_k off the projections its step uses."""
+
+    METHODS = [Method.FSPM, Method.CIMMINO, Method.CRM, Method.PCRM]
+
+    # CRM and P-CRM reach the single point of mixed_blocks() in one or two
+    # steps, where the residual is rounding noise and has no relative digits.
+    @pytest.mark.parametrize("method, blocks", [(m, "slow") for m in METHODS]
+                             + [(Method.FSPM, "mixed"), (Method.CIMMINO, "mixed")])
+    def test_recorded_residual_is_residual_of_iterate(self, rng, method, blocks):
+        if blocks == "slow":
+            subspaces = build_underdetermined_instance(40, [2] * 12, 0.0, 3).subspaces
+        else:
+            subspaces = tuple(mixed_blocks())
+        n = subspaces[0].ambient_dim
+        inst = ProblemInstance(subspaces=subspaces, ambient_dim=n)
+        x0 = 5.0 * rng.standard_normal(n)
+        history = None
+        for j in (1, 2, 3, 5, 8):
+            cfg = SolverConfig(method=method, max_iterations=j, tolerance=1e-300,
+                               stop_rule=StopRule.FEASIBILITY_RESIDUAL)
+            res = solve(inst, cfg, x0=x0)
+            assert res.trace.status is Status.MAX_ITER
+            assert res.trace.iteration_count == j
+            expected = float(residual(subspaces, res.point))
+            assert abs(res.trace.residuals[-1] - expected) <= 1e-12 * expected
+            if history is not None:
+                assert res.trace.residuals[: len(history)] == history
+            history = res.trace.residuals
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_feasibility_rule_converges(self, rng, method):
+        inst = build_underdetermined_instance(12, [3, 2, 4], 0.0, 17)
+        tol = 1e-9
+        cfg = SolverConfig(method=method, tolerance=tol, max_iterations=50_000,
+                           stop_rule=StopRule.FEASIBILITY_RESIDUAL)
+        res = solve(inst, cfg, x0=rng.standard_normal(12))
+        assert res.trace.status is Status.CONVERGED
+        final = float(residual(inst.subspaces, res.point))
+        assert final <= tol * (1.0 + np.linalg.norm(res.point))
+        assert res.trace.residuals[-1] == pytest.approx(final, rel=1e-6, abs=1e-15)
+
+    def test_unrecorded_residuals_are_nan(self):
+        inst = build_instance(40, 8, 0.1, 4)
+        for method in self.METHODS:
+            res = solve(inst, SolverConfig(method=method, record_residuals=False))
+            assert res.trace.status is Status.CONVERGED
+            assert np.all(np.isnan(res.trace.residuals))
+
+
+class TestNoThreadPool:
+    def test_workers_start_no_threads_and_change_nothing(self, monkeypatch):
+        inst = build_instance(60, 12, 0.2, 13)
+        before = threading.active_count()
+        during = []
+        real_circumcenter = solvers.circumcenter
+
+        def spy(points):
+            during.append(threading.active_count())
+            return real_circumcenter(points)
+
+        monkeypatch.setattr(solvers, "circumcenter", spy)
+        res4 = solve(inst, SolverConfig(method=Method.PCRM, workers=4))
+        assert during and set(during) == {before}
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        res1 = solve(inst, SolverConfig(method=Method.PCRM, workers=1))
+        np.testing.assert_array_equal(res4.point, res1.point)
+        assert res4.trace.iterations == res1.trace.iterations
+        assert res4.trace.projections == res1.trace.projections
+        np.testing.assert_array_equal(res4.trace.distances, res1.trace.distances)
 
 
 class TestEstimateRate:
