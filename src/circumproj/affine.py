@@ -161,19 +161,33 @@ def _factor_qr(A, b):
 
 
 def _factor_tall_qr(A, b):
-    """Factors of a tall block from an R-only QR of [A | b], or None if not certified.
+    """Factors of a tall block from _certified_tall_solve, or None if not certified.
 
-    With [A | b] = Q [[R, c], [0, d]] and R invertible, A has full column
-    rank, so the row space is all of R^n, the null space is {0}, and z0 =
-    R^-1 c is the least-squares solution; |d| is its misfit, which the
-    caller's consistency check sees.
+    A certified A has full column rank, so the row space is all of R^n, the
+    null space is {0}, and z0 is the least-squares solution, whose misfit
+    the caller's consistency check sees.
+    """
+    n = A.shape[1]
+    z0 = _certified_tall_solve(A, b)
+    if z0 is None:
+        return None
+    return n, z0, np.eye(n), np.zeros((n, 0))
+
+
+def _certified_tall_solve(A, b):
+    """R^-1 c from an R-only QR of [A | b], or None if R is not certified.
+
+    A is (rows, n) with rows > n.  With [A | b] = Q [[R, c], [0, d]], an R
+    that passes _certified_inverse makes A full column rank, and R^-1 c is
+    then the unique least-squares solution of A y = b, with misfit |d|; the
+    caller checks that misfit.  Q is never formed.
     """
     n = A.shape[1]
     Rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
     R_inv = _certified_inverse(Rb[:n, :n])
     if R_inv is None:
         return None
-    return n, R_inv @ Rb[:n, n], np.eye(n), np.zeros((n, 0))
+    return R_inv @ Rb[:n, n]
 
 
 def _certified_inverse(T):

@@ -1,20 +1,36 @@
 """Circumcenter of a finite point set.
 
 The circumcenter of points x_0, ..., x_m is the unique point of their affine
-hull equidistant to all of them.  Writing it as x_0 + sum_j alpha_j (x_j - x_0),
-the equidistance conditions reduce to the m x m normal system
+hull equidistant to all of them.  With the differences d_j = x_j - x_0 as
+the rows of the (m, n) matrix D and r_j = 1/2 ||d_j||^2, it is x_0 + y for
+the minimum-norm solution y of D y = r.  Writing y = D^T alpha gives the
+m x m normal system
 
     sum_j alpha_j <x_j - x_0, x_i - x_0> = 1/2 ||x_i - x_0||^2,   i = 1..m,
 
-whose matrix is the Gram matrix of the difference vectors.  Affinely dependent
-inputs make the Gram matrix singular; the minimum-norm least-squares solution
-still recovers the unique equidistant point of the hull whenever one exists.
+whose matrix G = D D^T is the Gram matrix of the differences.
+
+* A tall D (m > n: more points than dimensions plus one) is solved by one
+  R-only Householder QR of [D | r] = Q [[R, c], [0, d]]: y = R^-1 c, with
+  neither Q nor G formed, when R passes the certificate of tall blocks,
+  ||R||_F * ||R^-1||_F <= affine.QR_CONDITION_LIMIT.  A certified D has
+  full column rank, so y is the only solution there is.
+* Every other set, and a tall D that misses the certificate (zero or
+  repeated differences spanning fewer than n dimensions, or a hull of
+  lower dimension), takes the minimum-norm least-squares solution of the
+  Gram system.  Affinely dependent inputs make G singular; the minimum-norm
+  solution still recovers the unique equidistant point of the hull
+  whenever one exists.
+
+Either way, y is accepted only when its misfit ||D y - r|| (which equals
+||G alpha - r||) is at most SOLVE_RTOL * (1 + ||r||).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .affine import _certified_tall_solve
 from .errors import DegenerateSystem, DimensionMismatch
 
 # Accepted least-squares misfit of the normal system, relative to 1 + ||rhs||.
@@ -47,37 +63,55 @@ def _as_points(points):
     return pts
 
 
+def _differences(points):
+    """x_0, the difference rows D and r = 1/2 ||d_j||^2 of a point set."""
+    pts = _as_points(points)
+    base = pts[0]
+    diffs = pts[1:] - base
+    return base, diffs, 0.5 * np.einsum("ij,ij->i", diffs, diffs)
+
+
 def gram_system(points):
     """Assemble the circumcenter normal system for a sequence of points.
 
     A single point yields the empty (0 x 0) system.
     """
-    pts = _as_points(points)
-    base = pts[0]
-    diffs = pts[1:] - base
-    gram = diffs @ diffs.T
-    rhs = 0.5 * np.einsum("ij,ij->i", diffs, diffs)
-    return CircumcenterSystem(gram=gram, rhs=rhs, base_point=base, differences=diffs)
+    base, diffs, rhs = _differences(points)
+    return CircumcenterSystem(gram=diffs @ diffs.T, rhs=rhs, base_point=base, differences=diffs)
 
 
 def circumcenter(points):
     """Point of the affine hull of `points` equidistant to all of them.
 
-    Solves the Gram normal system by minimum-norm least squares (SVD with
-    the standard max-dim * eps singular value cutoff), so duplicated or
-    affinely dependent inputs are handled.  With a single input point, or
-    when all points coincide, the first point is returned unchanged.
+    More points than dimensions plus one (a tall difference matrix) are
+    solved by a certified R-only QR of [D | r]; every other set, and every
+    tall set that misses the certificate, by minimum-norm least squares on
+    the Gram system (SVD with the standard max-dim * eps singular value
+    cutoff), so duplicated or affinely dependent inputs are handled.  With a
+    single input point, or when all points coincide, the first point is
+    returned unchanged.
 
     Raises DegenerateSystem when no equidistant point exists in the hull
-    (e.g. three distinct collinear points).
+    (e.g. three distinct collinear points), and when a point is not finite
+    or a squared difference overflows.
     """
-    system = gram_system(points)
-    if system.gram.shape[0] == 0:
-        return system.base_point.copy()
-    alpha, _, _, _ = np.linalg.lstsq(system.gram, system.rhs, rcond=None)
-    misfit = np.linalg.norm(system.gram @ alpha - system.rhs)
-    if misfit > SOLVE_RTOL * (1.0 + np.linalg.norm(system.rhs)):
+    base, diffs, rhs = _differences(points)
+    m, n = diffs.shape
+    if m == 0:
+        return base.copy()
+    # LAPACK fails on non-finite input with an untyped error, and prints to stderr.
+    if not np.isfinite(rhs).all():
+        raise DegenerateSystem("points or their squared differences are not finite")
+    step = _certified_tall_solve(diffs, rhs) if m > n else None
+    if step is None:
+        gram = diffs @ diffs.T
+        alpha, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
+        misfit = np.linalg.norm(gram @ alpha - rhs)
+        step = alpha @ diffs
+    else:
+        misfit = np.linalg.norm(diffs @ step - rhs)
+    if misfit > SOLVE_RTOL * (1.0 + np.linalg.norm(rhs)):
         raise DegenerateSystem(
             f"no equidistant point in the affine hull (normal-system residual {misfit:.3e})"
         )
-    return system.base_point + alpha @ system.differences
+    return base + step

@@ -18,8 +18,8 @@ class EmptyIntersection(CircumprojError):
 
 
 class DegenerateSystem(CircumprojError):
-    """The circumcenter normal equations are unsolvable: no point of the
-    affine hull is equidistant to all inputs (corrupted input)."""
+    """The circumcenter system is unsolvable: no point of the affine hull is
+    equidistant to all inputs, or an input is not finite (corrupted input)."""
 
 
 class InvalidWeights(CircumprojError):

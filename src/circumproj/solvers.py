@@ -175,7 +175,11 @@ class _BlockKernel:
         for use_null, members, basis_t, anchors in self.groups:
             g, w, n = basis_t.shape
             coeff = basis_t.reshape(g * w, n) @ x
-            span = np.matmul(coeff.reshape(g, 1, w), basis_t)[:, 0]
+            if w == 1:
+                # Same products as the matmul below, without its per-block overhead.
+                span = coeff[:, None] * basis_t[:, 0]
+            else:
+                span = np.matmul(coeff.reshape(g, 1, w), basis_t)[:, 0]
             out[members] = anchors + span if use_null else x - span + anchors
         return out
 

@@ -152,6 +152,20 @@ class TestBlockKernel:
         np.testing.assert_allclose(out, np.stack([U.project(x) for U in blocks]),
                                    rtol=0, atol=1e-12)
 
+    def test_width_one_groups_match_the_batched_matmul_bitwise(self, rng):
+        inst = build_instance(1250, 10, 0.1, 1)
+        kernel = solvers._BlockKernel(inst.subspaces)
+        assert 1 in {basis_t.shape[1] for _, _, basis_t, _ in kernel.groups}
+        x = rng.standard_normal(10)
+        out = kernel.project_all(x, np.empty((len(inst.subspaces), 10)))
+        expected = np.empty_like(out)
+        for use_null, members, basis_t, anchors in kernel.groups:
+            g, w, n = basis_t.shape
+            coeff = basis_t.reshape(g * w, n) @ x
+            span = np.matmul(coeff.reshape(g, 1, w), basis_t)[:, 0]
+            expected[members] = anchors + span if use_null else x - span + anchors
+        np.testing.assert_array_equal(out, expected)
+
     def test_steps_match_per_block_definitions(self, rng):
         blocks = mixed_blocks()
         x = rng.standard_normal(10)
