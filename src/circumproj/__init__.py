@@ -10,6 +10,7 @@ from .affine import (
 from .analysis import (
     AngleReport,
     angle_report,
+    angle_report_and_bound,
     direction_basis,
     error_bound_constant,
     estimate_regularity,

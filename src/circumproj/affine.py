@@ -35,7 +35,10 @@ class AffineSubspace:
     leading n x n triangle R and last column c = Q^T b give z0 = R^-1 c
     without forming Q; under the same certificate on R it is kept at
     rank = n, with row basis I_n and an empty null basis, so its projection
-    is the point z0.  Blocks that miss the certificate (dependent or nearly
+    is the point z0.  A tall block with at least 4n rows first factors only
+    its first 2n rows, and keeps that z0 when their R is certified and z0
+    passes the misfit test below on the whole block; otherwise it takes the
+    whole-block route.  Blocks that miss the certificate (dependent or nearly
     dependent rows or columns) fall back to a rank-revealing SVD with the
     numerical rank threshold max(rows, n) * eps * sigma_max.  All routes give
     the same rank on every block whose singular values clear the threshold
@@ -67,15 +70,20 @@ class AffineSubspace:
         if b.shape != (rows,):
             raise DimensionMismatch(f"rhs has length {b.size}, expected {rows}")
 
-        factors = _factor_qr(A, b) if rows <= n else _factor_tall_qr(A, b)
+        limit = CONSISTENCY_RTOL * (1.0 + np.linalg.norm(b))
+        # A prefix of 2n of at least 4n rows that fails costs at most half
+        # of the whole-block QR that follows it.
+        factors = _factor_tall_prefix(A, b, limit) if rows >= 4 * n else None
         if factors is None:
-            factors = _factor_svd(A, b)
+            factors = _factor_qr(A, b) if rows <= n else _factor_tall_qr(A, b)
+            if factors is None:
+                factors = _factor_svd(A, b)
+            misfit = np.linalg.norm(A @ factors[1] - b)
+            if misfit > limit:
+                raise InconsistentSystem(
+                    f"rhs outside range of constraint matrix (residual {misfit:.3e})"
+                )
         rank, z0, row_basis, null_basis = factors
-        misfit = np.linalg.norm(A @ z0 - b)
-        if misfit > CONSISTENCY_RTOL * (1.0 + np.linalg.norm(b)):
-            raise InconsistentSystem(
-                f"rhs outside range of constraint matrix (residual {misfit:.3e})"
-            )
 
         self.constraint_matrix = A
         self.rhs = b
@@ -174,6 +182,24 @@ def _factor_tall_qr(A, b):
     return n, z0, np.eye(n), np.zeros((n, 0))
 
 
+def _factor_tall_prefix(A, b, limit):
+    """Factors of a tall block from its first 2n rows, or None.
+
+    A certified prefix A[:2n] has full column rank, so A does too, and the
+    prefix's least-squares solution is the only candidate for a point of
+    {x : A x = b}.  It is kept when the whole block's misfit is within
+    `limit`; otherwise the caller factors the whole block.  The whole block's
+    least-squares solution has the least misfit, so every block the
+    whole-block route accepts is still accepted, and up to rounding none
+    that it rejects is.
+    """
+    n = A.shape[1]
+    factors = _factor_tall_qr(A[:2 * n], b[:2 * n])
+    if factors is None or np.linalg.norm(A @ factors[1] - b) > limit:
+        return None
+    return factors
+
+
 def _certified_tall_solve(A, b):
     """R^-1 c from an R-only QR of [A | b], or None if R is not certified.
 
@@ -250,7 +276,12 @@ def intersection_subspace(subspaces):
     certified QR, or the SVD when the stack is rank deficient or nearly so);
     the result's `project` is the exact best-approximation oracle onto the
     intersection.  A tall stack of full column rank pins a single point, which
-    its R-only QR finds without forming Q.
+    its R-only QR finds without forming Q.  With at least 4n rows, that QR
+    covers only the first 2n rows, and the other rows are checked by one
+    product: the point is kept when the prefix's triangle is certified and
+    the point fits the whole stack to CONSISTENCY_RTOL.  A prefix that is rank deficient
+    or fits only itself sends the stack through the whole-stack QR and, if
+    that misses the certificate too, the SVD.
 
     Raises EmptyIntersection when the stacked system is inconsistent.
     """

@@ -85,7 +85,10 @@ class AngleReport:
 
 def angle_report(u_subspace, v_subspace):
     """Full angle diagnostics for a pair of intersecting subspaces."""
-    cosines = _checked_cosines(u_subspace, v_subspace)
+    return _report(_checked_cosines(u_subspace, v_subspace))
+
+
+def _report(cosines):
     shared, c_f = _deflate(cosines)
     r = float(np.sqrt(1.0 + 4.0 / (1.0 - c_f ** 2)))
     return AngleReport(
@@ -131,7 +134,20 @@ def verify_error_bound(u_subspace, v_subspace, constant, samples, seed):
     Raises ValueError when samples < 1.
     """
     stacked = intersection_subspace([u_subspace, v_subspace])
+    return _bound_holds(stacked, [u_subspace, v_subspace], constant, samples, seed)
+
+
+def _bound_holds(stacked, pair, constant, samples, seed):
     points = _sample_points(stacked, samples, seed)
     lhs = stacked.distance(points)
-    rhs = constant * residual([u_subspace, v_subspace], points)
+    rhs = constant * residual(pair, points)
     return not np.any(lhs > rhs + 1e-9)
+
+
+def angle_report_and_bound(u_subspace, v_subspace, samples, seed):
+    """(angle_report(u, v), verify_error_bound at its constant), with the
+    pair's stack factored once for both."""
+    pair = [u_subspace, v_subspace]
+    stacked = intersection_subspace(pair)
+    report = _report(principal_cosines(u_subspace, v_subspace))
+    return report, _bound_holds(stacked, pair, report.error_bound_constant, samples, seed)

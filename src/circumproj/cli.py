@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import angle_report, estimate_regularity, verify_error_bound
+from .analysis import angle_report_and_bound, estimate_regularity
 from .errors import CircumprojError, NumericalBreakdown
 from .problems import (
     GenerationDescriptor,
@@ -348,10 +348,9 @@ def cmd_analyze(args):
                 u_sub, v_sub = instance.subspaces
             else:
                 u_sub = v_sub = instance.subspaces[0]
-            report = angle_report(u_sub, v_sub)
+            report, verified = angle_report_and_bound(u_sub, v_sub, args.samples, args.seed)
             payload = report.to_dict()
-            payload["bound_verified"] = verify_error_bound(
-                u_sub, v_sub, report.error_bound_constant, args.samples, args.seed)
+            payload["bound_verified"] = verified
         else:
             payload = {
                 "regularity_estimate": estimate_regularity(instance, args.samples, args.seed)

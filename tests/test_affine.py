@@ -9,6 +9,7 @@ from circumproj import (
     build_instance,
     DimensionMismatch,
     EmptyIntersection,
+    estimate_regularity,
     InconsistentSystem,
     intersection_subspace,
     project_intersection,
@@ -389,6 +390,80 @@ class TestTallFactorization:
         assert svd_calls == []
         assert S.rank == 50
         assert np.linalg.norm(S.anchor - inst.known_solution) <= 1e-12
+
+
+@pytest.fixture
+def tall_solves(monkeypatch):
+    """Row counts of the stacks that went through _certified_tall_solve."""
+    calls = []
+    solve = affine._certified_tall_solve
+
+    def spy(A, b):
+        calls.append(A.shape[0])
+        return solve(A, b)
+
+    monkeypatch.setattr(affine, "_certified_tall_solve", spy)
+    return calls
+
+
+class TestTallPrefix:
+    """Stacks with rows >= 4n try the first 2n rows before the whole stack."""
+
+    def test_consistent_prefix_with_inconsistent_tail_is_empty(self, rng, svd_calls, tall_solves):
+        # Two consistent blocks, each pinning a different point.
+        n = 6
+        head = rng.standard_normal((2 * n, n))
+        tail = rng.standard_normal((3 * n, n))
+        blocks = [AffineSubspace(head, head @ rng.standard_normal(n)),
+                  AffineSubspace(tail, tail @ rng.standard_normal(n))]
+        with pytest.raises(EmptyIntersection):
+            intersection_subspace(blocks)
+        A = np.vstack([head, tail])
+        b = np.concatenate([U.rhs for U in blocks])
+        with pytest.raises(InconsistentSystem):
+            AffineSubspace(A, b)
+        # Each stack certifies its prefix (the first block), fails the misfit
+        # on the tail and then factors the whole stack.
+        assert tall_solves == [2 * n, 3 * n, 2 * n, 5 * n, 2 * n, 5 * n]
+        assert svd_calls == []
+
+    def test_rank_deficient_prefix_falls_back_to_the_whole_stack(self, rng, svd_calls, tall_solves):
+        n = 8
+        A = rng.standard_normal((6 * n, n))
+        A[:2 * n] = A[0]
+        b = A @ rng.standard_normal(n)
+        U = AffineSubspace(A, b)
+        assert tall_solves == [2 * n, 6 * n]
+        assert svd_calls == []
+        assert U.rank == n
+        expected = affine._certified_tall_solve(A, b)
+        assert np.linalg.norm(U.anchor - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("rows, solved", [(8, [8]), (27, [27]), (28, [14]), (70, [14])])
+    def test_prefix_tried_from_four_n_rows(self, rng, tall_solves, rows, solved):
+        n = 7
+        A = rng.standard_normal((rows, n))
+        b = A @ rng.standard_normal(n)
+        U = AffineSubspace(A, b)
+        assert tall_solves == solved
+        assert U.rank == n
+        expected = affine._certified_tall_solve(A, b)
+        assert np.linalg.norm(U.anchor - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_regularity_estimate_factors_one_short_prefix(self, monkeypatch):
+        inst = build_instance(4000, 100, 0.1, 1)
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(a, mode="reduced"):
+            calls.append((a.shape, mode))
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        estimate_regularity(inst, 50, 0)
+        assert len(calls) == 1
+        (rows, cols), mode = calls[0]
+        assert mode == "r" and rows <= 2 * 100 and cols == 101
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from circumproj import GenerationDescriptor, build_underdetermined_instance, instance_from_descriptor
+from circumproj import (
+    GenerationDescriptor,
+    affine,
+    angle_report,
+    build_underdetermined_instance,
+    instance_from_descriptor,
+    verify_error_bound,
+)
 from circumproj.cli import CSV_HEADER, main
 
 
@@ -239,6 +246,32 @@ class TestAnalyze:
         assert payload["error_bound_constant"] > 1.0
         assert payload["bound_verified"] is True
         assert payload["samples"] == 500
+
+    def test_angles_factor_the_pair_once(self, two_block_descriptor, capsys, monkeypatch):
+        calls = []
+        factor_qr = affine._factor_qr
+
+        def spy(A, b):
+            calls.append(A.shape)
+            return factor_qr(A, b)
+
+        monkeypatch.setattr(affine, "_factor_qr", spy)
+        assert run_cli("analyze", "--inst", str(two_block_descriptor),
+                       "--mode", "angles", "--samples", "50") == 0
+        # Two 2x6 blocks from the descriptor, then their 4x6 stack once.
+        assert calls == [(2, 6), (2, 6), (4, 6)]
+
+    def test_angles_payload_matches_the_library(self, two_block_descriptor, capsys):
+        code = run_cli("analyze", "--inst", str(two_block_descriptor),
+                       "--mode", "angles", "--samples", "300", "--seed", "4")
+        assert code == 0
+        u, v = instance_from_descriptor(GenerationDescriptor.from_dict(
+            json.loads(two_block_descriptor.read_text()))).subspaces
+        report = angle_report(u, v)
+        expected = report.to_dict()
+        expected["bound_verified"] = verify_error_bound(u, v, report.error_bound_constant, 300, 4)
+        expected.update(samples=300, seed=4)
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
     def test_regularity_report(self, two_block_descriptor, capsys):
         code = run_cli("analyze", "--inst", str(two_block_descriptor),

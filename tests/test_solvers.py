@@ -142,6 +142,16 @@ class TestBlockKernel:
         np.testing.assert_allclose(out, np.stack([U.project(x) for U in blocks]),
                                    rtol=0, atol=1e-12)
 
+    def test_group_stacks_start_on_64_byte_boundaries(self):
+        blocks = mixed_blocks() + mixed_blocks(seed=6)
+        for _ in range(8):
+            kernel = solvers._BlockKernel(blocks)
+            stacks = [basis_t for _, _, basis_t, _ in kernel.groups]
+            assert all(basis_t.flags.c_contiguous for basis_t in stacks)
+            # An empty stack holds no bytes; numpy gives it its buffer's address.
+            assert all(basis_t.ctypes.data % 64 == 0 for basis_t in stacks if basis_t.size)
+            assert sum(basis_t.size > 0 for basis_t in stacks) == 5
+
     def test_one_wide_block_does_not_pad_the_thin_ones(self):
         n = 60
         blocks = build_underdetermined_instance(n, [20] + [1] * 30, 0.0, 2).subspaces
