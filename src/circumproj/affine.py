@@ -20,23 +20,26 @@ CONSISTENCY_RTOL = 1e-8
 # that rounding cannot erase.
 QR_CONDITION_LIMIT = 1e8
 
-# Diagonal blocks up to this order are inverted directly by LAPACK.
+# Diagonal blocks up to this order are inverted or solved directly by LAPACK.
 _TRIANGULAR_LEAF = 32
+
+# Householder reflectors applied together, in one compact WY block, by _apply_q.
+_WY_PANEL = 128
 
 
 class AffineSubspace:
     """One affine block U = {x in R^n : A x = b} with a cached factorization.
 
     A wide block (rows <= n) is factored by one Householder QR of A^T,
-    A^T = Q [T; 0], and kept at rank = rows when the bound
-    ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT certifies that
-    sigma_min / sigma_max is far above the rank cutoff below.  A tall block
-    (rows > n) is factored by one R-only Householder QR of [A | b], whose
-    leading n x n triangle R and last column c = Q^T b give z0 = R^-1 c
-    without forming Q; under the same certificate on R it is kept at
-    rank = n, with row basis I_n and an empty null basis, so its projection
-    is the point z0.  A tall block with at least 4n rows first factors only
-    its first 2n rows, and keeps that z0 when their R is certified and z0
+    A^T = Q [T; 0], whose Q is never formed, and kept at rank = rows when
+    the bound ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT certifies that
+    sigma_min / sigma_max is far above the rank cutoff below.  A tall
+    block (rows > n) is factored by one R-only Householder QR of [A | b],
+    whose leading n x n triangle R and last column c = Q^T b give
+    z0 = R^-1 c without forming Q; under the same certificate on R it is
+    kept at rank = n, with an empty null basis, so its projection is the
+    point z0.  A tall block with at least 4n rows first factors only its
+    first 2n rows, and keeps that z0 when their R is certified and z0
     passes the misfit test below on the whole block; otherwise it takes the
     whole-block route.  Blocks that miss the certificate (dependent or nearly
     dependent rows or columns) fall back to a rank-revealing SVD with the
@@ -44,14 +47,17 @@ class AffineSubspace:
     the same rank on every block whose singular values clear the threshold
     by more than rounding.
 
-    Projections afterwards cost one pair of thin matrix-vector products:
-    whichever of the row-space basis (rank columns) or the direction-space
-    basis (n - rank columns) is thinner is used, via
+    Only the thinner of the two orthonormal bases is stored: the
+    direction-space basis N (n - rank columns) when n - rank <= rank, the
+    row-space basis V_r (rank columns) otherwise.  Projections cost one pair
+    of thin matrix-vector products with it,
 
-        P(x) = x - V_r (V_r^T x) + z0   or   P(x) = z0 + N (N^T x),
+        P(x) = z0 + N (N^T x)   or   P(x) = x - V_r (V_r^T x) + z0,
 
     where z0 is the minimum-norm solution of A x = b, V_r spans range(A^T)
-    and N spans null(A).
+    and N spans null(A).  The other basis is the orthogonal complement of
+    the stored one, computed on each call to `row_space_basis()` or
+    `direction_basis()` and not kept.
 
     Raises
     ------
@@ -83,18 +89,18 @@ class AffineSubspace:
                 raise InconsistentSystem(
                     f"rhs outside range of constraint matrix (residual {misfit:.3e})"
                 )
-        rank, z0, row_basis, null_basis = factors
+        rank, z0, basis = factors
 
         self.constraint_matrix = A
         self.rhs = b
         self.rank = rank
         self.label = label
         self.anchor = z0
-        self._row_basis = np.ascontiguousarray(row_basis)
-        self._null_basis = np.ascontiguousarray(null_basis)
-        self._use_null = (n - rank) <= rank
-        for arr in (self.constraint_matrix, self.rhs, self.anchor,
-                    self._row_basis, self._null_basis):
+        # Whether _basis spans null(A) rather than range(A^T).  The copy
+        # keeps no larger factor alive through a view.
+        self._use_null = _uses_null(rank, n)
+        self._basis = np.array(basis, order="C")
+        for arr in (self.constraint_matrix, self.rhs, self.anchor, self._basis):
             arr.setflags(write=False)
 
     @property
@@ -108,11 +114,11 @@ class AffineSubspace:
 
     def direction_basis(self):
         """Orthonormal basis of null(A), shape (n, n - rank)."""
-        return self._null_basis
+        return self._basis if self._use_null else _complement(self._basis)
 
     def row_space_basis(self):
         """Orthonormal basis of range(A^T), shape (n, rank)."""
-        return self._row_basis
+        return _complement(self._basis) if self._use_null else self._basis
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -128,11 +134,10 @@ class AffineSubspace:
 
     def _project(self, x):
         # The projection of an x whose shape the caller has already checked.
+        B = self._basis
         if self._use_null:
-            N = self._null_basis
-            return self.anchor + (x @ N) @ N.T
-        V = self._row_basis
-        return x - (x @ V) @ V.T + self.anchor
+            return self.anchor + (x @ B) @ B.T
+        return x - (x @ B) @ B.T + self.anchor
 
     def reflect(self, x):
         """Reflection 2 P(x) - x; an isometry fixing the subspace."""
@@ -153,33 +158,102 @@ class AffineSubspace:
         return f"AffineSubspace({rows}x{n}, rank={self.rank}, label={self.label})"
 
 
+def _uses_null(rank, n):
+    """Whether a rank-`rank` block in R^n stores its null basis (the thinner one)."""
+    return (n - rank) <= rank
+
+
 def _factor_qr(A, b):
     """Factors of a wide block from a QR of A^T, or None if not certified.
 
-    With A^T = Q [T; 0], A = T^T Q[:, :rows]^T, so Q[:, :rows] spans the row
-    space, Q[:, rows:] the null space, and z0 = Q[:, :rows] T^-T b.
+    One geqrf, A^T = Q [T; 0] with Q = H_0 ... H_{rows-1} kept as its
+    reflectors.  Then A = T^T Q[:, :rows]^T, so Q[:, :rows] spans the row
+    space, Q[:, rows:] the null space, and z0 = Q [T^-T b; 0].  One pass
+    of _apply_q over [E | T^-T b; 0], where E is the identity columns that
+    pick out the stored basis (the trailing n - rows for the null space,
+    the leading rows for the row space), gives that basis and z0 together.
+    Q itself is never formed.
     """
-    rows = A.shape[0]
-    Q, R = np.linalg.qr(A.T, mode="complete")
-    T_inv = _certified_inverse(R[:rows])
+    rows, n = A.shape
+    h, tau = np.linalg.qr(A.T, mode="raw")
+    # h is rows x n; row j holds column j of LAPACK's factor, so T = tril(h)^T.
+    T_inv = _certified_inverse(np.tril(h[:, :rows]).T)
     if T_inv is None:
         return None
-    row_basis = Q[:, :rows]
-    return rows, row_basis @ (T_inv.T @ b), row_basis, Q[:, rows:]
+    use_null = _uses_null(rows, n)
+    w = n - rows if use_null else rows
+    C = np.zeros((n, w + 1))
+    C[:rows, w] = T_inv.T @ b
+    d = np.arange(w)
+    if use_null:
+        C[rows + d, d] = 1.0
+        _apply_q(h, tau, C)
+    else:
+        C[d, d] = 1.0
+        _apply_q(h, tau, C, leading=w)
+    return rows, C[:, w].copy(), C[:, :w]
+
+
+def _apply_q(h, tau, C, leading=0):
+    """Overwrite C with Q C for the Q of np.linalg.qr(X, mode="raw") -> (h, tau).
+
+    X is n x k with k <= n, so Q = H_0 ... H_{k-1} with H_j = I - tau_j v_j v_j^T.
+    The reflectors are applied in panels of _WY_PANEL, last panel first, each
+    in compact WY form I - V T V^T (Schreiber & Van Loan) with T from the UT
+    transform T^-1 = striu(V^T V) + diag(V^T V) / 2 (Joffrain et al.).  A
+    reflector with tau_j = 0 is the identity: it gets v_j = 0 and a unit
+    diagonal in T^-1.  A panel starting at reflector s touches only rows
+    s: of C and, when the first `leading` columns of C are e_0, e_1, ...,
+    leaves the columns before min(s, leading) alone, since they are still
+    unit vectors that its reflectors cannot reach.
+    """
+    k = tau.shape[0]
+    for s in reversed(range(0, k, _WY_PANEL)):
+        e = min(s + _WY_PANEL, k)
+        # Rows of V^T: v_j is zero above j, one at j and h[j, j+1:] below.
+        Vt = np.triu(h[s:e, s:], 1)
+        live = tau[s:e] != 0
+        Vt[~live] = 0.0
+        d = np.arange(e - s)
+        Vt[d, d] = live
+        G = Vt @ Vt.T
+        T_inv = np.triu(G, 1)
+        T_inv[d, d] = np.where(live, 0.5 * G[d, d], 1.0)
+        X = C[s:, min(s, leading):]
+        X -= Vt.T @ _triangular_solve(T_inv, Vt @ X)
+
+
+def _complement(B):
+    """Orthonormal basis of the orthogonal complement of range(B), read-only.
+
+    B is n x k with orthonormal columns; with B = Q [R; 0], the trailing
+    n - k columns of Q span the complement.
+    """
+    n, k = B.shape
+    if k == 0:
+        out = np.eye(n)
+    else:
+        h, tau = np.linalg.qr(B, mode="raw")
+        out = np.zeros((n, n - k))
+        d = np.arange(n - k)
+        out[k + d, d] = 1.0
+        _apply_q(h, tau, out)
+    out.setflags(write=False)
+    return out
 
 
 def _factor_tall_qr(A, b):
     """Factors of a tall block from _certified_tall_solve, or None if not certified.
 
     A certified A has full column rank, so the row space is all of R^n, the
-    null space is {0}, and z0 is the least-squares solution, whose misfit
-    the caller's consistency check sees.
+    stored null basis is empty, and z0 is the least-squares solution, whose
+    misfit the caller's consistency check sees.
     """
     n = A.shape[1]
     z0 = _certified_tall_solve(A, b)
     if z0 is None:
         return None
-    return n, z0, np.eye(n), np.zeros((n, 0))
+    return n, z0, np.zeros((n, 0))
 
 
 def _factor_tall_prefix(A, b, limit):
@@ -248,11 +322,27 @@ def _triangular_inverse(T):
     return X
 
 
+def _triangular_solve(T, W):
+    """T^-1 W for an upper-triangular T by recursive 2x2 blocking.
+
+    With T = [[T11, T12], [0, T22]], Y2 = T22^-1 W2 and
+    Y1 = T11^-1 (W1 - T12 Y2); a general solve would spend the flops of a
+    full LU on T.
+    """
+    k = T.shape[0]
+    if k <= _TRIANGULAR_LEAF:
+        return np.linalg.solve(T, W)
+    h = k // 2
+    Y2 = _triangular_solve(T[h:, h:], W[h:])
+    Y1 = _triangular_solve(T[:h, :h], W[:h] - T[:h, h:] @ Y2)
+    return np.concatenate([Y1, Y2])
+
+
 def _factor_svd(A, b):
     """Rank-revealing factors of any block from its SVD."""
     rows, n = A.shape
     # Full right factor is needed: V[:, :r] spans the row space and
-    # V[:, r:] the direction (null) space.
+    # V[:, r:] the direction (null) space; only the one used is kept.
     if rows >= n:
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
     else:
@@ -266,7 +356,7 @@ def _factor_svd(A, b):
         z0 = Vh[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
     else:
         z0 = np.zeros(n)
-    return rank, z0, Vh[:rank].T, Vh[rank:].T
+    return rank, z0, (Vh[rank:] if _uses_null(rank, n) else Vh[:rank]).T
 
 
 def intersection_subspace(subspaces):

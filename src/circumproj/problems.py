@@ -21,6 +21,9 @@ from .errors import DimensionMismatch, InconsistentSystem, InvalidCoherence
 
 GENERATOR_ID = "pcg64-boxmuller"
 
+# Uniform pairs pushed through the Box-Muller transform at a time.
+_BOX_MULLER_CHUNK = 1 << 14
+
 
 class _NormalStream:
     """Standard-normal variates: PCG64 uniforms through Box-Muller pairs.
@@ -37,11 +40,22 @@ class _NormalStream:
         pairs = (count + 1) // 2
         u1 = self._rng.random(pairs)
         u2 = self._rng.random(pairs)
-        radius = np.sqrt(-2.0 * np.log1p(-u1))
-        angle = (2.0 * np.pi) * u2
         z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
+        # The transform runs in chunks through fixed buffers, with the same
+        # ufuncs on contiguous inputs as whole-array code, so the bytes match
+        # it and no temporary of the transform is as large as the draw.
+        chunk = min(pairs, _BOX_MULLER_CHUNK)
+        radius, angle, trig = np.empty(chunk), np.empty(chunk), np.empty(chunk)
+        for lo in range(0, pairs, chunk):
+            hi = min(lo + chunk, pairs)
+            r, a, t = radius[:hi - lo], angle[:hi - lo], trig[:hi - lo]
+            np.negative(u1[lo:hi], out=r)
+            np.log1p(r, out=r)
+            np.multiply(-2.0, r, out=r)
+            np.sqrt(r, out=r)
+            np.multiply(2.0 * np.pi, u2[lo:hi], out=a)
+            np.multiply(r, np.cos(a, out=t), out=z[2 * lo:2 * hi:2])
+            np.multiply(r, np.sin(a, out=t), out=z[2 * lo + 1:2 * hi:2])
         return z[:count]
 
 
@@ -54,7 +68,9 @@ def _check_coherence(c):
 
 def _coherent_matrix(stream, m, n, c):
     z = stream.draw(m * n).reshape(m, n)
-    return (1.0 - c) * z + c
+    z *= 1.0 - c
+    z += c
+    return z
 
 
 def gaussian_matrix(m, n, c, seed):

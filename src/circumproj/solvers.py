@@ -146,11 +146,11 @@ class SolveResult:
 class _BlockKernel:
     """All m block projections of one point, from bases stacked once.
 
-    Blocks are grouped by the basis their projection uses (`_use_null`) and
-    its width w.  A group's g bases are stored transposed as one (g, w, n)
-    array, so projecting x onto its blocks is one matrix-vector product with
-    the flattened (g w, n) stack, giving every block's coefficients, plus one
-    batched product mapping them back.  Nothing is padded: the stacks hold
+    Blocks are grouped by the one basis they store (`_basis`, which spans
+    null(A) when `_use_null`) and its width w.  A group's g bases are stored
+    transposed as one (g, w, n) array, so projecting x onto its blocks is
+    one matrix-vector product with the flattened (g w, n) stack, giving
+    every block's coefficients, plus one batched product mapping them back.  Nothing is padded: the stacks hold
     sum_i w_i n numbers, and there is one group per distinct (route, width).
     """
 
@@ -158,14 +158,14 @@ class _BlockKernel:
         n = subspaces[0].ambient_dim
         by_basis = {}
         for i, U in enumerate(subspaces):
-            by_basis.setdefault((U._use_null, _projection_basis(U).shape[1]), []).append(i)
+            by_basis.setdefault((U._use_null, U._basis.shape[1]), []).append(i)
         self.groups = []
         for (use_null, w), members in by_basis.items():
             # Filled row by row to get C order: np.stack of the transposed
             # bases would keep their strides and slow both products.
             basis_t = _aligned_empty((len(members), w, n))
             for row, i in enumerate(members):
-                basis_t[row] = _projection_basis(subspaces[i]).T
+                basis_t[row] = subspaces[i]._basis.T
             anchors = np.stack([subspaces[i].anchor for i in members])
             members = slice(None) if len(members) == len(subspaces) else np.asarray(members)
             self.groups.append((use_null, members, basis_t, anchors))
@@ -194,11 +194,6 @@ def _aligned_empty(shape):
     buf = np.empty(size + 8)
     start = (-buf.ctypes.data % 64) // 8
     return buf[start:start + size].reshape(shape)
-
-
-def _projection_basis(U):
-    """The thinner basis U.project uses: null(A) or range(A^T)."""
-    return U.direction_basis() if U._use_null else U.row_space_basis()
 
 
 def _max_distance(x, proj):

@@ -56,3 +56,40 @@ def point_in_subspace(rng, A, b, scale=1.0):
     if N.size == 0:
         return part
     return part + N @ (scale * rng.standard_normal(N.shape[1]))
+
+
+class ReferenceNormalStream:
+    """The whole-array Box-Muller draw that problems._NormalStream replaces.
+
+    Same PCG64 stream and the same ufuncs, applied to every pair at once.
+    """
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(int(seed)))
+
+    def draw(self, count):
+        pairs = (count + 1) // 2
+        u1 = self._rng.random(pairs)
+        u2 = self._rng.random(pairs)
+        radius = np.sqrt(-2.0 * np.log1p(-u1))
+        angle = (2.0 * np.pi) * u2
+        z = np.empty(2 * pairs)
+        z[0::2] = radius * np.cos(angle)
+        z[1::2] = radius * np.sin(angle)
+        return z[:count]
+
+
+def reference_coherent_matrix(m, n, c, seed):
+    """(1 - c) Z + c with Z the first m n variates of ReferenceNormalStream(seed)."""
+    z = ReferenceNormalStream(seed).draw(m * n).reshape(m, n)
+    return (1.0 - c) * z + c
+
+
+def svd_factors(A, b):
+    """(rank, min-norm solution, row-space basis, null-space basis) from one SVD."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    rows, n = A.shape
+    U, s, Vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.count_nonzero(s > max(rows, n) * np.finfo(float).eps * s[0]))
+    z0 = Vh[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
+    return rank, z0, Vh[:rank].T, Vh[rank:].T

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from circumproj import (
     AffineSubspace,
     build_instance,
+    build_underdetermined_instance,
     DimensionMismatch,
     EmptyIntersection,
     estimate_regularity,
@@ -16,7 +17,7 @@ from circumproj import (
     residual,
 )
 from circumproj import affine
-from oracles import kkt_project, kkt_project_blocks, kkt_residuals, point_in_subspace
+from oracles import kkt_project, kkt_project_blocks, kkt_residuals, point_in_subspace, svd_factors
 
 
 @pytest.fixture
@@ -541,3 +542,157 @@ def test_wide_block_properties(rows, extra, gap_exponent, scale_exponent, seed):
     assert np.linalg.norm(A @ p - b) <= 1e-12 * scale
     np.testing.assert_allclose(U.direction_basis().T @ (x - p), 0.0,
                                atol=1e-12 * (1 + np.linalg.norm(x)))
+
+
+def assert_matches_svd_oracle(U, A, b, rng):
+    """Anchor, projection and both bases of U against one SVD of A, to 1e-12."""
+    rank, z0, row_basis, null_basis = svd_factors(A, b)
+    assert U.rank == rank
+    np.testing.assert_allclose(U.anchor, z0, rtol=0, atol=1e-12 * (1 + np.linalg.norm(z0)))
+    x = rng.standard_normal(A.shape[1])
+    expected = x - row_basis @ (row_basis.T @ x) + z0
+    np.testing.assert_allclose(U.project(x), expected, rtol=0,
+                               atol=1e-12 * (1 + np.linalg.norm(x) + np.linalg.norm(z0)))
+    # Bases are unique only up to rotation; their projectors are unique.
+    for got, want in ((U.row_space_basis(), row_basis), (U.direction_basis(), null_basis)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
+
+
+def assert_bases_split_the_space(U):
+    """The stored basis and the on-demand one: orthonormal, orthogonal, read-only."""
+    n = U.ambient_dim
+    stored = U._basis
+    other = U.row_space_basis() if U._use_null else U.direction_basis()
+    assert stored.shape[1] == min(U.rank, n - U.rank)
+    assert stored.shape[1] + other.shape[1] == n
+    for B in (stored, other):
+        assert not B.flags.writeable
+        np.testing.assert_allclose(B.T @ B, np.eye(B.shape[1]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stored.T @ other, 0.0, rtol=0, atol=1e-12)
+
+
+class TestHouseholderFactor:
+    """Wide blocks keep only the basis their projection uses, from raw QR reflectors."""
+
+    @pytest.mark.parametrize("A", [
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+        [[1.0, 0.0, 0.0, 0.0]],
+        [[3.0, 4.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]],
+        [[3.0, 4.0, 0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0, 0.0, 0.0]],
+        [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]],
+        [[2.0, 1.0], [0.0, 1.0]],
+    ])
+    def test_identity_reflectors(self, rng, svd_calls, A):
+        # Columns of A^T that are already reduced give tau = 0 reflectors.
+        A = np.array(A)
+        _, tau = np.linalg.qr(A.T, mode="raw")
+        assert np.any(tau == 0.0)
+        b = rng.standard_normal(A.shape[0])
+        U = AffineSubspace(A, b)
+        assert svd_calls == []
+        assert_matches_svd_oracle(U, A, b, rng)
+        assert_bases_split_the_space(U)
+
+    @pytest.mark.parametrize("k, n, dead", [(5, 9, [0, 3]), (130, 140, [0, 127, 128, 129])])
+    def test_apply_q_matches_reflector_loop(self, rng, k, n, dead):
+        # A tau = 0 reflector is the identity whatever h holds below its diagonal.
+        h, tau = np.linalg.qr(rng.standard_normal((n, k)), mode="raw")
+        tau[dead] = 0.0
+        C = rng.standard_normal((n, 7))
+        want = C.copy()
+        for j in reversed(range(k)):
+            v = np.concatenate([np.zeros(j), [1.0], h[j, j + 1:]])
+            want -= tau[j] * np.outer(v, v @ want)
+        got = C.copy()
+        affine._apply_q(h, tau, got)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # Leading identity columns: panels skip the ones they cannot reach.
+        E = np.zeros((n, k + 1))
+        E[:k, :k] = np.eye(k)
+        E[:, k] = C[:, 0]
+        affine._apply_q(h, tau, E, leading=k)
+        want_e = np.hstack([np.eye(n, k), C[:, :1]])
+        for j in reversed(range(k)):
+            v = np.concatenate([np.zeros(j), [1.0], h[j, j + 1:]])
+            want_e -= tau[j] * np.outer(v, v @ want_e)
+        np.testing.assert_allclose(E, want_e, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 127, 128, 129, 257])
+    @pytest.mark.parametrize("use_null", [True, False])
+    def test_reflector_counts_on_both_routes(self, rng, svd_calls, k, use_null):
+        # Panels of 128 reflectors: one short panel, one full, one full plus
+        # one reflector, and three panels.
+        n = k + max(1, k // 2) if use_null else 2 * k + 3
+        A = rng.standard_normal((k, n))
+        b = A @ rng.standard_normal(n)
+        U = AffineSubspace(A, b)
+        assert svd_calls == []
+        assert U._use_null is use_null
+        assert_matches_svd_oracle(U, A, b, rng)
+        assert_bases_split_the_space(U)
+
+    @pytest.mark.parametrize("k", [128, 129])
+    def test_square_blocks(self, rng, svd_calls, k):
+        # The last reflector of a square A^T has tau = 0 and nothing below it.
+        A = rng.standard_normal((k, k)) + 4.0 * np.sqrt(k) * np.eye(k)
+        b = rng.standard_normal(k)
+        U = AffineSubspace(A, b)
+        assert svd_calls == []
+        assert U._basis.shape == (k, 0)
+        assert_matches_svd_oracle(U, A, b, rng)
+        assert_bases_split_the_space(U)
+
+    @pytest.mark.parametrize("rank, n", [(7, 40), (30, 40), (0, 6)])
+    def test_svd_fallback_keeps_one_basis(self, rng, svd_calls, rank, n):
+        if rank:
+            A = block_with_singular_values(rng, [1.0] * rank + [1e-17], n)
+        else:
+            A = np.zeros((2, n))
+        b = A @ rng.standard_normal(n)
+        U = AffineSubspace(A, b)
+        assert svd_calls == [A.shape]
+        assert U._use_null is (n - rank <= rank)
+        assert_matches_svd_oracle(U, A, b, rng)
+        assert_bases_split_the_space(U)
+
+    def test_complement_is_computed_on_each_call(self, rng):
+        A = rng.standard_normal((3, 10))
+        U = AffineSubspace(A, A @ rng.standard_normal(10))
+        assert not U._use_null
+        assert U.row_space_basis() is U._basis
+        first, second = U.direction_basis(), U.direction_basis()
+        assert first is not second
+        np.testing.assert_array_equal(first, second)
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+    def test_tall_blocks_hold_no_basis(self, rng):
+        A = rng.standard_normal((30, 8))
+        U = AffineSubspace(A, A @ rng.standard_normal(8))
+        assert U._use_null and U._basis.shape == (8, 0)
+        np.testing.assert_array_equal(U.row_space_basis(), np.eye(8))
+        stack = intersection_subspace(build_instance(400, 20, 0.1, 2).subspaces)
+        assert stack.rank == 20 and stack._basis.nbytes == 0
+
+
+class TestFactorGuards:
+    @pytest.mark.parametrize("build", [
+        lambda: build_instance(2000, 200, 0.1, 1),
+        lambda: build_underdetermined_instance(400, [20] * 12, 0.0, 1),
+    ])
+    def test_instances_factor_by_raw_qr_and_hold_one_basis(self, monkeypatch, build):
+        modes = []
+        qr = np.linalg.qr
+
+        def spy(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        inst = build()
+        assert modes and set(modes) == {"raw"}
+        n = inst.ambient_dim
+        for U in inst.subspaces:
+            assert U.constraint_matrix.shape[0] <= n
+            assert U._basis.nbytes == 8 * n * min(U.rank, n - U.rank)

@@ -19,7 +19,8 @@ from circumproj import (
     residual,
     solve,
 )
-from oracles import kkt_project_blocks
+from circumproj import problems
+from oracles import ReferenceNormalStream, kkt_project_blocks, reference_coherent_matrix
 
 
 def matrix_digest(instance):
@@ -56,6 +57,31 @@ class TestGaussianMatrix:
         assert not np.array_equal(
             gaussian_matrix(20, 5, 0.1, 9), gaussian_matrix(20, 5, 0.1, 10)
         )
+
+
+class TestChunkedGenerator:
+    """The chunked Box-Muller draw gives the bytes of the whole-array formula."""
+
+    CHUNK = 2 * problems._BOX_MULLER_CHUNK  # variates per chunk
+
+    def test_counts_around_chunk_edges(self):
+        c = self.CHUNK
+        for count in (1, 2, 3, c - 1, c, c + 1, c + 3, 2 * c + 1, 32767, 32771, 99999):
+            got = problems._NormalStream(5).draw(count)
+            want = ReferenceNormalStream(5).draw(count)
+            assert got.shape == (count,)
+            assert got.tobytes() == want.tobytes(), count
+
+    def test_successive_draws_keep_the_stream_position(self):
+        ours, ref = problems._NormalStream(11), ReferenceNormalStream(11)
+        for count in (3, self.CHUNK + 1, 1, 2 * self.CHUNK - 1, 4):
+            assert ours.draw(count).tobytes() == ref.draw(count).tobytes()
+
+    @pytest.mark.parametrize("m, n, c, seed", [(10000, 500, 0.1, 1), (12500, 100, 0.1, 1),
+                                               (7, 9, 0.25, 3), (5, 5, 1.0, 0)])
+    def test_protocol_matrices_are_bitwise_unchanged(self, m, n, c, seed):
+        got = gaussian_matrix(m, n, c, seed)
+        assert got.tobytes() == reference_coherent_matrix(m, n, c, seed).tobytes()
 
 
 class TestBlockPartition:

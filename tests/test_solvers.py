@@ -134,7 +134,7 @@ class TestBlockKernel:
         for use_null, members, basis_t, anchors in kernel.groups:
             assert len(members) == 2 == basis_t.shape[0] == anchors.shape[0]
             assert basis_t.flags.c_contiguous
-            widths = {solvers._projection_basis(blocks[i]).shape[1] for i in members}
+            widths = {blocks[i]._basis.shape[1] for i in members}
             assert widths == {basis_t.shape[1]}
             assert {blocks[i]._use_null for i in members} == {use_null}
         x = rng.standard_normal(10)
