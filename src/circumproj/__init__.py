@@ -18,7 +18,7 @@ from .analysis import (
     principal_cosines,
     verify_error_bound,
 )
-from .circumcenter import CircumcenterSystem, circumcenter, gram_system
+from .circumcenters import CircumcenterSystem, circumcenter, gram_system
 from .errors import (
     CircumprojError,
     DegenerateSystem,

@@ -8,25 +8,30 @@ Three operators act on the same block list:
   (inherently sequential; each reflection feeds the next).
 * P-CRM: circumcenter of x and the m independent reflections of x.
 
-F-SPM and P-CRM take all m projections of x from one stacked kernel, two
-BLAS calls per group of blocks with the same basis kind and width, and
-`solve` reads the feasibility residual of x off those same projections.
-Everything runs in the calling thread: the `workers` setting is accepted
-and recorded but does not change the computation, so P-CRM results are
-bitwise identical for every worker count.
+P-CRM takes all m projections of x from one stacked kernel, two BLAS calls
+per group of blocks with the same basis kind and width.  F-SPM is affine in
+x, so it is applied as one map x -> a x + c + sum_g B_g^T (q_g * (B_g x))
+on the same stacks and forms no projection at all.  When a residual is
+recorded or the feasibility rule needs one, `solve` projects x_k with the
+kernel, reads the residual off those projections, and both steps reuse
+them.  Everything runs in the calling thread: the `workers` setting is
+accepted and recorded but does not change the computation, so P-CRM
+results are bitwise identical for every worker count.
 
 Projection accounting: every reflection costs exactly one projection, so one
 CRM/P-CRM iteration over m blocks counts m projections; one F-SPM iteration
-counts one projection per positive weight p_i, i >= 1.
+counts one projection per positive weight p_i, i >= 1, whether the step
+forms the projections or applies the affine map.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .circumcenter import circumcenter
+from .circumcenters import circumcenter
 from .errors import (
     DimensionMismatch,
     InsufficientData,
@@ -96,10 +101,12 @@ class SolverConfig:
         self.stop_rule = StopRule(self.stop_rule)
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("max_iterations", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.weights is not None and self.method in (Method.CRM, Method.PCRM):
             raise ValueError(f"weights apply to fspm and cimmino only, not {self.method.value}")
 
@@ -206,9 +213,10 @@ class _Operator:
     """One method's step over a fixed block list, with its point buffer.
 
     `project(x)` writes every P_i(x) into rows 1..m of `points`, from a
-    stacked kernel built on first use, and returns those rows.  `step(x,
+    stacked kernel built on first use (F-SPM builds it with the operator,
+    for its affine map), and returns those rows.  `step(x,
     proj)` gives the next iterate; a caller that already holds proj =
-    project(x) passes it in, and with proj=None the step projects x itself.
+    project(x) passes it in, and with proj=None the step works from x alone.
     """
 
     def __init__(self, subspaces):
@@ -224,17 +232,51 @@ class _Operator:
 
 
 class _Fspm(_Operator):
-    """p_0 x + sum_i p_i P_i(x)."""
+    """p_0 x + sum_i p_i P_i(x), applied as the affine map it is.
+
+    A block's projection is P_i(x) = z_i + N_i N_i^T x on the null route
+    and x - R_i R_i^T x + z_i on the row route, for its stored basis and
+    anchor z_i.  Summed with the weights, the step is
+
+        x -> a x + c + sum_g B_g^T (q_g * (B_g x)),
+
+    with a = p_0 + (sum of p_i over row-route blocks), c = sum_i p_i z_i,
+    B_g the kernel's flattened (g w, n) basis stack of group g and q_g its
+    blocks' weights, each repeated w times and negated on the row route.
+    (a, c, q_g) are built with the operator, from the kernel's stacks, so
+    a step forms none of the m projections: two matrix-vector products per
+    group of nonzero width.
+
+    A caller that already holds proj = project(x) (to record a residual)
+    passes it in, and the step is p_0 x + p[1:] @ proj instead.  Either way
+    the result is a new array, never x or a buffer the operator reuses:
+    `solve` keeps the previous iterate for the step-norm rule.
+    """
 
     def __init__(self, subspaces, weights):
         super().__init__(subspaces)
         self.weights = weights
         self.per_iter = int(np.count_nonzero(weights[1:] > 0))
+        self._kernel = _BlockKernel(subspaces)
+        p = weights[1:]
+        self.scale, self.shift, self.terms = float(weights[0]), 0.0, []
+        for use_null, members, basis_t, anchors in self._kernel.groups:
+            g, w, n = basis_t.shape
+            pg = p[members]
+            self.shift += pg @ anchors
+            if not use_null:
+                self.scale += float(pg.sum())
+            if w:
+                q = np.repeat(pg if use_null else -pg, w)
+                self.terms.append((basis_t.reshape(g * w, n), q))
 
     def step(self, x, proj=None):
-        if proj is None:
-            proj = self.project(x)
-        return self.weights[0] * x + self.weights[1:] @ proj
+        if proj is not None:
+            return self.weights[0] * x + self.weights[1:] @ proj
+        y = self.scale * x + self.shift
+        for basis, q in self.terms:
+            y += (q * (basis @ x)) @ basis
+        return y
 
 
 class _Pcrm(_Operator):
@@ -312,9 +354,10 @@ def solve(instance, config, x0=None):
     Stops when the configured rule fires (status CONVERGED) or after
     config.max_iterations steps (status MAX_ITER).  Wall time is measured
     around the iteration loop only; the trace records every iterate.  The
-    feasibility residual of x_k is read off the projections P_i(x_k) that
-    the F-SPM and P-CRM steps from x_k use anyway, and an iteration that
-    stops without recording a residual projects nothing.
+    feasibility residual of x_k is read off the projections P_i(x_k), which
+    the F-SPM and P-CRM steps from x_k then reuse.  Without a residual to
+    record, F-SPM and Cimmino form no projection at all, and an iteration
+    that stops without recording a residual projects nothing.
 
     Raises MissingReference when stop_rule is REL_ERR_TO_KNOWN but the
     instance has no known solution, and NumericalBreakdown (with the partial

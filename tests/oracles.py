@@ -40,6 +40,15 @@ def kkt_project_blocks(subspaces, x):
     return kkt_project(A, b, x)
 
 
+def fspm_step_reference(subspaces, weights, x):
+    """p_0 x + sum_i p_i P_i(x), one KKT projection per block."""
+    x = np.asarray(x, dtype=float).ravel()
+    step = weights[0] * x
+    for p, U in zip(weights[1:], subspaces):
+        step = step + p * kkt_project(U.constraint_matrix, U.rhs, x)
+    return step
+
+
 def kkt_residuals(A, b, x, z):
     """Feasibility and stationarity misfits of a claimed projection z."""
     A = np.atleast_2d(np.asarray(A, dtype=float))

@@ -1,8 +1,13 @@
+import importlib
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circumproj
+import circumproj.circumcenters as circumcenters
 from circumproj import (
     DegenerateSystem,
     DimensionMismatch,
@@ -230,3 +235,13 @@ def test_cospherical_tall_sets_at_any_scale(n, extra, scale_exponent, seed):
     pts = sphere_points(rng, n + 1 + extra, center, radius)
     c = circumcenter(pts)
     assert np.linalg.norm(c - center) <= 1e-10 * radius
+
+
+def test_module_and_function_keep_their_names():
+    assert isinstance(circumcenters, types.ModuleType)
+    assert importlib.import_module("circumproj.circumcenters") is circumcenters
+    assert circumcenters.SOLVE_RTOL == 1e-8
+    assert circumproj.circumcenter is circumcenters.circumcenter
+    assert solvers.circumcenter is circumcenters.circumcenter
+    assert circumproj.gram_system is circumcenters.gram_system
+    assert circumproj.CircumcenterSystem is circumcenters.CircumcenterSystem

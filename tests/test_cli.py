@@ -216,6 +216,22 @@ class TestBench:
         assert "bad config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", [
+        {"workers": [1.5]},
+        {"workers": [True]},
+        {"max_iterations": 2.5},
+    ])
+    def test_non_integral_count_exits_2(self, tmp_path, capsys, override):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "m_values": [30], "n_values": [5], "coherence_values": [0.0],
+            "methods": ["pcrm"], "seeds": [1], **override,
+        }))
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unconverged_cell_exits_5(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

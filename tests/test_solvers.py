@@ -25,6 +25,7 @@ from circumproj import (
     estimate_rate,
     fspm_step,
     pcrm_step,
+    project_intersection,
     residual,
     solve,
     uniform_weights,
@@ -32,7 +33,7 @@ from circumproj import (
 )
 from circumproj import solvers
 from conftest import hyperplane_instance, random_block_instance
-from oracles import kkt_project_blocks
+from oracles import fspm_step_reference, kkt_project_blocks
 
 
 def axes_blocks():
@@ -64,6 +65,23 @@ class TestWeights:
             SolverConfig(method="pcrm", max_iterations=0)
         with pytest.raises(ValueError):
             SolverConfig(method="pcrm", workers=0)
+
+    @pytest.mark.parametrize("setting", [
+        {"max_iterations": 2.5},
+        {"max_iterations": 3.0},
+        {"max_iterations": True},
+        {"workers": 1.5},
+        {"workers": True},
+        {"workers": "2"},
+        {"workers": np.float64(2.0)},
+    ])
+    def test_config_rejects_non_integral_counts(self, setting):
+        with pytest.raises(ValueError, match="integer"):
+            SolverConfig(method="pcrm", **setting)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = SolverConfig(method="pcrm", max_iterations=np.int64(5), workers=np.int32(2))
+        assert (cfg.max_iterations, cfg.workers) == (5, 2)
 
     @pytest.mark.parametrize("method", ["crm", "pcrm"])
     def test_config_rejects_weights_for_circumcentered_methods(self, method):
@@ -239,6 +257,79 @@ class TestFspmStep:
         D = np.stack([U.reflect(x) - x for U in inst.subspaces]).T
         coeffs, *_ = np.linalg.lstsq(D, y - x, rcond=None)
         assert np.linalg.norm(D @ coeffs - (y - x)) < 1e-9
+
+
+class TestAffineFspmStep:
+    """The F-SPM step as one affine map on the kernel's stacks."""
+
+    @staticmethod
+    def weight_sets(m, rng):
+        random = rng.uniform(0.1, 1.0, m + 1)
+        return [uniform_weights(m), cimmino_weights(m), random / random.sum()]
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_matches_per_block_reference(self, rng, copies):
+        blocks = mixed_blocks() if copies == 1 else mixed_blocks() + mixed_blocks(seed=6)
+        for weights in self.weight_sets(len(blocks), rng):
+            operator = solvers._Fspm(blocks, weights)
+            for _ in range(3):
+                x = 10.0 * rng.standard_normal(10)
+                y = operator.step(x)
+                np.testing.assert_allclose(y, fspm_step_reference(blocks, weights, x),
+                                           rtol=0, atol=1e-12)
+                assert not np.shares_memory(y, x)
+
+    def test_steps_are_fresh_arrays(self, rng):
+        blocks = mixed_blocks()
+        operator = solvers._Fspm(blocks, uniform_weights(len(blocks)))
+        x = rng.standard_normal(10)
+        y1, y2 = operator.step(x), operator.step(x)
+        np.testing.assert_array_equal(y1, y2)
+        assert not np.shares_memory(y1, y2)
+        assert not np.shares_memory(y1, operator.points)
+        proj = operator.project(x)
+        y3 = operator.step(x, proj)
+        assert not np.shares_memory(y3, operator.points)
+        np.testing.assert_allclose(y3, y1, rtol=0, atol=1e-12)
+
+    @pytest.fixture
+    def project_all_calls(self, monkeypatch):
+        calls = []
+        real = solvers._BlockKernel.project_all
+
+        def spy(kernel, x, out):
+            calls.append(x)
+            return real(kernel, x, out)
+
+        monkeypatch.setattr(solvers._BlockKernel, "project_all", spy)
+        return calls
+
+    def test_unrecorded_solve_projects_nothing(self, project_all_calls):
+        inst = build_instance(40, 8, 0.1, 4)
+        for method in (Method.CIMMINO, Method.FSPM):
+            res = solve(inst, SolverConfig(method=method, record_residuals=False))
+            assert res.trace.status is Status.CONVERGED
+            assert res.trace.iteration_count > 1
+        assert project_all_calls == []
+
+    def test_recorded_solve_projects_each_iterate_once(self, project_all_calls):
+        inst = build_instance(40, 8, 0.1, 4)
+        res = solve(inst, SolverConfig(method=Method.CIMMINO, record_residuals=True))
+        assert len(project_all_calls) == len(res.trace.iterations) > 1
+
+    def test_recording_residuals_changes_no_iterate(self):
+        inst = build_underdetermined_instance(40, [2] * 12, 0.0, 3)
+        oracle = project_intersection(inst.subspaces, np.zeros(40))
+        inst = ProblemInstance(subspaces=inst.subspaces, ambient_dim=40, known_solution=oracle)
+        for method in (Method.CIMMINO, Method.FSPM):
+            recorded, unrecorded = (
+                solve(inst, SolverConfig(method=method, tolerance=1e-6, record_residuals=flag))
+                for flag in (True, False)
+            )
+            assert recorded.trace.status is unrecorded.trace.status is Status.CONVERGED
+            assert recorded.trace.iteration_count == unrecorded.trace.iteration_count > 10
+            gap = np.linalg.norm(recorded.point - unrecorded.point)
+            assert gap <= 1e-12 * np.linalg.norm(recorded.point)
 
 
 class TestCrmStep:
