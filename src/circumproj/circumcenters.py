@@ -10,19 +10,32 @@ m x m normal system
 
 whose matrix G = D D^T is the Gram matrix of the differences.
 
+`_solve_differences(D, r)` solves for y from the differences alone, so a
+caller that already holds them (the P-CRM step, whose differences are
+twice d_i = P_i(x) - x) never assembles the points.  It takes one of three
+routes:
+
 * A tall D (m > n: more points than dimensions plus one) is solved by one
   R-only Householder QR of [D | r] = Q [[R, c], [0, d]]: y = R^-1 c, with
   neither Q nor G formed, when R passes the certificate of tall blocks,
   ||R||_F * ||R^-1||_F <= affine.QR_CONDITION_LIMIT.  A certified D has
   full column rank, so y is the only solution there is.
-* Every other set, and a tall D that misses the certificate (zero or
-  repeated differences spanning fewer than n dimensions, or a hull of
-  lower dimension), takes the minimum-norm least-squares solution of the
-  Gram system.  Affinely dependent inputs make G singular; the minimum-norm
+* A wide D (m <= n) is solved through the Cholesky factor G = L L^T:
+  alpha = L^-T L^-1 r, kept only when (||L||_F * ||L^-1||_F)^2 <=
+  QR_CONDITION_LIMIT.  That product bounds kappa_2(G) = kappa_2(L)^2, so a
+  certified G is positive definite by a wide margin, and alpha is the only
+  solution of the normal system.  The bound is deliberately not scaled
+  to G's diagonal: a difference of rounding-noise length (x on a block up
+  to rounding) must read as dependence and fall back, since its direction
+  is noise that an exact solve would follow.
+* Every set that misses its certificate (zero or repeated differences,
+  affinely dependent or nearly dependent points, a hull of lower
+  dimension) takes the minimum-norm least-squares solution of the Gram
+  system.  Affinely dependent inputs make G singular; the minimum-norm
   solution still recovers the unique equidistant point of the hull
   whenever one exists.
 
-Either way, y is accepted only when its misfit ||D y - r|| (which equals
+Every route accepts y only when its misfit ||D y - r|| (which equals
 ||G alpha - r||) is at most SOLVE_RTOL * (1 + ||r||).
 """
 
@@ -30,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import _certified_tall_solve
+from .affine import QR_CONDITION_LIMIT, _certified_tall_solve
 from .errors import DegenerateSystem, DimensionMismatch
 
 # Accepted least-squares misfit of the normal system, relative to 1 + ||rhs||.
@@ -84,28 +97,41 @@ def circumcenter(points):
     """Point of the affine hull of `points` equidistant to all of them.
 
     More points than dimensions plus one (a tall difference matrix) are
-    solved by a certified R-only QR of [D | r]; every other set, and every
-    tall set that misses the certificate, by minimum-norm least squares on
-    the Gram system (SVD with the standard max-dim * eps singular value
-    cutoff), so duplicated or affinely dependent inputs are handled.  With a
-    single input point, or when all points coincide, the first point is
-    returned unchanged.
+    solved by a certified R-only QR of [D | r], and every other set by a
+    certified Cholesky factorization of the Gram matrix; a set that misses
+    its certificate falls back to minimum-norm least squares on the Gram
+    system (SVD with the standard max-dim * eps singular value cutoff), so
+    duplicated or affinely dependent inputs are handled.  With a single
+    input point, or when all points coincide, the first point is returned
+    unchanged.
 
     Raises DegenerateSystem when no equidistant point exists in the hull
     (e.g. three distinct collinear points), and when a point is not finite
     or a squared difference overflows.
     """
     base, diffs, rhs = _differences(points)
-    m, n = diffs.shape
-    if m == 0:
+    if diffs.shape[0] == 0:
         return base.copy()
+    return base + _solve_differences(diffs, rhs)
+
+
+def _solve_differences(diffs, rhs):
+    """Minimum-norm y with D y = r, for D = diffs and r = rhs (m >= 1 rows).
+
+    Takes the tall QR, wide Cholesky or least-squares route of the module
+    docstring, and raises DegenerateSystem when r is not finite or the
+    misfit fails SOLVE_RTOL * (1 + ||r||).
+    """
+    m, n = diffs.shape
     # LAPACK fails on non-finite input with an untyped error, and prints to stderr.
     if not np.isfinite(rhs).all():
         raise DegenerateSystem("points or their squared differences are not finite")
     step = _certified_tall_solve(diffs, rhs) if m > n else None
     if step is None:
         gram = diffs @ diffs.T
-        alpha, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
+        alpha = _certified_cholesky_solve(gram, rhs) if m <= n else None
+        if alpha is None:
+            alpha, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
         misfit = np.linalg.norm(gram @ alpha - rhs)
         step = alpha @ diffs
     else:
@@ -114,4 +140,18 @@ def circumcenter(points):
         raise DegenerateSystem(
             f"no equidistant point in the affine hull (normal-system residual {misfit:.3e})"
         )
-    return base + step
+    return step
+
+
+def _certified_cholesky_solve(gram, rhs):
+    """G^-1 r from G = L L^T, or None unless (||L||_F ||L^-1||_F)^2 <=
+    QR_CONDITION_LIMIT, an upper bound on kappa_2(G)."""
+    try:
+        L = np.linalg.cholesky(gram)
+        L_inv = np.linalg.inv(L)
+    except np.linalg.LinAlgError:  # G is not numerically positive definite
+        return None
+    # A nearly singular L may overflow L^-1 to inf, which fails the test.
+    if not np.vdot(L, L) * np.vdot(L_inv, L_inv) <= QR_CONDITION_LIMIT:
+        return None
+    return rhs @ L_inv.T @ L_inv

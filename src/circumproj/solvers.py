@@ -9,14 +9,19 @@ Three operators act on the same block list:
 * P-CRM: circumcenter of x and the m independent reflections of x.
 
 P-CRM takes all m projections of x from one stacked kernel, two BLAS calls
-per group of blocks with the same basis kind and width.  F-SPM is affine in
-x, so it is applied as one map x -> a x + c + sum_g B_g^T (q_g * (B_g x))
-on the same stacks and forms no projection at all.  When a residual is
-recorded or the feasibility rule needs one, `solve` projects x_k with the
-kernel, reads the residual off those projections, and both steps reuse
-them.  Everything runs in the calling thread: the `workers` setting is
-accepted and recorded but does not change the computation, so P-CRM
-results are bitwise identical for every worker count.
+per group of blocks with the same basis kind and width, and forms one
+difference matrix per iteration, d_i = P_i(x) - x, with squared norms
+sq_i.  The feasibility residual is sqrt(max_i sq_i), and the step is x + y
+for the minimum-norm y with (2 d) y = 2 sq: the circumcenter system of x
+and its reflections x + 2 d_i, solved from the differences without
+assembling the points.  F-SPM is affine in x, so it is applied as one map
+x -> a x + c + sum_g B_g^T (q_g * (B_g x)) on the same stacks and forms no
+projection at all.  When a residual is recorded or the feasibility rule
+needs one, `solve` projects x_k with the kernel, reads the residual off
+those projections, and both steps reuse them.  Everything runs in the
+calling thread: the `workers` setting is accepted and recorded but does
+not change the computation, so P-CRM results are bitwise identical for
+every worker count.
 
 Projection accounting: every reflection costs exactly one projection, so one
 CRM/P-CRM iteration over m blocks counts m projections; one F-SPM iteration
@@ -24,6 +29,7 @@ counts one projection per positive weight p_i, i >= 1, whether the step
 forms the projections or applies the affine map.
 """
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -31,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circumcenters import circumcenter
+from .circumcenters import _solve_differences, circumcenter
 from .errors import (
     DimensionMismatch,
     InsufficientData,
@@ -203,20 +209,16 @@ def _aligned_empty(shape):
     return buf[start:start + size].reshape(shape)
 
 
-def _max_distance(x, proj):
-    """max_i ||P_i(x) - x|| from the rows of proj."""
-    diff = proj - x
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
-
-
 class _Operator:
-    """One method's step over a fixed block list, with its point buffer.
+    """One method's step over a fixed block list, with its point buffers.
 
     `project(x)` writes every P_i(x) into rows 1..m of `points`, from a
     stacked kernel built on first use (F-SPM builds it with the operator,
-    for its affine map), and returns those rows.  `step(x,
-    proj)` gives the next iterate; a caller that already holds proj =
-    project(x) passes it in, and with proj=None the step works from x alone.
+    for its affine map), and returns those rows.  `residual(x, proj)` is
+    max_i ||P_i(x) - x||; it keeps the differences d_i = P_i(x) - x and
+    their squared norms for a step from the same x.  `step(x, proj)` gives
+    the next iterate; a caller that already holds proj = project(x) passes
+    it in, and with proj=None the step works from x alone.
     """
 
     def __init__(self, subspaces):
@@ -224,11 +226,20 @@ class _Operator:
         self.per_iter = len(subspaces)
         self.points = np.empty((len(subspaces) + 1, subspaces[0].ambient_dim))
         self._kernel = None
+        self._diffs = np.empty_like(self.points[1:])
+        self._sq = None
+        self._diffs_of = None  # the x that _diffs and _sq belong to
 
     def project(self, x):
         if self._kernel is None:
             self._kernel = _BlockKernel(self.subspaces)
         return self._kernel.project_all(x, self.points[1:])
+
+    def residual(self, x, proj):
+        diffs = np.subtract(proj, x, out=self._diffs)
+        self._sq = np.einsum("ij,ij->i", diffs, diffs)
+        self._diffs_of = x
+        return float(np.sqrt(self._sq.max()))
 
 
 class _Fspm(_Operator):
@@ -278,18 +289,34 @@ class _Fspm(_Operator):
             y += (q * (basis @ x)) @ basis
         return y
 
+    def step_batch(self, X):
+        """`step` of every row of a 2-D X, in one pass of each product.
+
+        The stacked matmuls apply the same matrix-vector products to each
+        row as `step` does, so the batch is bitwise equal to stepping row
+        by row.  (One matrix-matrix product per stack would be faster, but
+        it rounds differently from the row steps.)
+        """
+        Y = self.scale * X + self.shift
+        for basis, q in self.terms:
+            coeff = np.matmul(basis, X[:, :, None])[:, :, 0]
+            Y += np.matmul((q * coeff)[:, None, :], basis)[:, 0]
+        return Y
+
 
 class _Pcrm(_Operator):
-    """Circumcenter of x and its m independent reflections 2 P_i(x) - x."""
+    """Circumcenter of x and its m independent reflections 2 P_i(x) - x.
+
+    The reflections are x + 2 d_i, so the circumcenter is x + y for the
+    minimum-norm y with (2 d) y = 2 sq, solved from the differences that
+    `residual` formed for this x; without them (proj=None, or a proj for
+    another x) the step forms them itself.  No point set is assembled.
+    """
 
     def step(self, x, proj=None):
-        if proj is None:
-            proj = self.project(x)
-        pts = self.points
-        pts[0] = x
-        np.multiply(proj, 2.0, out=pts[1:])
-        pts[1:] -= x
-        return circumcenter(pts)
+        if proj is None or self._diffs_of is not x:
+            self.residual(x, self.project(x) if proj is None else proj)
+        return x + _solve_differences(2.0 * self._diffs, 2.0 * self._sq)
 
 
 class _Crm(_Operator):
@@ -323,13 +350,12 @@ def _step_input(x, subspaces, ndims=(1,)):
 def fspm_step(x, subspaces, weights):
     """One weighted simultaneous-projection step p_0 x + sum_i p_i P_i(x).
 
-    A 2-D x is a batch of points, stepped row by row.
+    A 2-D x is a batch of points, stepped together and bitwise equal to
+    stepping each row alone.
     """
     x, subspaces = _step_input(x, subspaces, ndims=(1, 2))
     operator = _Fspm(subspaces, validate_weights(weights, len(subspaces)))
-    if x.ndim == 1:
-        return operator.step(x)
-    return np.array([operator.step(row) for row in x]).reshape(x.shape)
+    return operator.step(x) if x.ndim == 1 else operator.step_batch(x)
 
 
 def crm_step(x, subspaces):
@@ -355,9 +381,12 @@ def solve(instance, config, x0=None):
     config.max_iterations steps (status MAX_ITER).  Wall time is measured
     around the iteration loop only; the trace records every iterate.  The
     feasibility residual of x_k is read off the projections P_i(x_k), which
-    the F-SPM and P-CRM steps from x_k then reuse.  Without a residual to
+    the F-SPM step from x_k then reuses; the P-CRM step reuses the
+    differences P_i(x_k) - x_k the residual formed.  Without a residual to
     record, F-SPM and Cimmino form no projection at all, and an iteration
-    that stops without recording a residual projects nothing.
+    that stops without recording a residual projects nothing.  An iterate
+    is checked for finiteness only when its distance to the reference is
+    not finite or there is no reference.
 
     Raises MissingReference when stop_rule is REL_ERR_TO_KNOWN but the
     instance has no known solution, and NumericalBreakdown (with the partial
@@ -401,7 +430,9 @@ def solve(instance, config, x0=None):
     prev = None
     start = time.perf_counter()
     while True:
-        if not np.all(np.isfinite(x)):
+        dist = float(np.linalg.norm(x - reference)) if reference is not None else float("nan")
+        # A finite distance to the reference already shows that x is finite.
+        if not math.isfinite(dist) and not np.all(np.isfinite(x)):
             trace.append(k, float("nan"), float("nan"), nproj, time.perf_counter() - start)
             trace.status = Status.DIVERGED_NUMERICALLY
             trace.wall_time_s = time.perf_counter() - start
@@ -409,8 +440,7 @@ def solve(instance, config, x0=None):
                 f"non-finite iterate at iteration {k}", trace=trace, point=x
             )
         proj = operator.project(x) if need_resid else None
-        resid = _max_distance(x, proj) if need_resid else float("nan")
-        dist = float(np.linalg.norm(x - reference)) if reference is not None else float("nan")
+        resid = operator.residual(x, proj) if need_resid else float("nan")
         trace.append(k, resid, dist, nproj, time.perf_counter() - start)
 
         if rule is StopRule.REL_ERR_TO_KNOWN:

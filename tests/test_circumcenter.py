@@ -1,5 +1,6 @@
 import importlib
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +12,16 @@ import circumproj.circumcenters as circumcenters
 from circumproj import (
     DegenerateSystem,
     DimensionMismatch,
+    Method,
+    ProblemInstance,
+    SolverConfig,
     build_instance,
+    build_underdetermined_instance,
     circumcenter,
     gram_system,
     pcrm_step,
+    project_intersection,
+    solve,
 )
 from circumproj import solvers
 
@@ -202,20 +209,106 @@ class TestTallRoute:
         assert dists.max() - dists.min() <= 1e-12
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_pcrm_step_matches_gram_solve(self, monkeypatch, seed):
+    def test_pcrm_step_matches_gram_solve(self, seed):
         inst = build_instance(1250, 10, 0.1, seed)
-        seen = []
-
-        def spy(points):
-            seen.append(np.array(points))
-            return circumcenter(points)
-
-        monkeypatch.setattr(solvers, "circumcenter", spy)
         for x in (np.zeros(10), np.linspace(-1.0, 1.0, 10)):
             y = pcrm_step(x, inst.subspaces)
-            assert seen[-1].shape == (127, 10)
-            expected = gram_circumcenter(seen[-1])
+            points = np.stack([x] + [2.0 * U.project(x) - x for U in inst.subspaces])
+            assert points.shape == (127, 10)
+            expected = gram_circumcenter(points)
             assert np.linalg.norm(y - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def flat_sphere_points(rng, k, n, center, radius):
+    """k + 1 random points on the sphere of `radius` about `center` within a
+    random k-flat through `center` in R^n."""
+    frame, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    u = rng.standard_normal((k + 1, k))
+    return center + radius * (u / np.linalg.norm(u, axis=1, keepdims=True)) @ frame.T
+
+
+class TestWideRoute:
+    """At most as many differences as dimensions: the certified Cholesky route."""
+
+    def test_near_dependent_set_falls_back(self, rng, lstsq_calls):
+        # Two of five points on a sphere in a 4-flat of R^8 are 1e-6 apart.
+        center = rng.standard_normal(8)
+        pts = flat_sphere_points(rng, 4, 8, center, 2.0)
+        pts[3] = pts[2] + 1e-6 * (pts[4] - pts[2])
+        pts[3] = center + 2.0 * (pts[3] - center) / np.linalg.norm(pts[3] - center)
+        assert np.linalg.cond(gram_system(pts).gram) > 1e8
+        c = circumcenter(pts)
+        assert lstsq_calls == [(4, 4)]
+        np.testing.assert_array_equal(c, gram_circumcenter(pts))
+
+    @pytest.mark.parametrize("repeat", [0, 2])
+    def test_duplicate_points_fall_back(self, rng, lstsq_calls, repeat):
+        # Three points on a circle in a 2-plane of R^5, one given twice.
+        center = rng.standard_normal(5)
+        pts = flat_sphere_points(rng, 2, 5, center, 3.0)
+        pts = np.vstack([pts, pts[repeat]])
+        c = circumcenter(pts)
+        assert lstsq_calls == [(3, 3)]
+        np.testing.assert_array_equal(c, gram_circumcenter(pts))
+        np.testing.assert_allclose(c, center, rtol=0, atol=1e-10)
+
+    def test_noise_length_difference_falls_back(self, rng, lstsq_calls):
+        # x_1 differs from x_0 by rounding noise, as when x lies on one block:
+        # its direction must count as dependence, not be followed.
+        center = rng.standard_normal(8)
+        pts = flat_sphere_points(rng, 4, 8, center, 2.0)
+        pts = np.vstack([pts[:1], pts[:1] + 1e-15 * rng.standard_normal(8), pts[1:]])
+        c = circumcenter(pts)
+        assert lstsq_calls == [(5, 5)]
+        np.testing.assert_array_equal(c, gram_circumcenter(pts))
+        np.testing.assert_allclose(c, center, rtol=0, atol=1e-8)
+
+    # Seeds 2 and 6 each reach one P-CRM iterate where one difference is
+    # about 1e5 times shorter than the others, so that kappa_2(G) is 2.6e10
+    # and 1.4e8 there and the step falls back.
+    @pytest.mark.parametrize("seed, fallbacks", [(1, 0), (2, 1), (6, 1)])
+    def test_circumcentered_solves_take_the_cholesky_route(self, monkeypatch, seed, fallbacks):
+        conditions = []
+        lstsq = np.linalg.lstsq
+
+        def spy(a, b, rcond=None):
+            conditions.append(np.linalg.cond(a) * a.shape[0] ** 2)
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        inst = build_underdetermined_instance(40, [2] * 12, 0.0, seed)
+        oracle = project_intersection(inst.subspaces, np.zeros(40))
+        inst = ProblemInstance(subspaces=inst.subspaces, ambient_dim=40, known_solution=oracle)
+        conditions.clear()
+        for method in (Method.PCRM, Method.CRM):
+            res = solve(inst, SolverConfig(method=method, tolerance=1e-6))
+            assert res.trace.iteration_count > 10
+        assert len(conditions) == fallbacks
+        # The certificate overstates kappa_2(G) by at most m^2, so a fallback
+        # means m^2 kappa_2(G) > QR_CONDITION_LIMIT.
+        assert all(bound > 1e8 for bound in conditions)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 12),
+    codim=st.integers(1, 30),
+    scale_exponent=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cospherical_wide_sets_at_any_scale(k, codim, scale_exponent, seed):
+    """k + 1 points on a sphere in a random k-flat of R^(k + codim): the
+    circumcenter is its center, at radii from 1e-6 to 1e6, and no set
+    falls back to least squares.  From k = 2: the two points of a 0-sphere
+    may coincide."""
+    rng = np.random.default_rng(seed)
+    radius = 10.0 ** scale_exponent
+    center = radius * rng.standard_normal(k + codim)
+    pts = flat_sphere_points(rng, k, k + codim, center, radius)
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+        c = circumcenter(pts)
+    assert lstsq.call_count == 0
+    assert np.linalg.norm(c - center) <= 1e-10 * radius
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -292,6 +292,31 @@ class TestAffineFspmStep:
         assert not np.shares_memory(y3, operator.points)
         np.testing.assert_allclose(y3, y1, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("blocks", ["mixed", "slow"])
+    def test_batch_steps_all_rows_at_once(self, rng, monkeypatch, blocks):
+        if blocks == "mixed":
+            subspaces = mixed_blocks()
+        else:
+            subspaces = list(build_underdetermined_instance(40, [2] * 12, 0.0, 3).subspaces)
+        n = subspaces[0].ambient_dim
+        X = 5.0 * rng.standard_normal((7, n))
+        for weights in self.weight_sets(len(subspaces), rng):
+            rows = np.stack([fspm_step(x, subspaces, weights) for x in X])
+            row_steps = []
+            real_step = solvers._Fspm.step
+
+            def spy(operator, x, proj=None):
+                row_steps.append(x)
+                return real_step(operator, x, proj)
+
+            monkeypatch.setattr(solvers._Fspm, "step", spy)
+            batch = fspm_step(X, subspaces, weights)
+            monkeypatch.undo()
+            assert row_steps == []
+            np.testing.assert_array_equal(batch, rows)
+            reference = np.stack([fspm_step_reference(subspaces, weights, x) for x in X])
+            np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-12)
+
     @pytest.fixture
     def project_all_calls(self, monkeypatch):
         calls = []
@@ -568,18 +593,85 @@ class TestResidualReuse:
             assert np.all(np.isnan(res.trace.residuals))
 
 
+class TestPcrmDifferences:
+    """P-CRM reads the residual and the step off one difference matrix."""
+
+    @staticmethod
+    def slow_instance(seed=3):
+        inst = build_underdetermined_instance(40, [2] * 12, 0.0, seed)
+        oracle = project_intersection(inst.subspaces, np.zeros(40))
+        return ProblemInstance(subspaces=inst.subspaces, ambient_dim=40, known_solution=oracle)
+
+    def test_recorded_residuals_are_residuals_of_the_iterates(self, rng):
+        inst = self.slow_instance()
+        x = 5.0 * rng.standard_normal(40)
+        cfg = SolverConfig(method=Method.PCRM, max_iterations=10, tolerance=1e-300,
+                           stop_rule=StopRule.FEASIBILITY_RESIDUAL)
+        res = solve(inst, cfg, x0=x)
+        assert res.trace.status is Status.MAX_ITER
+        for recorded in res.trace.residuals:
+            expected = max(np.linalg.norm(U.project(x) - x) for U in inst.subspaces)
+            assert abs(recorded - expected) <= 1e-12 * expected
+            last, x = x, pcrm_step(x, inst.subspaces)
+        np.testing.assert_allclose(last, res.point, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("method", [Method.PCRM, Method.CRM])
+    def test_recording_residuals_changes_no_iterate(self, method):
+        inst = self.slow_instance()
+        recorded, unrecorded = (
+            solve(inst, SolverConfig(method=method, tolerance=1e-6, record_residuals=flag))
+            for flag in (True, False)
+        )
+        assert recorded.trace.status is unrecorded.trace.status is Status.CONVERGED
+        assert recorded.trace.iteration_count == unrecorded.trace.iteration_count > 10
+        np.testing.assert_array_equal(recorded.point, unrecorded.point)
+        two_workers = solve(inst, SolverConfig(method=method, tolerance=1e-6, workers=2))
+        np.testing.assert_array_equal(two_workers.point, recorded.point)
+
+    def test_step_never_reuses_differences_of_another_point(self, rng):
+        subspaces = list(self.slow_instance().subspaces)
+        x1, x2 = rng.standard_normal((2, 40))
+        expected = pcrm_step(x2, subspaces)
+        operator = solvers._Pcrm(subspaces)
+        operator.residual(x1, operator.project(x1))
+        np.testing.assert_array_equal(operator.step(x2, operator.project(x2)), expected)
+        proj = operator.project(x2)
+        kept = proj.copy()
+        expected_residual = max(np.linalg.norm(p - x2) for p in kept)
+        assert operator.residual(x2, proj) == pytest.approx(expected_residual, rel=1e-12)
+        np.testing.assert_array_equal(operator.step(x2, proj), expected)
+        np.testing.assert_array_equal(operator.step(x2, proj), expected)
+        np.testing.assert_array_equal(proj, kept)
+
+    @pytest.mark.parametrize("with_reference", [True, False])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_start_breaks_down_typed(self, with_reference, bad):
+        inst = self.slow_instance()
+        if not with_reference:
+            inst = ProblemInstance(subspaces=inst.subspaces, ambient_dim=40)
+        x0 = np.zeros(40)
+        x0[7] = bad
+        cfg = SolverConfig(method=Method.PCRM, stop_rule=StopRule.FEASIBILITY_RESIDUAL)
+        with pytest.raises(NumericalBreakdown) as excinfo:
+            solve(inst, cfg, x0=x0)
+        trace = excinfo.value.trace
+        assert trace.status is Status.DIVERGED_NUMERICALLY
+        assert trace.iterations == [0]
+        assert np.isnan(trace.distances[0]) and np.isnan(trace.residuals[0])
+
+
 class TestNoThreadPool:
     def test_workers_start_no_threads_and_change_nothing(self, monkeypatch):
         inst = build_instance(60, 12, 0.2, 13)
         before = threading.active_count()
         during = []
-        real_circumcenter = solvers.circumcenter
+        real_solve_differences = solvers._solve_differences
 
-        def spy(points):
+        def spy(diffs, rhs):
             during.append(threading.active_count())
-            return real_circumcenter(points)
+            return real_solve_differences(diffs, rhs)
 
-        monkeypatch.setattr(solvers, "circumcenter", spy)
+        monkeypatch.setattr(solvers, "_solve_differences", spy)
         res4 = solve(inst, SolverConfig(method=Method.PCRM, workers=4))
         assert during and set(during) == {before}
         assert threading.active_count() == before
