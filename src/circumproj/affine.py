@@ -81,16 +81,19 @@ class AffineSubspace:
         # of the whole-block QR that follows it.
         factors = _factor_tall_prefix(A, b, limit) if rows >= 4 * n else None
         if factors is None:
-            factors = _factor_qr(A, b) if rows <= n else _factor_tall_qr(A, b)
-            if factors is None:
-                factors = _factor_svd(A, b)
-            misfit = np.linalg.norm(A @ factors[1] - b)
-            if misfit > limit:
-                raise InconsistentSystem(
-                    f"rhs outside range of constraint matrix (residual {misfit:.3e})"
-                )
-        rank, z0, basis = factors
+            factors = _factor_whole(A, b, limit)
+        self._keep(A, b, factors, label)
 
+    @classmethod
+    def _from_factors(cls, A, b, factors, label):
+        """The subspace {x : A x = b} with `factors` already computed for it."""
+        self = cls.__new__(cls)
+        self._keep(A, b, factors, label)
+        return self
+
+    def _keep(self, A, b, factors, label):
+        rank, z0, basis = factors
+        n = A.shape[1]
         self.constraint_matrix = A
         self.rhs = b
         self.rank = rank
@@ -242,6 +245,22 @@ def _complement(B):
     return out
 
 
+def _factor_whole(A, b, limit):
+    """Factors of a whole block: its QR, or the SVD when that is not certified.
+
+    Raises InconsistentSystem when the anchor's misfit exceeds `limit`.
+    """
+    factors = _factor_qr(A, b) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
+    if factors is None:
+        factors = _factor_svd(A, b)
+    misfit = np.linalg.norm(A @ factors[1] - b)
+    if misfit > limit:
+        raise InconsistentSystem(
+            f"rhs outside range of constraint matrix (residual {misfit:.3e})"
+        )
+    return factors
+
+
 def _factor_tall_qr(A, b):
     """Factors of a tall block from _certified_tall_solve, or None if not certified.
 
@@ -360,30 +379,64 @@ def _factor_svd(A, b):
 
 
 def intersection_subspace(subspaces):
-    """Stack the blocks into one subspace representing the intersection.
+    """One subspace representing the intersection of the blocks.
 
-    One direct factorization of the stacked system (see AffineSubspace: a
-    certified QR, or the SVD when the stack is rank deficient or nearly so);
-    the result's `project` is the exact best-approximation oracle onto the
-    intersection.  A tall stack of full column rank pins a single point, which
-    its R-only QR finds without forming Q.  With at least 4n rows, that QR
-    covers only the first 2n rows, and the other rows are checked by one
-    product: the point is kept when the prefix's triangle is certified and
-    the point fits the whole stack to CONSISTENCY_RTOL.  A prefix that is rank deficient
-    or fits only itself sends the stack through the whole-stack QR and, if
-    that misses the certificate too, the SVD.
+    Its `project` is the exact best-approximation oracle onto the
+    intersection.  A stack of at least 4n rows first gathers only the first
+    2n rows of the leading blocks and factors them by one R-only QR (see
+    AffineSubspace).  When that triangle is certified, the prefix pins a
+    single point, and the point is kept if it fits the whole stack to
+    CONSISTENCY_RTOL * (1 + ||b||), checked with one product per block; the
+    result is then described by the 2n prefix rows, which pin the same
+    point, so it is the same set.  A prefix that is rank deficient or fits
+    only itself, and every shorter stack, sends the stacked system through
+    the whole-stack QR and, if that misses the certificate too, the SVD; the
+    result is then described by the whole stack.
 
     Raises EmptyIntersection when the stacked system is inconsistent.
     """
     subspaces = list(subspaces)
     if not subspaces:
         raise ValueError("need at least one subspace")
-    A = np.vstack([U.constraint_matrix for U in subspaces])
-    b = np.concatenate([U.rhs for U in subspaces])
+    n = subspaces[0].ambient_dim
     try:
-        return AffineSubspace(A, b, label=-1)
+        if sum(U.constraint_matrix.shape[0] for U in subspaces) >= 4 * n:
+            found = _intersect_by_prefix(subspaces, 2 * n)
+            if found is not None:
+                return found
+        A = np.vstack([U.constraint_matrix for U in subspaces])
+        b = np.concatenate([U.rhs for U in subspaces])
+        limit = CONSISTENCY_RTOL * (1.0 + np.linalg.norm(b))
+        return AffineSubspace._from_factors(A, b, _factor_whole(A, b, limit), label=-1)
     except InconsistentSystem as exc:
         raise EmptyIntersection(f"blocks have no common point: {exc}") from exc
+
+
+def _intersect_by_prefix(subspaces, rows):
+    """The intersection from the stack's first `rows` rows, or None.
+
+    None unless those rows' R-only QR is certified and its point fits every
+    block to CONSISTENCY_RTOL * (1 + ||b||), with b the whole stacked rhs.
+    """
+    matrices, rhs, need = [], [], rows
+    for U in subspaces:
+        matrices.append(U.constraint_matrix[:need])
+        rhs.append(U.rhs[:need])
+        need -= matrices[-1].shape[0]
+        if need == 0:
+            break
+    A, b = np.vstack(matrices), np.concatenate(rhs)
+    factors = _factor_tall_qr(A, b)
+    if factors is None:
+        return None
+    misfit_sq = rhs_sq = 0.0
+    for U in subspaces:
+        r = U.constraint_matrix @ factors[1] - U.rhs
+        misfit_sq += r @ r
+        rhs_sq += U.rhs @ U.rhs
+    if np.sqrt(misfit_sq) > CONSISTENCY_RTOL * (1.0 + np.sqrt(rhs_sq)):
+        return None
+    return AffineSubspace._from_factors(A, b, factors, label=-1)
 
 
 def project_intersection(subspaces, x):

@@ -125,6 +125,8 @@ def cmd_gen(args):
         return _fail(f"need m > n >= 1, got m={args.m}, n={args.n}")
     if not 0.0 <= args.coherence <= 1.0:
         return _fail(f"coherence must lie in [0, 1], got {args.coherence}")
+    if args.seed < 0:
+        return _fail(f"seed must be a non-negative integer, got {args.seed}")
     descriptor = GenerationDescriptor(
         m=args.m, n=args.n, coherence=args.coherence, seed=args.seed,
         block_count=block_count(args.m, args.n),

@@ -12,6 +12,9 @@ bit-exact within this implementation; only statistical equivalence is
 promised across implementations.
 """
 
+import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,38 +28,93 @@ GENERATOR_ID = "pcg64-boxmuller"
 _BOX_MULLER_CHUNK = 1 << 14
 
 
+def _cpu_count():
+    """CPUs this process may run on: the ceiling on a draw's threads."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 class _NormalStream:
     """Standard-normal variates: PCG64 uniforms through Box-Muller pairs.
 
-    Each draw consumes whole uniform pairs and discards any leftover half,
-    so the stream position after a draw depends only on the sequence of
-    requested counts.
+    A draw of `count` variates takes `pairs = ceil(count / 2)` uniforms u1,
+    then `pairs` uniforms u2, and discards any leftover half, so the stream
+    position after a draw depends only on the sequence of requested counts.
+
+    The pairs are cut into one contiguous range per thread at multiples of
+    _BOX_MULLER_CHUNK, and a draw splits only while every thread gets at
+    least two whole chunks, up to one thread per available CPU.  Each range
+    starts two copies of the stream, advanced to its first u1 and its first
+    u2, so the bytes do not depend on the number of threads.
     """
 
     def __init__(self, seed):
-        self._rng = np.random.Generator(np.random.PCG64(int(seed)))
+        self._rng = np.random.Generator(np.random.PCG64(_check_integer("seed", seed, 0)))
 
-    def draw(self, count):
+    def draw(self, count, coherence=None):
+        """`count` variates z, or (1 - coherence) * z + coherence if given."""
         pairs = (count + 1) // 2
-        u1 = self._rng.random(pairs)
-        u2 = self._rng.random(pairs)
+        whole = pairs // _BOX_MULLER_CHUNK
+        threads = max(1, min(_cpu_count(), whole // 2))
+        edges = [whole * k // threads * _BOX_MULLER_CHUNK for k in range(threads)] + [pairs]
         z = np.empty(2 * pairs)
-        # The transform runs in chunks through fixed buffers, with the same
-        # ufuncs on contiguous inputs as whole-array code, so the bytes match
-        # it and no temporary of the transform is as large as the draw.
-        chunk = min(pairs, _BOX_MULLER_CHUNK)
-        radius, angle, trig = np.empty(chunk), np.empty(chunk), np.empty(chunk)
-        for lo in range(0, pairs, chunk):
-            hi = min(lo + chunk, pairs)
-            r, a, t = radius[:hi - lo], angle[:hi - lo], trig[:hi - lo]
-            np.negative(u1[lo:hi], out=r)
-            np.log1p(r, out=r)
-            np.multiply(-2.0, r, out=r)
-            np.sqrt(r, out=r)
-            np.multiply(2.0 * np.pi, u2[lo:hi], out=a)
-            np.multiply(r, np.cos(a, out=t), out=z[2 * lo:2 * hi:2])
-            np.multiply(r, np.sin(a, out=t), out=z[2 * lo + 1:2 * hi:2])
+        bits = self._rng.bit_generator
+        state = bits.state
+        ranges = [(state, pairs, lo, hi, z, coherence) for lo, hi in zip(edges, edges[1:])]
+        if threads == 1:
+            _box_muller(*ranges[0])
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for future in [pool.submit(_box_muller, *r) for r in ranges]:
+                    future.result()
+        bits.advance(2 * pairs)
         return z[:count]
+
+
+def _uniforms_from(state, offset):
+    """A generator on a copy of the PCG64 `state`, advanced by `offset` draws."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits.advance(offset))
+
+
+def _box_muller(state, pairs, lo, hi, z, coherence):
+    """Write z[2 lo:2 hi] from pairs lo..hi-1 of a draw of `pairs` pairs at `state`.
+
+    The transform runs in chunks through fixed buffers, with the same ufuncs
+    on contiguous inputs as whole-array code, so the bytes match it and no
+    temporary of the transform is as large as the draw.  The coherence map
+    multiplies and then adds, as `z *= 1 - c; z += c` on the whole draw would.
+    """
+    first, second = _uniforms_from(state, lo), _uniforms_from(state, pairs + lo)
+    chunk = min(hi - lo, _BOX_MULLER_CHUNK)
+    radius, angle, trig = np.empty(chunk), np.empty(chunk), np.empty(chunk)
+    for s in range(lo, hi, chunk):
+        e = min(s + chunk, hi)
+        r, a, t, out = radius[:e - s], angle[:e - s], trig[:e - s], z[2 * s:2 * e]
+        first.random(out=r)
+        second.random(out=a)
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        np.multiply(-2.0, r, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(2.0 * np.pi, a, out=a)
+        np.multiply(r, np.cos(a, out=t), out=out[0::2])
+        np.multiply(r, np.sin(a, out=t), out=out[1::2])
+        if coherence is not None:
+            out *= 1.0 - coherence
+            out += coherence
+
+
+def _check_integer(name, value, low=None):
+    """`value` as an int; ValueError for a bool, a non-integer or one below `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def _check_coherence(c):
@@ -67,18 +125,16 @@ def _check_coherence(c):
 
 
 def _coherent_matrix(stream, m, n, c):
-    z = stream.draw(m * n).reshape(m, n)
-    z *= 1.0 - c
-    z += c
-    return z
+    return stream.draw(m * n, coherence=c).reshape(m, n)
 
 
 def gaussian_matrix(m, n, c, seed):
     """m x n matrix with entries (1 - c) * N(0, 1) + c, deterministic in seed."""
     c = _check_coherence(c)
+    m, n = _check_integer("m", m), _check_integer("n", n)
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be positive, got {m} x {n}")
-    return _coherent_matrix(_NormalStream(seed), int(m), int(n), c)
+    return _coherent_matrix(_NormalStream(seed), m, n, c)
 
 
 def block_count(m, n):
@@ -171,7 +227,7 @@ def build_instance(m, n, c, seed):
     Generically the stacked matrix has full column rank, so the intersection
     is the singleton {x*}.
     """
-    m, n = int(m), int(n)
+    m, n = _check_integer("m", m), _check_integer("n", n)
     if not m > n >= 1:
         raise ValueError(f"protocol requires m > n >= 1, got m={m}, n={n}")
     c = _check_coherence(c)
@@ -205,8 +261,8 @@ def build_underdetermined_instance(n, block_rows, c, seed):
     The intersection is generically a positive-dimensional affine set, so no
     known solution is attached (the best approximation depends on the start).
     """
-    n = int(n)
-    rows = [int(r) for r in block_rows]
+    n = _check_integer("n", n)
+    rows = [_check_integer("block_rows entry", r) for r in block_rows]
     if not rows or any(r < 1 for r in rows):
         raise ValueError("block_rows must be a nonempty list of positive counts")
     total = sum(rows)

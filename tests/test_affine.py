@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -465,6 +467,34 @@ class TestTallPrefix:
         assert len(calls) == 1
         (rows, cols), mode = calls[0]
         assert mode == "r" and rows <= 2 * 100 and cols == 101
+
+    def test_prefix_intersection_copies_no_stack(self):
+        inst = build_instance(4000, 100, 0.1, 1)
+        stack_bytes = sum(U.constraint_matrix.nbytes for U in inst.subspaces)
+        tracemalloc.start()
+        try:
+            stacked = intersection_subspace(inst.subspaces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes / 2
+        assert stacked.constraint_matrix.shape == (200, 100)
+        assert stacked.rank == 100
+        xs = inst.known_solution
+        assert np.linalg.norm(stacked.anchor - xs) <= 1e-10 * np.linalg.norm(xs)
+
+    def test_failed_prefix_goes_straight_to_the_whole_stack(self, rng, svd_calls, tall_solves):
+        n = 5
+        A = rng.standard_normal((6 * n, n))
+        A[:2 * n] = A[0]
+        blocks = [AffineSubspace(A[:3 * n], A[:3 * n] @ np.ones(n)),
+                  AffineSubspace(A[3 * n:], A[3 * n:] @ np.ones(n))]
+        del tall_solves[:], svd_calls[:]
+        stacked = intersection_subspace(blocks)
+        assert tall_solves == [2 * n, 6 * n]
+        assert svd_calls == []
+        assert stacked.constraint_matrix.shape == (6 * n, n)
+        np.testing.assert_allclose(stacked.anchor, np.ones(n), rtol=1e-12)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

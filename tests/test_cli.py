@@ -56,6 +56,14 @@ class TestGen:
                        "--seed", "0", "--out", str(tmp_path / "d.json"))
         assert code == 2
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "d.json"
+        code = run_cli("gen", "--m", "10", "--n", "2", "--coherence", "0.1",
+                       "--seed", "-1", "--out", str(path))
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_round_trip_regenerates_identical_matrices(self, descriptor_file):
         desc = GenerationDescriptor.from_dict(json.loads(descriptor_file.read_text()))
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -204,3 +207,135 @@ class TestUnderdetermined:
 
 def test_generator_id_pinned():
     assert build_instance(12, 3, 0.0, 0).descriptor.generator_id == GENERATOR_ID
+
+
+def instance_digests(instance):
+    """SHA-256 of the stacked matrices, of the right-hand sides and of x*."""
+    hashes = [hashlib.sha256() for _ in range(3)]
+    for U in instance.subspaces:
+        hashes[0].update(U.constraint_matrix.tobytes())
+        hashes[1].update(U.rhs.tobytes())
+    hashes[2].update(instance.known_solution.tobytes())
+    return [h.hexdigest() for h in hashes]
+
+
+# build_instance(2000, 100, 0.1, 7): its 100000 pairs are 6 whole chunks, so
+# the matrix draw splits across up to 3 threads.  The right-hand sides and
+# x* also pass through the BLAS's matrix-vector products.
+GOLDEN_2000_100_7 = [
+    "186ca43b79072e7a3216bc3c065840127d808b3851410f197bdb51b32ab17900",
+    "ccab5ce696b6cacffcf36a78e9b690fb2be23222115cda5909866a9977394de1",
+    "f0d2417e9943e6e6aca5683edcb31babb50d9a97f478fa0e8e2a23681a7d467d",
+]
+
+
+@pytest.fixture
+def box_muller_ranges(monkeypatch):
+    """(lo, hi, thread id) of every range a draw's threads fill."""
+    calls = []
+    fill = problems._box_muller
+
+    def spy(state, pairs, lo, hi, z, coherence):
+        calls.append((lo, hi, threading.get_ident()))
+        return fill(state, pairs, lo, hi, z, coherence)
+
+    monkeypatch.setattr(problems, "_box_muller", spy)
+    return calls
+
+
+class TestSplitDraw:
+    """The draw's bytes and the stream after it do not depend on the thread count."""
+
+    CHUNK = problems._BOX_MULLER_CHUNK  # pairs per chunk
+
+    def test_golden_protocol_instance(self):
+        assert instance_digests(build_instance(2000, 100, 0.1, 7)) == GOLDEN_2000_100_7
+
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 3), (8, 3)])
+    def test_thread_count_changes_no_byte(self, monkeypatch, box_muller_ranges, cpus, threads):
+        monkeypatch.setattr(problems, "_cpu_count", lambda: cpus)
+        inst = build_instance(2000, 100, 0.1, 7)
+        assert instance_digests(inst) == GOLDEN_2000_100_7
+        # The matrix draw in `threads` ranges at chunk multiples, then w alone.
+        matrix, w = box_muller_ranges[:-1], box_muller_ranges[-1]
+        assert len(matrix) == threads
+        assert [lo for lo, _, _ in matrix] == sorted(lo for lo, _, _ in matrix)
+        assert all(lo % self.CHUNK == 0 for lo, _, _ in matrix)
+        assert matrix[0][0] == 0 and matrix[-1][1] == 100000
+        assert all(a[1] == b[0] for a, b in zip(matrix, matrix[1:]))
+        assert w[:2] == (0, 1000) and w[2] == threading.get_ident()
+        if threads == 1:
+            assert matrix[0][2] == threading.get_ident()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_stream_after_a_split_draw_is_unchanged(self, monkeypatch, cpus):
+        count = 2 * 6 * self.CHUNK + 5
+        want = ReferenceNormalStream(3)
+        want_first = want.draw(count)
+        want_state = want._rng.bit_generator.state
+        want_next = want.draw(7)
+        monkeypatch.setattr(problems, "_cpu_count", lambda: cpus)
+        got = problems._NormalStream(3)
+        assert got.draw(count).tobytes() == want_first.tobytes()
+        assert got._rng.bit_generator.state == want_state
+        assert got.draw(7).tobytes() == want_next.tobytes()
+
+    def test_coherence_map_matches_the_whole_array_formula(self, monkeypatch):
+        monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
+        for c in (0.0, 0.1, 0.37, 1.0):
+            got = problems._NormalStream(4).draw(4 * self.CHUNK + 3, coherence=c)
+            z = ReferenceNormalStream(4).draw(4 * self.CHUNK + 3)
+            assert got.tobytes() == ((1.0 - c) * z + c).tobytes(), c
+
+    def test_many_threads_under_fast_switching(self, monkeypatch, box_muller_ranges):
+        """8 threads on 16 whole chunks, switching every microsecond."""
+        monkeypatch.setattr(problems, "_cpu_count", lambda: 8)
+        count = 2 * 16 * self.CHUNK + 3
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: out.append(problems._NormalStream(9).draw(count)))
+            start = time.monotonic()
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - start < 120
+        assert len({ident for _, _, ident in box_muller_ranges}) > 1
+        assert len(box_muller_ranges) == 8
+        assert out[0].tobytes() == ReferenceNormalStream(9).draw(count).tobytes()
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+    def test_bad_seeds_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            build_instance(20, 4, 0.1, seed)
+        with pytest.raises(ValueError, match="seed"):
+            build_underdetermined_instance(10, [2, 3], 0.0, seed)
+        with pytest.raises(ValueError, match="seed"):
+            gaussian_matrix(3, 2, 0.0, seed)
+
+    @pytest.mark.parametrize("m, n", [(100.7, 10), (100, 10.0), (True, 0), (100, np.float64(10))])
+    def test_non_integral_dimensions_rejected(self, m, n):
+        with pytest.raises(ValueError):
+            build_instance(m, n, 0.1, 1)
+        with pytest.raises(ValueError):
+            gaussian_matrix(m, n, 0.1, 1)
+
+    @pytest.mark.parametrize("n, rows", [(10, [2.5, 3]), (10, [2, True]), (10.5, [2, 3])])
+    def test_non_integral_block_rows_rejected(self, n, rows):
+        with pytest.raises(ValueError):
+            build_underdetermined_instance(n, rows, 0.0, 1)
+
+    def test_numpy_integers_give_the_same_bytes(self):
+        inst = build_instance(np.int64(40), np.int32(8), 0.1, np.uint8(7))
+        ref = build_instance(40, 8, 0.1, 7)
+        assert matrix_digest(inst) == matrix_digest(ref)
+        assert inst.descriptor == ref.descriptor
+        assert type(inst.descriptor.seed) is int and type(inst.descriptor.m) is int
+        under = build_underdetermined_instance(np.int64(9), [np.int16(2), 3], 0.1, np.int64(33))
+        assert matrix_digest(under) == matrix_digest(build_underdetermined_instance(9, [2, 3], 0.1, 33))
+        assert under.descriptor.block_rows == (2, 3)
