@@ -38,14 +38,12 @@ class AffineSubspace:
     whose leading n x n triangle R and last column c = Q^T b give
     z0 = R^-1 c without forming Q; under the same certificate on R it is
     kept at rank = n, with an empty null basis, so its projection is the
-    point z0.  A tall block with at least 4n rows first factors only its
-    first 2n rows, and keeps that z0 when their R is certified and z0
-    passes the misfit test below on the whole block; otherwise it takes the
-    whole-block route.  Blocks that miss the certificate (dependent or nearly
-    dependent rows or columns) fall back to a rank-revealing SVD with the
-    numerical rank threshold max(rows, n) * eps * sigma_max.  All routes give
-    the same rank on every block whose singular values clear the threshold
-    by more than rounding.
+    point z0.  A tall block first tries the prefix route of _factor_prefix,
+    and keeps all of its rows either way.  Blocks that miss the certificate
+    (dependent or nearly dependent rows or columns) fall back to a
+    rank-revealing SVD with the numerical rank threshold
+    max(rows, n) * eps * sigma_max.  All routes give the same rank on every
+    block whose singular values clear the threshold by more than rounding.
 
     Only the thinner of the two orthonormal bases is stored: the
     direction-space basis N (n - rank columns) when n - rank <= rank, the
@@ -72,16 +70,13 @@ class AffineSubspace:
         b = np.asarray(rhs, dtype=float).ravel()
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise DimensionMismatch(f"constraint matrix must be 2-D and nonempty, got shape {A.shape}")
-        rows, n = A.shape
+        rows = A.shape[0]
         if b.shape != (rows,):
             raise DimensionMismatch(f"rhs has length {b.size}, expected {rows}")
 
         limit = CONSISTENCY_RTOL * (1.0 + np.linalg.norm(b))
-        # A prefix of 2n of at least 4n rows that fails costs at most half
-        # of the whole-block QR that follows it.
-        factors = _factor_tall_prefix(A, b, limit) if rows >= 4 * n else None
-        if factors is None:
-            factors = _factor_whole(A, b, limit)
+        found = _factor_prefix([A], [b], limit)
+        factors = found[2] if found else _factor_whole(A, b, limit)
         self._keep(A, b, factors, label)
 
     @classmethod
@@ -149,12 +144,6 @@ class AffineSubspace:
     def distance(self, x):
         """Euclidean distance from x to the subspace."""
         return np.linalg.norm(x - self.project(x), axis=-1)
-
-    def contains(self, x, rtol=CONSISTENCY_RTOL):
-        """Feasibility test ||A x - b|| <= rtol * (1 + ||b||)."""
-        x = self._check(x)
-        misfit = np.linalg.norm(x @ self.constraint_matrix.T - self.rhs, axis=-1)
-        return misfit <= rtol * (1.0 + np.linalg.norm(self.rhs))
 
     def __repr__(self):
         rows, n = self.constraint_matrix.shape
@@ -275,24 +264,6 @@ def _factor_tall_qr(A, b):
     return n, z0, np.zeros((n, 0))
 
 
-def _factor_tall_prefix(A, b, limit):
-    """Factors of a tall block from its first 2n rows, or None.
-
-    A certified prefix A[:2n] has full column rank, so A does too, and the
-    prefix's least-squares solution is the only candidate for a point of
-    {x : A x = b}.  It is kept when the whole block's misfit is within
-    `limit`; otherwise the caller factors the whole block.  The whole block's
-    least-squares solution has the least misfit, so every block the
-    whole-block route accepts is still accepted, and up to rounding none
-    that it rejects is.
-    """
-    n = A.shape[1]
-    factors = _factor_tall_qr(A[:2 * n], b[:2 * n])
-    if factors is None or np.linalg.norm(A @ factors[1] - b) > limit:
-        return None
-    return factors
-
-
 def _certified_tall_solve(A, b):
     """R^-1 c from an R-only QR of [A | b], or None if R is not certified.
 
@@ -378,65 +349,73 @@ def _factor_svd(A, b):
     return rank, z0, (Vh[rank:] if _uses_null(rank, n) else Vh[:rank]).T
 
 
+def _factor_prefix(matrices, rhs, limit):
+    """(A_prefix, b_prefix, factors) of the stack of `matrices`, or None.
+
+    The prefix route for a stack of at least 4n rows: only its first 2n
+    rows, gathered from the leading blocks, are factored, by one R-only QR
+    (_factor_tall_qr).  A certified prefix has full column rank, so the
+    stack does too, and the prefix's least-squares solution is the only
+    candidate for a point of {x : A x = b}.  It is kept when the whole
+    stack's misfit, summed one block at a time, is within `limit`.  The
+    stack's own least-squares solution has the least misfit, so every stack
+    the whole-stack route accepts is still accepted, and up to rounding
+    none that it rejects is.  None, for a shorter stack, a prefix that is
+    not certified or a point that fits only the prefix, sends the caller to
+    the whole stack; a prefix that fails costs at most half of that QR.
+    The prefix rows pin the same point as the stack, so they describe the
+    same set.
+    """
+    n = matrices[0].shape[1]
+    if sum(A.shape[0] for A in matrices) < 4 * n:
+        return None
+    heads, tails, need = [], [], 2 * n
+    for A, b in zip(matrices, rhs):
+        heads.append(A[:need])
+        tails.append(b[:need])
+        need -= heads[-1].shape[0]
+        if need == 0:
+            break
+    A_prefix, b_prefix = np.vstack(heads), np.concatenate(tails)
+    factors = _factor_tall_qr(A_prefix, b_prefix)
+    if factors is None:
+        return None
+    misfit_sq = 0.0
+    for A, b in zip(matrices, rhs):
+        r = A @ factors[1] - b
+        misfit_sq += r @ r
+    if np.sqrt(misfit_sq) > limit:
+        return None
+    return A_prefix, b_prefix, factors
+
+
 def intersection_subspace(subspaces):
     """One subspace representing the intersection of the blocks.
 
     Its `project` is the exact best-approximation oracle onto the
-    intersection.  A stack of at least 4n rows first gathers only the first
-    2n rows of the leading blocks and factors them by one R-only QR (see
-    AffineSubspace).  When that triangle is certified, the prefix pins a
-    single point, and the point is kept if it fits the whole stack to
-    CONSISTENCY_RTOL * (1 + ||b||), checked with one product per block; the
-    result is then described by the 2n prefix rows, which pin the same
-    point, so it is the same set.  A prefix that is rank deficient or fits
-    only itself, and every shorter stack, sends the stacked system through
-    the whole-stack QR and, if that misses the certificate too, the SVD; the
-    result is then described by the whole stack.
+    intersection.  A stack that the prefix route of _factor_prefix accepts
+    is described by its 2n prefix rows alone, without stacking the blocks.
+    Every other stack is stacked and goes through the whole-stack QR and,
+    if that misses the certificate too, the SVD; the result is then
+    described by the whole stack.  The consistency limit is
+    CONSISTENCY_RTOL * (1 + ||b||), with b the whole stacked rhs.
 
     Raises EmptyIntersection when the stacked system is inconsistent.
     """
     subspaces = list(subspaces)
     if not subspaces:
         raise ValueError("need at least one subspace")
-    n = subspaces[0].ambient_dim
+    matrices = [U.constraint_matrix for U in subspaces]
+    rhs = [U.rhs for U in subspaces]
+    limit = CONSISTENCY_RTOL * (1.0 + np.sqrt(sum(b @ b for b in rhs)))
     try:
-        if sum(U.constraint_matrix.shape[0] for U in subspaces) >= 4 * n:
-            found = _intersect_by_prefix(subspaces, 2 * n)
-            if found is not None:
-                return found
-        A = np.vstack([U.constraint_matrix for U in subspaces])
-        b = np.concatenate([U.rhs for U in subspaces])
-        limit = CONSISTENCY_RTOL * (1.0 + np.linalg.norm(b))
-        return AffineSubspace._from_factors(A, b, _factor_whole(A, b, limit), label=-1)
+        found = _factor_prefix(matrices, rhs, limit)
+        if found is None:
+            A, b = np.vstack(matrices), np.concatenate(rhs)
+            found = A, b, _factor_whole(A, b, limit)
+        return AffineSubspace._from_factors(*found, label=-1)
     except InconsistentSystem as exc:
         raise EmptyIntersection(f"blocks have no common point: {exc}") from exc
-
-
-def _intersect_by_prefix(subspaces, rows):
-    """The intersection from the stack's first `rows` rows, or None.
-
-    None unless those rows' R-only QR is certified and its point fits every
-    block to CONSISTENCY_RTOL * (1 + ||b||), with b the whole stacked rhs.
-    """
-    matrices, rhs, need = [], [], rows
-    for U in subspaces:
-        matrices.append(U.constraint_matrix[:need])
-        rhs.append(U.rhs[:need])
-        need -= matrices[-1].shape[0]
-        if need == 0:
-            break
-    A, b = np.vstack(matrices), np.concatenate(rhs)
-    factors = _factor_tall_qr(A, b)
-    if factors is None:
-        return None
-    misfit_sq = rhs_sq = 0.0
-    for U in subspaces:
-        r = U.constraint_matrix @ factors[1] - U.rhs
-        misfit_sq += r @ r
-        rhs_sq += U.rhs @ U.rhs
-    if np.sqrt(misfit_sq) > CONSISTENCY_RTOL * (1.0 + np.sqrt(rhs_sq)):
-        return None
-    return AffineSubspace._from_factors(A, b, factors, label=-1)
 
 
 def project_intersection(subspaces, x):

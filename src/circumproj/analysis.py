@@ -34,19 +34,6 @@ def principal_cosines(u_subspace, v_subspace):
     return np.clip(sigma, 0.0, 1.0)
 
 
-def _checked_cosines(u_subspace, v_subspace):
-    # Raises EmptyIntersection when the pair has no common point.
-    intersection_subspace([u_subspace, v_subspace])
-    return principal_cosines(u_subspace, v_subspace)
-
-
-def _deflate(cosines):
-    shared = int(np.count_nonzero(cosines >= 1.0 - INTERSECTION_CUTOFF))
-    rest = cosines[shared:]
-    c_f = float(rest[0]) if rest.size else 0.0
-    return shared, c_f
-
-
 def friedrichs_cosine(u_subspace, v_subspace):
     """Cosine of the Friedrichs angle between two intersecting subspaces.
 
@@ -54,14 +41,12 @@ def friedrichs_cosine(u_subspace, v_subspace):
     identical subspaces therefore give 0 (supremum over the zero space).
     Always in [0, 1).
     """
-    _, c_f = _deflate(_checked_cosines(u_subspace, v_subspace))
-    return c_f
+    return angle_report(u_subspace, v_subspace).friedrichs_cosine
 
 
 def error_bound_constant(u_subspace, v_subspace):
     """sqrt(1 + 4 / (1 - c_F^2)): dist(x, U∩V) <= r * max(dist(x,U), dist(x,V))."""
-    c_f = friedrichs_cosine(u_subspace, v_subspace)
-    return float(np.sqrt(1.0 + 4.0 / (1.0 - c_f ** 2)))
+    return angle_report(u_subspace, v_subspace).error_bound_constant
 
 
 @dataclass(frozen=True)
@@ -85,15 +70,18 @@ class AngleReport:
 
 def angle_report(u_subspace, v_subspace):
     """Full angle diagnostics for a pair of intersecting subspaces."""
-    return _report(_checked_cosines(u_subspace, v_subspace))
+    # Raises EmptyIntersection when the pair has no common point.
+    intersection_subspace([u_subspace, v_subspace])
+    return _report(principal_cosines(u_subspace, v_subspace))
 
 
 def _report(cosines):
-    shared, c_f = _deflate(cosines)
-    r = float(np.sqrt(1.0 + 4.0 / (1.0 - c_f ** 2)))
+    # The cosines descend, so the shared directions come first.
+    shared = int(np.count_nonzero(cosines >= 1.0 - INTERSECTION_CUTOFF))
+    c_f = float(cosines[shared]) if cosines.size > shared else 0.0
     return AngleReport(
         friedrichs_cosine=c_f,
-        error_bound_constant=r,
+        error_bound_constant=float(np.sqrt(1.0 + 4.0 / (1.0 - c_f ** 2))),
         intersection_dim=shared,
         principal_cosines=tuple(float(s) for s in cosines),
     )

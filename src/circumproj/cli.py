@@ -8,6 +8,7 @@ benchmark cell failed.
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -84,40 +85,35 @@ def _load_descriptor(path):
         return GenerationDescriptor.from_dict(json.load(fh))
 
 
-def _run_cell(instance, method, workers, tolerance, max_iterations):
-    config = SolverConfig(
-        method=method,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        stop_rule=StopRule.REL_ERR_TO_KNOWN
-        if instance.known_solution is not None
-        else StopRule.FEASIBILITY_RESIDUAL,
-        workers=workers,
-        record_residuals=False,
-    )
+def _stop_rule(name, instance):
+    """The named stop rule; "auto" is rel_err with a known solution, else feasibility."""
+    if name == "auto":
+        name = "rel_err" if instance.known_solution is not None else "feasibility"
+    return STOP_RULES[name]
+
+
+def _run_cell(instance, config):
+    """Solve one cell and return its CSV record."""
     result = solve(instance, config)
-    if instance.known_solution is not None:
-        rel_err = float(
-            np.linalg.norm(result.point - instance.known_solution)
-            / np.linalg.norm(instance.known_solution)
-        )
-    else:
-        rel_err = float("nan")
+    known = instance.known_solution
+    rel_err = float("nan")
+    if known is not None:
+        rel_err = float(np.linalg.norm(result.point - known) / np.linalg.norm(known))
     desc = instance.descriptor
     return BenchRecord(
-        method=Method(method).value,
+        method=config.method.value,
         blocks=instance.block_count,
-        m=desc.m if desc else sum(U.constraint_matrix.shape[0] for U in instance.subspaces),
-        n=instance.ambient_dim,
-        coherence=desc.coherence if desc else float("nan"),
-        seed=desc.seed if desc else -1,
-        workers=workers,
+        m=desc.m,
+        n=desc.n,
+        coherence=desc.coherence,
+        seed=desc.seed,
+        workers=config.workers,
         iterations=result.trace.iteration_count,
         projections=result.trace.total_projections,
         time_s=result.trace.wall_time_s,
         rel_err=rel_err,
         converged=result.trace.status is Status.CONVERGED,
-    ), result
+    )
 
 
 def cmd_gen(args):
@@ -149,19 +145,11 @@ def _parse_weights(spec, blocks):
 
 def cmd_solve(args):
     try:
-        descriptor = _load_descriptor(args.inst)
-        instance = instance_from_descriptor(descriptor)
+        instance = instance_from_descriptor(_load_descriptor(args.inst))
     except (OSError, ValueError, KeyError, CircumprojError) as exc:
         return _fail(f"cannot load instance: {exc}")
 
     method = Method(args.method)
-    stop_rule = STOP_RULES.get(args.stop_rule)
-    if args.stop_rule == "auto":
-        stop_rule = (
-            StopRule.REL_ERR_TO_KNOWN
-            if instance.known_solution is not None
-            else StopRule.FEASIBILITY_RESIDUAL
-        )
     if args.weights is not None and method in (Method.CRM, Method.PCRM):
         return _fail(f"--weights applies to fspm and cimmino only, not {method.value}")
     try:
@@ -175,41 +163,20 @@ def cmd_solve(args):
             weights=weights,
             tolerance=args.tolerance,
             max_iterations=args.max_iterations,
-            stop_rule=stop_rule,
+            stop_rule=_stop_rule(args.stop_rule, instance),
             workers=args.workers,
             record_residuals=False,
         )
     except ValueError as exc:
         return _fail(str(exc))
     try:
-        result = solve(instance, config)
+        record = _run_cell(instance, config)
     except NumericalBreakdown as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 4
     except CircumprojError as exc:
         return _fail(str(exc))
 
-    if instance.known_solution is not None:
-        rel_err = float(
-            np.linalg.norm(result.point - instance.known_solution)
-            / np.linalg.norm(instance.known_solution)
-        )
-    else:
-        rel_err = float("nan")
-    record = BenchRecord(
-        method=method.value,
-        blocks=instance.block_count,
-        m=descriptor.m,
-        n=descriptor.n,
-        coherence=descriptor.coherence,
-        seed=descriptor.seed,
-        workers=args.workers,
-        iterations=result.trace.iteration_count,
-        projections=result.trace.total_projections,
-        time_s=result.trace.wall_time_s,
-        rel_err=rel_err,
-        converged=result.trace.status is Status.CONVERGED,
-    )
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerow(record.to_row())
@@ -255,6 +222,9 @@ def cmd_bench(args):
         return _fail(f"bad config: {exc}")
     out_path = args.out or cfg["out"]
 
+    # Only P-CRM records its worker counts; the other methods run once.
+    solves = [(method, workers) for method in cfg["methods"]
+              for workers in (cfg["workers"] if method == Method.PCRM.value else [1])]
     records = []
     any_failed = False
     try:
@@ -262,46 +232,35 @@ def cmd_bench(args):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             fh.flush()
-            for m in cfg["m_values"]:
-                for n in cfg["n_values"]:
-                    for c in cfg["coherence_values"]:
-                        for seed in cfg["seeds"]:
-                            print(
-                                f"bench: m={m} n={n} c={c} seed={seed}",
-                                file=sys.stderr,
-                            )
-                            try:
-                                instance = build_instance(m, n, c, seed)
-                            except (ValueError, CircumprojError) as exc:
-                                print(
-                                    f"cell (m={m}, n={n}, c={c}, seed={seed}) failed: {exc}",
-                                    file=sys.stderr,
-                                )
-                                any_failed = True
-                                continue
-                            for method in cfg["methods"]:
-                                worker_list = (
-                                    cfg["workers"] if method == Method.PCRM.value else [1]
-                                )
-                                for workers in worker_list:
-                                    try:
-                                        record, _ = _run_cell(
-                                            instance, method, workers,
-                                            cfg["tolerance"], cfg["max_iterations"],
-                                        )
-                                    except CircumprojError as exc:
-                                        print(
-                                            f"solve ({method}, m={m}, n={n}, c={c}, "
-                                            f"seed={seed}) failed: {exc}",
-                                            file=sys.stderr,
-                                        )
-                                        any_failed = True
-                                        continue
-                                    if not record.converged:
-                                        any_failed = True
-                                    records.append(record)
-                                    writer.writerow(record.to_row())
-                                    fh.flush()
+            for m, n, c, seed in itertools.product(
+                cfg["m_values"], cfg["n_values"], cfg["coherence_values"], cfg["seeds"]
+            ):
+                print(f"bench: m={m} n={n} c={c} seed={seed}", file=sys.stderr)
+                try:
+                    instance = build_instance(m, n, c, seed)
+                except (ValueError, CircumprojError) as exc:
+                    print(f"cell (m={m}, n={n}, c={c}, seed={seed}) failed: {exc}",
+                          file=sys.stderr)
+                    any_failed = True
+                    continue
+                for method, workers in solves:
+                    config = SolverConfig(
+                        method=method, tolerance=cfg["tolerance"],
+                        max_iterations=cfg["max_iterations"], workers=workers,
+                        stop_rule=_stop_rule("auto", instance), record_residuals=False,
+                    )
+                    try:
+                        record = _run_cell(instance, config)
+                    except CircumprojError as exc:
+                        print(f"solve ({method}, m={m}, n={n}, c={c}, seed={seed}) "
+                              f"failed: {exc}", file=sys.stderr)
+                        any_failed = True
+                        continue
+                    if not record.converged:
+                        any_failed = True
+                    records.append(record)
+                    writer.writerow(record.to_row())
+                    fh.flush()
     except KeyboardInterrupt:
         print("interrupted; partial results flushed", file=sys.stderr)
         return 130
@@ -337,8 +296,7 @@ def _write_aggregate(path, records):
 
 def cmd_analyze(args):
     try:
-        descriptor = _load_descriptor(args.inst)
-        instance = instance_from_descriptor(descriptor)
+        instance = instance_from_descriptor(_load_descriptor(args.inst))
     except (OSError, ValueError, KeyError, CircumprojError) as exc:
         return _fail(f"cannot load instance: {exc}")
 

@@ -175,15 +175,18 @@ class GenerationDescriptor:
 
     @classmethod
     def from_dict(cls, d):
+        """The descriptor a `to_dict` wrote; ValueError for a count that is
+        not an integer."""
         rows = d.get("block_rows")
         return cls(
-            m=int(d["m"]),
-            n=int(d["n"]),
+            m=_check_integer("m", d["m"]),
+            n=_check_integer("n", d["n"]),
             coherence=float(d["coherence"]),
-            seed=int(d["seed"]),
+            seed=_check_integer("seed", d["seed"]),
             generator_id=str(d["generator_id"]),
-            block_count=int(d["block_count"]),
-            block_rows=tuple(int(r) for r in rows) if rows is not None else None,
+            block_count=_check_integer("block_count", d["block_count"]),
+            block_rows=None if rows is None
+            else tuple(_check_integer("block_rows entry", r) for r in rows),
         )
 
 
@@ -238,21 +241,10 @@ def build_instance(m, n, c, seed):
     b = A @ x_star
 
     blocks = block_count(m, n)
-    sizes = _partition_sizes(m, blocks)
-    subspaces = []
-    lo = 0
-    for i, size in enumerate(sizes):
-        subspaces.append(AffineSubspace(A[lo:lo + size], b[lo:lo + size], label=i))
-        lo += size
     descriptor = GenerationDescriptor(
         m=m, n=n, coherence=c, seed=int(seed), block_count=blocks
     )
-    return ProblemInstance(
-        subspaces=tuple(subspaces),
-        ambient_dim=n,
-        known_solution=x_star,
-        descriptor=descriptor,
-    )
+    return _partitioned(A, b, _partition_sizes(m, blocks), x_star, descriptor)
 
 
 def build_underdetermined_instance(n, block_rows, c, seed):
@@ -274,19 +266,25 @@ def build_underdetermined_instance(n, block_rows, c, seed):
     planted = stream.draw(n)
     b = A @ planted
 
-    subspaces = []
-    lo = 0
-    for i, size in enumerate(rows):
-        subspaces.append(AffineSubspace(A[lo:lo + size], b[lo:lo + size], label=i))
-        lo += size
     descriptor = GenerationDescriptor(
         m=total, n=n, coherence=c, seed=int(seed),
         block_count=len(rows), block_rows=tuple(rows),
     )
+    return _partitioned(A, b, rows, None, descriptor)
+
+
+def _partitioned(A, b, sizes, known_solution, descriptor):
+    """The instance whose blocks are consecutive row ranges of A x = b with
+    `sizes` rows each, in order."""
+    subspaces = []
+    lo = 0
+    for i, size in enumerate(sizes):
+        subspaces.append(AffineSubspace(A[lo:lo + size], b[lo:lo + size], label=i))
+        lo += size
     return ProblemInstance(
         subspaces=tuple(subspaces),
-        ambient_dim=n,
-        known_solution=None,
+        ambient_dim=A.shape[1],
+        known_solution=known_solution,
         descriptor=descriptor,
     )
 

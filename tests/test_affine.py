@@ -497,6 +497,34 @@ class TestTallPrefix:
         np.testing.assert_allclose(stacked.anchor, np.ones(n), rtol=1e-12)
 
 
+
+class TestPrefixRouteCallers:
+    """One prefix route: a block keeps all its rows, an intersection only the prefix."""
+
+    def test_single_block_keeps_its_whole_matrix(self, rng, tall_solves):
+        n = 6
+        A = rng.standard_normal((10 * n, n))
+        b = A @ rng.standard_normal(n)
+        U = AffineSubspace(A, b)
+        assert tall_solves == [2 * n]
+        assert U.constraint_matrix.shape == (10 * n, n)
+        np.testing.assert_array_equal(U.constraint_matrix, A)
+        np.testing.assert_array_equal(U.rhs, b)
+
+    def test_intersection_keeps_only_the_prefix_rows(self, rng, tall_solves):
+        n = 6
+        x = rng.standard_normal(n)
+        heads = [rng.standard_normal((5 * n, n)) for _ in range(2)]
+        blocks = [AffineSubspace(A, A @ x) for A in heads]
+        del tall_solves[:]
+        stacked = intersection_subspace(blocks)
+        assert tall_solves == [2 * n]
+        assert stacked.constraint_matrix.shape == (2 * n, n)
+        np.testing.assert_array_equal(stacked.constraint_matrix, heads[0][:2 * n])
+        np.testing.assert_array_equal(stacked.rhs, blocks[0].rhs[:2 * n])
+        assert np.linalg.norm(stacked.anchor - x) <= 1e-10 * np.linalg.norm(x)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 12),

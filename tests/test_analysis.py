@@ -126,6 +126,21 @@ class TestErrorBoundConstant:
                                                         reverse=True)
 
 
+
+@pytest.mark.parametrize("pair", [
+    lambda rng: (x_axis(), y_axis()),
+    lambda rng: (x_axis(), diagonal_line()),
+    lambda rng: (x_axis(), x_axis()),
+    lambda rng: tuple(AffineSubspace(A, A @ np.ones(6))
+                      for A in (rng.standard_normal((2, 6)), rng.standard_normal((3, 6)))),
+])
+def test_scalar_diagnostics_are_the_report_fields(rng, pair):
+    U, V = pair(rng)
+    report = angle_report(U, V)
+    assert friedrichs_cosine(U, V) == report.friedrichs_cosine
+    assert error_bound_constant(U, V) == report.error_bound_constant
+
+
 class TestEstimateRegularity:
     def test_single_block_exactly_one(self, rng):
         A = rng.standard_normal((2, 6))

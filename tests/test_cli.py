@@ -329,3 +329,106 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "samples" in captured.err
+
+
+def masked_time(text):
+    """CSV text with every time_s field replaced by '*'."""
+    rows = list(csv.reader(text.splitlines()))
+    timing = CSV_HEADER.index("time_s")
+    for row in rows[1:]:
+        row[timing] = "*"
+    return rows
+
+
+@pytest.fixture
+def gen_descriptor(tmp_path):
+    path = tmp_path / "gen.json"
+    assert run_cli("gen", "--m", "300", "--n", "20", "--coherence", "0.1",
+                   "--seed", "3", "--out", str(path)) == 0
+    return path
+
+
+@pytest.fixture
+def underdetermined_descriptor(tmp_path):
+    path = tmp_path / "under.json"
+    path.write_text(json.dumps(build_underdetermined_instance(40, [3, 4, 5], 0.1, 2)
+                               .descriptor.to_dict()))
+    return path
+
+
+class TestSolveGoldenCsv:
+    """`solve` stdout, time_s aside, byte for byte.  rel_err passes through
+    BLAS products, so it is pinned for this build of OpenBLAS."""
+
+    HEADER = "method,blocks,m,n,coherence,seed,workers,iterations,projections,time_s,rel_err,converged"
+
+    @pytest.mark.parametrize("descriptor, method, tolerance, record", [
+        ("gen_descriptor", "pcrm", "1e-8",
+         "pcrm,16,300,20,0.1,3,1,4,64,0,4.437954896272e-09,true"),
+        # The auto rule is rel_err here.  Under the feasibility rule Cimmino
+        # takes as many steps but records residuals, which ends it on other
+        # last digits.
+        ("gen_descriptor", "cimmino", "1e-8",
+         "cimmino,16,300,20,0.1,3,1,10,160,0,5.091744822208e-09,true"),
+        # No known solution: the auto rule is feasibility and rel_err is nan.
+        ("underdetermined_descriptor", "pcrm", "1e-5",
+         "pcrm,3,12,40,0.1,2,1,18,54,0,nan,true"),
+    ])
+    def test_record(self, request, capsys, descriptor, method, tolerance, record):
+        path = request.getfixturevalue(descriptor)
+        capsys.readouterr()  # the block count that `gen` printed
+        assert run_cli("solve", "--inst", str(path), "--method", method,
+                       "--tolerance", tolerance) == 0
+        assert masked_time(capsys.readouterr().out) == masked_time(f"{self.HEADER}\n{record}\n")
+
+
+def test_solve_and_bench_agree(gen_descriptor, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m_values": [300], "n_values": [20], "coherence_values": [0.1],
+        "methods": ["pcrm"], "seeds": [3], "workers": [1, 2],
+        "tolerance": 1e-8, "max_iterations": 500,
+    }))
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 0
+    solved = [CSV_HEADER]
+    for workers in ("1", "2"):
+        assert run_cli("solve", "--inst", str(gen_descriptor), "--method", "pcrm",
+                       "--tolerance", "1e-8", "--max-iterations", "500",
+                       "--workers", workers) == 0
+        solved.append(masked_time(capsys.readouterr().out)[1])
+    assert masked_time(out.read_text()) == solved
+
+
+class TestDescriptorIntegers:
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("seed", 2.0), ("m", 300.9), ("n", 20.0),
+        ("block_count", 16.5),
+    ])
+    @pytest.mark.parametrize("command", [["solve", "--method", "pcrm"],
+                                         ["analyze", "--mode", "regularity"]])
+    def test_non_integral_field_exits_2(self, gen_descriptor, capsys, command, field, value):
+        payload = json.loads(gen_descriptor.read_text())
+        payload[field] = value
+        gen_descriptor.write_text(json.dumps(payload))
+        assert run_cli(command[0], "--inst", str(gen_descriptor), *command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer" in captured.err
+
+    @pytest.mark.parametrize("rows", [[3, 4.5, 5], [3, True, 5]])
+    def test_non_integral_block_rows_exit_2(self, underdetermined_descriptor, capsys, rows):
+        payload = json.loads(underdetermined_descriptor.read_text())
+        payload["block_rows"] = rows
+        underdetermined_descriptor.write_text(json.dumps(payload))
+        assert run_cli("solve", "--inst", str(underdetermined_descriptor),
+                       "--method", "pcrm") == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_valid_descriptors_round_trip_byte_identical(self, gen_descriptor,
+                                                         underdetermined_descriptor):
+        text = gen_descriptor.read_text()
+        back = GenerationDescriptor.from_dict(json.loads(text))
+        assert json.dumps(back.to_dict(), indent=2) + "\n" == text
+        text = underdetermined_descriptor.read_text()
+        assert json.dumps(GenerationDescriptor.from_dict(json.loads(text)).to_dict()) == text
