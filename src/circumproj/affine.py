@@ -142,8 +142,12 @@ class AffineSubspace:
         return 2.0 * self.project(x) - self._check(x)
 
     def distance(self, x):
-        """Euclidean distance from x to the subspace."""
-        return np.linalg.norm(x - self.project(x), axis=-1)
+        """Euclidean distance from x to the subspace (row-wise if 2-D).
+
+        Computed by a one-block _BlockKernel, so it is the same formula
+        that `residual` and the instance's kernel apply to every block.
+        """
+        return _BlockKernel([self]).distances(x).T[0]
 
     def __repr__(self):
         rows, n = self.constraint_matrix.shape
@@ -153,6 +157,115 @@ class AffineSubspace:
 def _uses_null(rank, n):
     """Whether a rank-`rank` block in R^n stores its null basis (the thinner one)."""
     return (n - rank) <= rank
+
+
+class _BlockKernel:
+    """All m block projections and distances of a point, from bases stacked once.
+
+    Blocks are grouped by the one basis they store (`_basis`, which spans
+    null(A) when `_use_null`) and its width w.  A group's g bases are stored
+    transposed as one (g, w, n) array, so projecting x onto its blocks is
+    one matrix-vector product with the flattened (g w, n) stack, giving
+    every block's coefficients, plus one batched product mapping them back.
+    Nothing is padded: the stacks hold sum_i w_i n numbers, and there is one
+    group per distinct (route, width).  The stacks are read-only, so one
+    kernel can serve every solve and diagnostic of an instance.
+    """
+
+    def __init__(self, subspaces):
+        subspaces = list(subspaces)
+        if not subspaces:
+            raise ValueError("need at least one subspace")
+        n = self.ambient_dim = subspaces[0].ambient_dim
+        self.block_count = len(subspaces)
+        by_basis = {}
+        for i, U in enumerate(subspaces):
+            by_basis.setdefault((U._use_null, U._basis.shape[1]), []).append(i)
+        self.groups = []
+        # Per group: B_i z_i of each row-route block, whose distances are
+        # read off coefficients; None on the null route.
+        self._anchor_coeffs = []
+        for (use_null, w), members in by_basis.items():
+            # Filled row by row to get C order: np.stack of the transposed
+            # bases would keep their strides and slow both products.
+            basis_t = _aligned_empty((len(members), w, n))
+            for row, i in enumerate(members):
+                basis_t[row] = subspaces[i]._basis.T
+            anchors = np.stack([subspaces[i].anchor for i in members])
+            anchor_coeff = None if use_null else np.matmul(basis_t, anchors[:, :, None])[:, :, 0]
+            members = slice(None) if len(members) == len(subspaces) else np.asarray(members)
+            for arr in (basis_t, anchors, anchor_coeff, members):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+            self.groups.append((use_null, members, basis_t, anchors))
+            self._anchor_coeffs.append(anchor_coeff)
+
+    def project_all(self, x, out):
+        """Write P_i(x) into out[i] for every block i."""
+        for use_null, members, basis_t, anchors in self.groups:
+            g, w, n = basis_t.shape
+            coeff = basis_t.reshape(g * w, n) @ x
+            if w == 1:
+                # Same products as the matmul below, without its per-block overhead.
+                span = coeff[:, None] * basis_t[:, 0]
+            else:
+                span = np.matmul(coeff.reshape(g, 1, w), basis_t)[:, 0]
+            out[members] = anchors + span if use_null else x - span + anchors
+        return out
+
+    def distances(self, x):
+        """d(x, U_i) for every block i: shape (m,) for a point, (k, m) for k rows.
+
+        Each group takes one product X B_g^T, every point's coefficients on
+        every block.  On the row route x - P_i(x) = R_i (R_i^T x - R_i^T z_i),
+        since the anchor z_i lies in range(R_i) and R_i is orthonormal, so
+        the distance is the norm of the w coefficients less the anchor's and
+        no length-n vector is formed.  On the null route it is
+        ||x - (z_i + N_i (N_i^T x))||, formed for the group's blocks at once
+        in chunks of rows whose one (g, rows, n) temporary holds no more
+        numbers than X or the group's stack (at least one row).
+        """
+        x = np.asarray(x, dtype=float)
+        n = self.ambient_dim
+        if x.ndim not in (1, 2) or x.shape[-1] != n:
+            raise DimensionMismatch(f"point has shape {x.shape}, ambient dimension is {n}")
+        X = x.reshape(-1, n)
+        k = X.shape[0]
+        out = np.empty((k, self.block_count))
+        for (use_null, members, basis_t, anchors), anchor_coeff in zip(
+                self.groups, self._anchor_coeffs):
+            g, w, _ = basis_t.shape
+            coeff = (X @ basis_t.reshape(g * w, n).T).reshape(k, g, w)
+            if not use_null:
+                coeff -= anchor_coeff
+                out[:, members] = _row_norms(coeff)
+                continue
+            rows = max(1, k // g, w)
+            for s in range(0, k, rows):
+                c = coeff[s:s + rows].transpose(1, 0, 2)
+                # x - (z_i + N_i c_i), formed in place in its one temporary.
+                diff = c * basis_t if w == 1 else np.matmul(c, basis_t)
+                diff += anchors[:, None]
+                np.subtract(X[s:s + rows], diff, out=diff)
+                out[s:s + rows, members] = _row_norms(diff).T
+        return out[0] if x.ndim == 1 else out
+
+
+def _row_norms(D):
+    """Euclidean norms along the last axis of D, with no temporary of its size."""
+    return np.sqrt(np.einsum("...i,...i->...", D, D))
+
+
+def _aligned_empty(shape):
+    """An uninitialised C-order float array starting on a 64-byte boundary.
+
+    The speed of the kernel's products depends on where the heap puts a
+    stack; aligned to a cache line, identical kernels run alike.
+    """
+    size = int(np.prod(shape))
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + size].reshape(shape)
 
 
 def _factor_qr(A, b):
@@ -424,11 +537,9 @@ def project_intersection(subspaces, x):
 
 
 def residual(subspaces, x):
-    """max_i dist(x, U_i): zero (to tolerance) iff x lies in every block."""
-    out = None
-    for U in subspaces:
-        d = U.distance(x)
-        out = d if out is None else np.maximum(out, d)
-    if out is None:
-        raise ValueError("need at least one subspace")
-    return out
+    """max_i dist(x, U_i): zero (to tolerance) iff x lies in every block.
+
+    Row-wise for a 2-D x.  All m distances come from one _BlockKernel of
+    the blocks; an instance keeps its own kernel for repeated use.
+    """
+    return _BlockKernel(subspaces).distances(x).max(axis=-1)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import intersection_subspace, residual
+from .problems import _check_integer
 
 # Principal cosines >= 1 - INTERSECTION_CUTOFF mark shared directions.
 INTERSECTION_CUTOFF = 1e-10
@@ -89,9 +90,7 @@ def _report(cosines):
 
 def _sample_points(stacked, samples, seed):
     """The intersection's anchor plus `samples` standard-normal offsets."""
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = _check_integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
     return stacked.anchor + rng.standard_normal((samples, stacked.ambient_dim))
 
@@ -102,12 +101,14 @@ def estimate_regularity(instance, samples, seed):
     Samples standard-normal points around a feasible anchor; points already
     in the intersection (to tolerance) are skipped.  The true constant is an
     upper bound over all of space, so the sampled value only bounds it from
-    below.  Always >= 1; exactly 1 for a single block.  Raises ValueError
-    when samples < 1.
+    below.  Always >= 1; exactly 1 for a single block.  The per-block
+    distances come from the instance's kernel and the distance to S from a
+    one-block kernel of the stacked subspace, so both run the same code.
+    Raises ValueError when samples is not an integer >= 1.
     """
     stacked = intersection_subspace(instance.subspaces)
     points = _sample_points(stacked, samples, seed)
-    per_block_max = residual(instance.subspaces, points)
+    per_block_max = instance._kernel.distances(points).max(axis=-1)
     to_intersection = stacked.distance(points)
     keep = per_block_max > 1e-12 * (1.0 + np.linalg.norm(points, axis=-1))
     if not np.any(keep):

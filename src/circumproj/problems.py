@@ -12,6 +12,7 @@ bit-exact within this implementation; only statistical equivalence is
 promised across implementations.
 """
 
+import functools
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineSubspace, residual
+from .affine import AffineSubspace, _BlockKernel
 from .errors import DimensionMismatch, InconsistentSystem, InvalidCoherence
 
 GENERATOR_ID = "pcg64-boxmuller"
@@ -117,8 +118,15 @@ def _check_integer(name, value, low=None):
     return int(value)
 
 
+def _check_number(name, value):
+    """`value` as a float; ValueError for a bool or anything not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_coherence(c):
-    c = float(c)
+    c = _check_number("coherence", c)
     if not 0.0 <= c <= 1.0:
         raise InvalidCoherence(f"coherence must lie in [0, 1], got {c}")
     return c
@@ -176,12 +184,12 @@ class GenerationDescriptor:
     @classmethod
     def from_dict(cls, d):
         """The descriptor a `to_dict` wrote; ValueError for a count that is
-        not an integer."""
+        not an integer or a coherence that is not a number."""
         rows = d.get("block_rows")
         return cls(
             m=_check_integer("m", d["m"]),
             n=_check_integer("n", d["n"]),
-            coherence=float(d["coherence"]),
+            coherence=_check_number("coherence", d["coherence"]),
             seed=_check_integer("seed", d["seed"]),
             generator_id=str(d["generator_id"]),
             block_count=_check_integer("block_count", d["block_count"]),
@@ -192,7 +200,11 @@ class GenerationDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """Ordered block list plus optional known solution and provenance."""
+    """Ordered block list plus optional known solution and provenance.
+
+    The blocks' stacked _BlockKernel is built on first use and kept: the
+    known-solution check, every `solve` and `estimate_regularity` share it.
+    """
 
     subspaces: tuple
     ambient_dim: int
@@ -212,7 +224,7 @@ class ProblemInstance:
             xs = np.asarray(self.known_solution, dtype=float).ravel()
             if xs.shape != (self.ambient_dim,):
                 raise DimensionMismatch("known solution has the wrong length")
-            misfit = float(residual(self.subspaces, xs))
+            misfit = float(self._kernel.distances(xs).max())
             if misfit > 1e-8 * (1.0 + float(np.linalg.norm(xs))):
                 raise InconsistentSystem(
                     f"known solution violates the blocks (residual {misfit:.3e})"
@@ -222,6 +234,10 @@ class ProblemInstance:
     @property
     def block_count(self):
         return len(self.subspaces)
+
+    @functools.cached_property
+    def _kernel(self):
+        return _BlockKernel(self.subspaces)
 
 
 def build_instance(m, n, c, seed):
@@ -290,14 +306,28 @@ def _partitioned(A, b, sizes, known_solution, descriptor):
 
 
 def instance_from_descriptor(descriptor):
-    """Regenerate the instance a descriptor came from (bit-exact)."""
+    """Regenerate the instance a descriptor came from (bit-exact).
+
+    ValueError, naming the field, when the descriptor's `m` or
+    `block_count` disagrees with the instance it regenerates.
+    """
     if descriptor.generator_id != GENERATOR_ID:
         raise ValueError(
             f"unknown generator id {descriptor.generator_id!r}; "
             f"this build regenerates only {GENERATOR_ID!r}"
         )
     if descriptor.block_rows is not None:
-        return build_underdetermined_instance(
+        instance = build_underdetermined_instance(
             descriptor.n, descriptor.block_rows, descriptor.coherence, descriptor.seed
         )
-    return build_instance(descriptor.m, descriptor.n, descriptor.coherence, descriptor.seed)
+    else:
+        instance = build_instance(
+            descriptor.m, descriptor.n, descriptor.coherence, descriptor.seed
+        )
+    for name in ("m", "block_count"):
+        given, built = getattr(descriptor, name), getattr(instance.descriptor, name)
+        if given != built:
+            raise ValueError(
+                f"descriptor {name} is {given}, but the instance it regenerates has {built}"
+            )
+    return instance

@@ -37,6 +37,7 @@ from enum import Enum
 
 import numpy as np
 
+from .affine import _BlockKernel
 from .circumcenters import _solve_differences, circumcenter
 from .errors import (
     DimensionMismatch,
@@ -156,64 +157,12 @@ class SolveResult:
     trace: IterationTrace
 
 
-class _BlockKernel:
-    """All m block projections of one point, from bases stacked once.
-
-    Blocks are grouped by the one basis they store (`_basis`, which spans
-    null(A) when `_use_null`) and its width w.  A group's g bases are stored
-    transposed as one (g, w, n) array, so projecting x onto its blocks is
-    one matrix-vector product with the flattened (g w, n) stack, giving
-    every block's coefficients, plus one batched product mapping them back.  Nothing is padded: the stacks hold
-    sum_i w_i n numbers, and there is one group per distinct (route, width).
-    """
-
-    def __init__(self, subspaces):
-        n = subspaces[0].ambient_dim
-        by_basis = {}
-        for i, U in enumerate(subspaces):
-            by_basis.setdefault((U._use_null, U._basis.shape[1]), []).append(i)
-        self.groups = []
-        for (use_null, w), members in by_basis.items():
-            # Filled row by row to get C order: np.stack of the transposed
-            # bases would keep their strides and slow both products.
-            basis_t = _aligned_empty((len(members), w, n))
-            for row, i in enumerate(members):
-                basis_t[row] = subspaces[i]._basis.T
-            anchors = np.stack([subspaces[i].anchor for i in members])
-            members = slice(None) if len(members) == len(subspaces) else np.asarray(members)
-            self.groups.append((use_null, members, basis_t, anchors))
-
-    def project_all(self, x, out):
-        """Write P_i(x) into out[i] for every block i."""
-        for use_null, members, basis_t, anchors in self.groups:
-            g, w, n = basis_t.shape
-            coeff = basis_t.reshape(g * w, n) @ x
-            if w == 1:
-                # Same products as the matmul below, without its per-block overhead.
-                span = coeff[:, None] * basis_t[:, 0]
-            else:
-                span = np.matmul(coeff.reshape(g, 1, w), basis_t)[:, 0]
-            out[members] = anchors + span if use_null else x - span + anchors
-        return out
-
-
-def _aligned_empty(shape):
-    """An uninitialised C-order float array starting on a 64-byte boundary.
-
-    The speed of the kernel's products depends on where the heap puts a
-    stack; aligned to a cache line, identical kernels run alike.
-    """
-    size = int(np.prod(shape))
-    buf = np.empty(size + 8)
-    start = (-buf.ctypes.data % 64) // 8
-    return buf[start:start + size].reshape(shape)
-
-
 class _Operator:
     """One method's step over a fixed block list, with its point buffers.
 
-    `project(x)` writes every P_i(x) into rows 1..m of `points`, from a
-    stacked kernel built on first use (F-SPM builds it with the operator,
+    `project(x)` writes every P_i(x) into rows 1..m of `points`, from the
+    stacked kernel passed in (`solve` passes the instance's) or, without
+    one, a kernel built on first use (F-SPM builds it with the operator,
     for its affine map), and returns those rows.  `residual(x, proj)` is
     max_i ||P_i(x) - x||; it keeps the differences d_i = P_i(x) - x and
     their squared norms for a step from the same x.  `step(x, proj)` gives
@@ -221,11 +170,11 @@ class _Operator:
     it in, and with proj=None the step works from x alone.
     """
 
-    def __init__(self, subspaces):
+    def __init__(self, subspaces, kernel=None):
         self.subspaces = subspaces
         self.per_iter = len(subspaces)
         self.points = np.empty((len(subspaces) + 1, subspaces[0].ambient_dim))
-        self._kernel = None
+        self._kernel = kernel
         self._diffs = np.empty_like(self.points[1:])
         self._sq = None
         self._diffs_of = None  # the x that _diffs and _sq belong to
@@ -264,11 +213,12 @@ class _Fspm(_Operator):
     `solve` keeps the previous iterate for the step-norm rule.
     """
 
-    def __init__(self, subspaces, weights):
-        super().__init__(subspaces)
+    def __init__(self, subspaces, weights, kernel=None):
+        super().__init__(subspaces, kernel)
         self.weights = weights
         self.per_iter = int(np.count_nonzero(weights[1:] > 0))
-        self._kernel = _BlockKernel(subspaces)
+        if self._kernel is None:
+            self._kernel = _BlockKernel(subspaces)
         p = weights[1:]
         self.scale, self.shift, self.terms = float(weights[0]), 0.0, []
         for use_null, members, basis_t, anchors in self._kernel.groups:
@@ -324,8 +274,8 @@ class _Crm(_Operator):
 
     Each reflection 2 P_i(y) - y uses the block's projection without
     AffineSubspace's shape check, since x was checked once.  The projections
-    of x itself are not used, so proj is ignored, and the stacked kernel is
-    built only if a residual asks for them.
+    of x itself are not used, so proj is ignored, and a stacked kernel that
+    was not passed in is built only if a residual asks for them.
     """
 
     def step(self, x, proj=None):
@@ -380,8 +330,9 @@ def solve(instance, config, x0=None):
     Stops when the configured rule fires (status CONVERGED) or after
     config.max_iterations steps (status MAX_ITER).  Wall time is measured
     around the iteration loop only; the trace records every iterate.  The
-    feasibility residual of x_k is read off the projections P_i(x_k), which
-    the F-SPM step from x_k then reuses; the P-CRM step reuses the
+    operators use the instance's stacked kernel, built once per instance.
+    The feasibility residual of x_k is read off the projections P_i(x_k),
+    which the F-SPM step from x_k then reuses; the P-CRM step reuses the
     differences P_i(x_k) - x_k the residual formed.  Without a residual to
     record, F-SPM and Cimmino form no projection at all, and an iteration
     that stops without recording a residual projects nothing.  An iterate
@@ -393,6 +344,7 @@ def solve(instance, config, x0=None):
     trace attached) when an iterate stops being finite.
     """
     subspaces = list(instance.subspaces)
+    kernel = instance._kernel
     n = instance.ambient_dim
     m = len(subspaces)
     if x0 is None:
@@ -416,11 +368,11 @@ def solve(instance, config, x0=None):
             weights = cimmino_weights(m)
         else:
             weights = uniform_weights(m)
-        operator = _Fspm(subspaces, validate_weights(weights, m))
+        operator = _Fspm(subspaces, validate_weights(weights, m), kernel)
     elif method is Method.CRM:
-        operator = _Crm(subspaces)
+        operator = _Crm(subspaces, kernel)
     else:
-        operator = _Pcrm(subspaces)
+        operator = _Pcrm(subspaces, kernel)
 
     need_resid = config.record_residuals or rule is StopRule.FEASIBILITY_RESIDUAL
     tol = config.tolerance

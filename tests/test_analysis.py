@@ -6,6 +6,8 @@ from circumproj import (
     EmptyIntersection,
     ProblemInstance,
     angle_report,
+    build_instance,
+    build_underdetermined_instance,
     direction_basis,
     error_bound_constant,
     estimate_regularity,
@@ -199,3 +201,32 @@ class TestVerifyErrorBound:
     def test_nonpositive_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples"):
             verify_error_bound(x_axis(), y_axis(), np.sqrt(5.0), samples, seed=0)
+
+
+class TestRegularityOnWorkloadFamilies:
+    """The estimate before the per-block distances were read off one stacked
+    kernel, to 1e-12 relative, on small instances of the three benchmark
+    workload families."""
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: build_instance(2000, 100, 0.1, 1), 1.012972617556678),
+        (lambda: build_instance(2500, 20, 0.1, 1), 1.0),
+        (lambda: build_underdetermined_instance(400, [20] * 12, 0.0, 12), 3.340121252653828),
+    ], ids=["protocol-tall", "many-blocks", "slow-angles"])
+    def test_matches_the_per_block_estimate(self, build, expected):
+        assert estimate_regularity(build(), 500, 0) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", [2.7, 2.0, True, "5", None])
+    def test_non_integral_samples_rejected(self, samples):
+        inst = ProblemInstance(subspaces=(x_axis(), diagonal_line()), ambient_dim=2)
+        with pytest.raises(ValueError, match="samples"):
+            estimate_regularity(inst, samples, seed=0)
+        with pytest.raises(ValueError, match="samples"):
+            verify_error_bound(x_axis(), y_axis(), np.sqrt(5.0), samples, seed=0)
+
+    def test_numpy_integers_accepted(self):
+        inst = ProblemInstance(subspaces=(x_axis(), diagonal_line()), ambient_dim=2)
+        assert estimate_regularity(inst, np.int64(40), 3) == estimate_regularity(inst, 40, 3)
+        assert verify_error_bound(x_axis(), y_axis(), np.sqrt(5.0), np.int32(40), seed=3)

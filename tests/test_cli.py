@@ -432,3 +432,26 @@ class TestDescriptorIntegers:
         assert json.dumps(back.to_dict(), indent=2) + "\n" == text
         text = underdetermined_descriptor.read_text()
         assert json.dumps(GenerationDescriptor.from_dict(json.loads(text)).to_dict()) == text
+
+
+class TestDescriptorChecks:
+    @pytest.mark.parametrize("command", [["solve", "--method", "pcrm"],
+                                         ["analyze", "--mode", "regularity"]])
+    @pytest.mark.parametrize("descriptor, edits, message", [
+        ("underdetermined_descriptor", {"m": 999, "block_count": 7}, "descriptor m is 999"),
+        ("underdetermined_descriptor", {"block_count": 7}, "descriptor block_count is 7"),
+        ("gen_descriptor", {"block_count": 99}, "descriptor block_count is 99"),
+        ("gen_descriptor", {"coherence": True}, "coherence must be a number"),
+        ("gen_descriptor", {"coherence": "0.1"}, "coherence must be a number"),
+    ])
+    def test_disagreeing_or_mistyped_field_exits_2(self, request, capsys, command,
+                                                   descriptor, edits, message):
+        path = request.getfixturevalue(descriptor)
+        payload = json.loads(path.read_text())
+        payload.update(edits)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run_cli(command[0], "--inst", str(path), *command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

@@ -339,3 +339,49 @@ class TestArgumentChecks:
         under = build_underdetermined_instance(np.int64(9), [np.int16(2), 3], 0.1, np.int64(33))
         assert matrix_digest(under) == matrix_digest(build_underdetermined_instance(9, [2, 3], 0.1, 33))
         assert under.descriptor.block_rows == (2, 3)
+
+
+class TestDescriptorChecks:
+    @pytest.fixture
+    def under(self):
+        return build_underdetermined_instance(40, [3, 4, 5], 0.1, 2).descriptor.to_dict()
+
+    @pytest.mark.parametrize("field, value", [("m", 999), ("block_count", 7), ("m", 11)])
+    def test_block_rows_counts_must_match(self, under, field, value):
+        under[field] = value
+        desc = GenerationDescriptor.from_dict(under)
+        with pytest.raises(ValueError, match=f"descriptor {field} is {value}"):
+            instance_from_descriptor(desc)
+
+    @pytest.mark.parametrize("value", [99, 16, 0])
+    def test_protocol_block_count_must_match(self, value):
+        payload = build_instance(300, 20, 0.1, 3).descriptor.to_dict()
+        assert payload["block_count"] == 16
+        payload["block_count"] = value
+        desc = GenerationDescriptor.from_dict(payload)
+        if value == 16:
+            assert instance_from_descriptor(desc).block_count == 16
+        else:
+            with pytest.raises(ValueError, match=f"descriptor block_count is {value}"):
+                instance_from_descriptor(desc)
+
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
+    def test_coherence_must_be_a_number(self, under, value):
+        under["coherence"] = value
+        with pytest.raises(ValueError, match="coherence must be a number"):
+            GenerationDescriptor.from_dict(under)
+
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_library_coherence_must_be_a_number(self, value):
+        for make in (lambda: build_instance(40, 8, value, 1),
+                     lambda: build_underdetermined_instance(10, [2, 3], value, 1),
+                     lambda: gaussian_matrix(3, 2, value, 1)):
+            with pytest.raises(ValueError, match="coherence must be a number"):
+                make()
+
+    @pytest.mark.parametrize("value", [0, 1, 0.25, np.float64(0.5)])
+    def test_numeric_coherence_reads_as_a_float(self, under, value):
+        under["coherence"] = value
+        desc = GenerationDescriptor.from_dict(under)
+        assert type(desc.coherence) is float and desc.coherence == value
+        assert instance_from_descriptor(desc).descriptor == desc

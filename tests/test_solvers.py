@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from circumproj import (
     circumcenter,
     crm_step,
     estimate_rate,
+    estimate_regularity,
     fspm_step,
+    intersection_subspace,
     pcrm_step,
     project_intersection,
     residual,
@@ -31,9 +34,9 @@ from circumproj import (
     uniform_weights,
     validate_weights,
 )
-from circumproj import solvers
+from circumproj import affine, solvers
 from conftest import hyperplane_instance, random_block_instance
-from oracles import fspm_step_reference, kkt_project_blocks
+from oracles import fspm_step_reference, kkt_project, kkt_project_blocks
 
 
 def axes_blocks():
@@ -709,3 +712,130 @@ class TestEstimateRate:
         r_cim = estimate_rate(solve(inst, SolverConfig(method=Method.CIMMINO)).trace)
         assert r_pcrm <= r_cim + 1e-6
         assert r_pcrm < 1.0
+
+
+class TestKernelDistances:
+    """_BlockKernel.distances against per-block projections and the KKT oracle."""
+
+    @pytest.fixture(params=[5, 6], ids=["mixed", "mixed-seed6"])
+    def blocks(self, request):
+        return mixed_blocks(seed=request.param)
+
+    def points(self, rng, blocks):
+        """Random points, then points within 1e-8 of every block."""
+        common = intersection_subspace(blocks).anchor
+        far = 10.0 * rng.standard_normal((6, 10))
+        near = common + 1e-8 * rng.standard_normal((6, 10))
+        return np.vstack([far, near])
+
+    def test_blocks_take_every_route_with_widths_zero_and_one(self, blocks):
+        kernel = affine._BlockKernel(blocks)
+        routes = {(use_null, basis_t.shape[1]) for use_null, _, basis_t, _ in kernel.groups}
+        assert {True, False} == {use_null for use_null, _ in routes}
+        assert {0, 1} <= {w for _, w in routes}
+
+    def test_rows_match_per_block_projections(self, rng, blocks):
+        X = self.points(rng, blocks)
+        D = affine._BlockKernel(blocks).distances(X)
+        assert D.shape == (len(X), len(blocks))
+        for i, U in enumerate(blocks):
+            expected = np.linalg.norm(X - U.project(X), axis=-1)
+            np.testing.assert_allclose(D[:, i], expected, rtol=1e-10, atol=1e-12)
+
+    def test_points_match_the_kkt_oracle(self, rng, blocks):
+        kernel = affine._BlockKernel(blocks)
+        for x in self.points(rng, blocks):
+            d = kernel.distances(x)
+            assert d.shape == (len(blocks),)
+            for i, U in enumerate(blocks):
+                expected = np.linalg.norm(x - kkt_project(U.constraint_matrix, U.rhs, x))
+                assert abs(d[i] - expected) <= 1e-9 * (1.0 + np.linalg.norm(x))
+
+    def test_one_point_agrees_with_its_row(self, rng, blocks):
+        kernel = affine._BlockKernel(blocks)
+        X = self.points(rng, blocks)
+        np.testing.assert_allclose(np.stack([kernel.distances(x) for x in X]),
+                                   kernel.distances(X), rtol=1e-12, atol=1e-15)
+
+    def test_residual_and_distance_read_the_kernel(self, rng, blocks):
+        X = self.points(rng, blocks)
+        D = affine._BlockKernel(blocks).distances(X)
+        np.testing.assert_array_equal(residual(blocks, X), D.max(axis=-1))
+        for U in blocks:
+            np.testing.assert_array_equal(U.distance(X), affine._BlockKernel([U]).distances(X)[:, 0])
+            assert np.ndim(U.distance(X[0])) == 0
+
+    @pytest.mark.parametrize("shape", [(9,), (3, 11), (2, 2, 10)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            affine._BlockKernel(mixed_blocks()).distances(np.zeros(shape))
+
+    def test_stacks_are_read_only(self):
+        kernel = affine._BlockKernel(mixed_blocks() + mixed_blocks(seed=6))
+        for _, members, basis_t, anchors in kernel.groups:
+            assert not basis_t.flags.writeable and not anchors.flags.writeable
+            assert not isinstance(members, np.ndarray) or not members.flags.writeable
+
+    def test_null_route_chunks_stay_small(self, rng):
+        inst = build_instance(2000, 100, 0.1, 1)
+        kernel = inst._kernel
+        assert all(use_null for use_null, *_ in kernel.groups)
+        stack_bytes = sum(basis_t.nbytes for _, _, basis_t, _ in kernel.groups)
+        X = rng.standard_normal((500, 100))
+        # One (rows, blocks, n) temporary for all 500 rows would be 21 times X.
+        assert 500 * inst.block_count * X.itemsize * 100 > 20 * X.nbytes
+        tracemalloc.start()
+        try:
+            D = kernel.distances(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (X.nbytes + stack_bytes)
+        np.testing.assert_allclose(D.max(axis=-1), residual(inst.subspaces, X), rtol=0, atol=0)
+
+
+class TestOneKernelPerInstance:
+    def test_solvers_names_the_kernel_in_affine(self):
+        assert solvers._BlockKernel is affine._BlockKernel
+
+    def test_instance_builds_its_kernel_once(self, monkeypatch):
+        built = []
+        init = affine._BlockKernel.__init__
+
+        def spy(kernel, subspaces):
+            built.append(list(subspaces))
+            init(kernel, subspaces)
+
+        monkeypatch.setattr(affine._BlockKernel, "__init__", spy)
+        inst = build_instance(400, 20, 0.1, 3)  # the known-solution check builds it
+        blocks = list(inst.subspaces)
+        assert built == [blocks]
+        for method, workers in (("pcrm", 1), ("pcrm", 2), ("crm", 1), ("cimmino", 1)):
+            res = solve(inst, SolverConfig(method=method, workers=workers, record_residuals=True))
+            assert res.trace.status is Status.CONVERGED
+        estimate_regularity(inst, 50, 0)
+        assert [b for b in built if b == blocks] == [blocks]
+        # The only other kernel is the stacked intersection's, of one block.
+        others = [b for b in built if b != blocks]
+        assert len(others) == 1 and len(others[0]) == 1 and others[0][0] not in blocks
+
+    @pytest.mark.parametrize("method, record", [
+        ("pcrm", False), ("pcrm", True), ("crm", False), ("crm", True),
+        ("cimmino", False), ("fspm", False),
+    ])
+    def test_solve_points_match_operators_on_the_bare_blocks(self, method, record):
+        inst = build_instance(300, 20, 0.1, 3)
+        blocks = list(inst.subspaces)
+        m = len(blocks)
+        res = solve(inst, SolverConfig(method=method, tolerance=1e-6, record_residuals=record))
+        assert res.trace.status is Status.CONVERGED and res.trace.iteration_count > 1
+        x = np.zeros(inst.ambient_dim)
+        for _ in range(res.trace.iteration_count):
+            if method == "pcrm":
+                x = pcrm_step(x, blocks)
+            elif method == "crm":
+                x = crm_step(x, blocks)
+            else:
+                weights = cimmino_weights(m) if method == "cimmino" else uniform_weights(m)
+                x = fspm_step(x, blocks, weights)
+        np.testing.assert_array_equal(res.point, x)
