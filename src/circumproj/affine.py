@@ -118,17 +118,9 @@ class AffineSubspace:
         """Orthonormal basis of range(A^T), shape (n, rank)."""
         return _complement(self._basis) if self._use_null else self._basis
 
-    def _check(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.ambient_dim:
-            raise DimensionMismatch(
-                f"point has shape {x.shape}, ambient dimension is {self.ambient_dim}"
-            )
-        return x
-
     def project(self, x):
         """Orthogonal projection of x onto the subspace (row-wise if 2-D)."""
-        return self._project(self._check(x))
+        return self._project(_check_point(x, self.ambient_dim))
 
     def _project(self, x):
         # The projection of an x whose shape the caller has already checked.
@@ -139,7 +131,7 @@ class AffineSubspace:
 
     def reflect(self, x):
         """Reflection 2 P(x) - x; an isometry fixing the subspace."""
-        return 2.0 * self.project(x) - self._check(x)
+        return 2.0 * self.project(x) - _check_point(x, self.ambient_dim)
 
     def distance(self, x):
         """Euclidean distance from x to the subspace (row-wise if 2-D).
@@ -152,6 +144,14 @@ class AffineSubspace:
     def __repr__(self):
         rows, n = self.constraint_matrix.shape
         return f"AffineSubspace({rows}x{n}, rank={self.rank}, label={self.label})"
+
+
+def _check_point(x, n, ndims=(1, 2)):
+    """x as a float array, if it is a point of R^n (or a stack of rows)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in ndims or x.shape[-1] != n:
+        raise DimensionMismatch(f"point has shape {x.shape}, ambient dimension is {n}")
+    return x
 
 
 def _uses_null(rank, n):
@@ -225,10 +225,8 @@ class _BlockKernel:
         in chunks of rows whose one (g, rows, n) temporary holds no more
         numbers than X or the group's stack (at least one row).
         """
-        x = np.asarray(x, dtype=float)
         n = self.ambient_dim
-        if x.ndim not in (1, 2) or x.shape[-1] != n:
-            raise DimensionMismatch(f"point has shape {x.shape}, ambient dimension is {n}")
+        x = _check_point(x, n)
         X = x.reshape(-1, n)
         k = X.shape[0]
         out = np.empty((k, self.block_count))

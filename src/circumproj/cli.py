@@ -24,7 +24,15 @@ from .problems import (
     build_instance,
     instance_from_descriptor,
 )
-from .solvers import Method, SolverConfig, Status, StopRule, solve
+from .solvers import (
+    Method,
+    SolverConfig,
+    Status,
+    StopRule,
+    cimmino_weights,
+    solve,
+    uniform_weights,
+)
 
 CSV_HEADER = [
     "method", "blocks", "m", "n", "coherence", "seed", "workers",
@@ -135,10 +143,11 @@ def cmd_gen(args):
 
 
 def _parse_weights(spec, blocks):
-    if spec is None or spec == "uniform":
+    if spec is None:
         return None  # solver default for the chosen method
+    if spec == "uniform":
+        return uniform_weights(blocks)
     if spec == "cimmino":
-        from .solvers import cimmino_weights
         return cimmino_weights(blocks)
     return np.array([float(t) for t in spec.split(",")])
 

@@ -8,25 +8,20 @@ Three operators act on the same block list:
   (inherently sequential; each reflection feeds the next).
 * P-CRM: circumcenter of x and the m independent reflections of x.
 
-P-CRM takes all m projections of x from one stacked kernel, two BLAS calls
-per group of blocks with the same basis kind and width, and forms one
-difference matrix per iteration, d_i = P_i(x) - x, with squared norms
-sq_i.  The feasibility residual is sqrt(max_i sq_i), and the step is x + y
-for the minimum-norm y with (2 d) y = 2 sq: the circumcenter system of x
-and its reflections x + 2 d_i, solved from the differences without
-assembling the points.  F-SPM is affine in x, so it is applied as one map
-x -> a x + c + sum_g B_g^T (q_g * (B_g x)) on the same stacks and forms no
-projection at all.  When a residual is recorded or the feasibility rule
-needs one, `solve` projects x_k with the kernel, reads the residual off
-those projections, and both steps reuse them.  Everything runs in the
-calling thread: the `workers` setting is accepted and recorded but does
-not change the computation, so P-CRM results are bitwise identical for
-every worker count.
+Each operator is built on the stacked block kernel it is handed (the
+instance's in `solve`, one built on the block list in the step functions)
+and answers `residual(x)`, the feasibility residual max_i d(x, U_i), and
+`step(x)`, the next iterate.  F-SPM has one step formula, the affine map
+x -> a x + c + sum_g B_g^T (q_g * (B_g x)) on the kernel's stacks.  P-CRM
+reads its residual and its step off one difference matrix d_i = P_i(x) - x;
+F-SPM, Cimmino and CRM read the residual off the kernel's distances.
+Everything runs in the calling thread: the `workers` setting is accepted
+and recorded but does not change the computation, so P-CRM results are
+bitwise identical for every worker count.
 
-Projection accounting: every reflection costs exactly one projection, so one
-CRM/P-CRM iteration over m blocks counts m projections; one F-SPM iteration
-counts one projection per positive weight p_i, i >= 1, whether the step
-forms the projections or applies the affine map.
+Projection accounting: every reflection costs exactly one projection, so an
+iteration over m blocks counts m projections for every method; every F-SPM
+weight p_i, i >= 1, is positive, so F-SPM counts m though its map forms none.
 """
 
 import math
@@ -37,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .affine import _BlockKernel
+from .affine import _BlockKernel, _check_point
 from .circumcenters import _solve_differences, circumcenter
 from .errors import (
     DimensionMismatch,
@@ -158,37 +153,19 @@ class SolveResult:
 
 
 class _Operator:
-    """One method's step over a fixed block list, with its point buffers.
+    """One method's step and residual, on the stacked kernel it is handed.
 
-    `project(x)` writes every P_i(x) into rows 1..m of `points`, from the
-    stacked kernel passed in (`solve` passes the instance's) or, without
-    one, a kernel built on first use (F-SPM builds it with the operator,
-    for its affine map), and returns those rows.  `residual(x, proj)` is
-    max_i ||P_i(x) - x||; it keeps the differences d_i = P_i(x) - x and
-    their squared norms for a step from the same x.  `step(x, proj)` gives
-    the next iterate; a caller that already holds proj = project(x) passes
-    it in, and with proj=None the step works from x alone.
+    `solve` hands every operator the instance's kernel; the step functions
+    hand it one built on their block list.  `residual(x)` is the paper's
+    feasibility residual max_i d(x, U_i), read off the kernel's distances,
+    and `step(x)` is the next iterate.
     """
 
-    def __init__(self, subspaces, kernel=None):
-        self.subspaces = subspaces
-        self.per_iter = len(subspaces)
-        self.points = np.empty((len(subspaces) + 1, subspaces[0].ambient_dim))
-        self._kernel = kernel
-        self._diffs = np.empty_like(self.points[1:])
-        self._sq = None
-        self._diffs_of = None  # the x that _diffs and _sq belong to
+    def __init__(self, kernel):
+        self.kernel = kernel
 
-    def project(self, x):
-        if self._kernel is None:
-            self._kernel = _BlockKernel(self.subspaces)
-        return self._kernel.project_all(x, self.points[1:])
-
-    def residual(self, x, proj):
-        diffs = np.subtract(proj, x, out=self._diffs)
-        self._sq = np.einsum("ij,ij->i", diffs, diffs)
-        self._diffs_of = x
-        return float(np.sqrt(self._sq.max()))
+    def residual(self, x):
+        return float(self.kernel.distances(x).max())
 
 
 class _Fspm(_Operator):
@@ -205,23 +182,16 @@ class _Fspm(_Operator):
     blocks' weights, each repeated w times and negated on the row route.
     (a, c, q_g) are built with the operator, from the kernel's stacks, so
     a step forms none of the m projections: two matrix-vector products per
-    group of nonzero width.
-
-    A caller that already holds proj = project(x) (to record a residual)
-    passes it in, and the step is p_0 x + p[1:] @ proj instead.  Either way
-    the result is a new array, never x or a buffer the operator reuses:
-    `solve` keeps the previous iterate for the step-norm rule.
+    group of nonzero width.  It is the only step formula, so no iterate
+    depends on whether residuals are recorded.  The result is a new array,
+    never x: `solve` keeps the previous iterate for the step-norm rule.
     """
 
-    def __init__(self, subspaces, weights, kernel=None):
-        super().__init__(subspaces, kernel)
-        self.weights = weights
-        self.per_iter = int(np.count_nonzero(weights[1:] > 0))
-        if self._kernel is None:
-            self._kernel = _BlockKernel(subspaces)
+    def __init__(self, kernel, weights):
+        super().__init__(kernel)
         p = weights[1:]
         self.scale, self.shift, self.terms = float(weights[0]), 0.0, []
-        for use_null, members, basis_t, anchors in self._kernel.groups:
+        for use_null, members, basis_t, anchors in kernel.groups:
             g, w, n = basis_t.shape
             pg = p[members]
             self.shift += pg @ anchors
@@ -231,9 +201,7 @@ class _Fspm(_Operator):
                 q = np.repeat(pg if use_null else -pg, w)
                 self.terms.append((basis_t.reshape(g * w, n), q))
 
-    def step(self, x, proj=None):
-        if proj is not None:
-            return self.weights[0] * x + self.weights[1:] @ proj
+    def step(self, x):
         y = self.scale * x + self.shift
         for basis, q in self.terms:
             y += (q * (basis @ x)) @ basis
@@ -257,28 +225,48 @@ class _Fspm(_Operator):
 class _Pcrm(_Operator):
     """Circumcenter of x and its m independent reflections 2 P_i(x) - x.
 
-    The reflections are x + 2 d_i, so the circumcenter is x + y for the
-    minimum-norm y with (2 d) y = 2 sq, solved from the differences that
-    `residual` formed for this x; without them (proj=None, or a proj for
-    another x) the step forms them itself.  No point set is assembled.
+    `residual(x)` projects x onto every block straight into the one
+    difference buffer, subtracts x in place to get d_i = P_i(x) - x, and
+    keeps their squared norms sq_i; the residual is sqrt(max_i sq_i).  The
+    reflections are x + 2 d_i, so the circumcenter is x + y for the
+    minimum-norm y with (2 d) y = 2 sq.  `step(x)` solves that from the
+    differences of this x, forming them first when the last residual was
+    of another point.  No point set is assembled.
     """
 
-    def step(self, x, proj=None):
-        if proj is None or self._diffs_of is not x:
-            self.residual(x, self.project(x) if proj is None else proj)
+    def __init__(self, kernel):
+        super().__init__(kernel)
+        self._diffs = np.empty((kernel.block_count, kernel.ambient_dim))
+        self._sq = None
+        self._diffs_of = None  # the x that _diffs and _sq belong to
+
+    def residual(self, x):
+        diffs = self.kernel.project_all(x, self._diffs)
+        diffs -= x
+        self._sq = np.einsum("ij,ij->i", diffs, diffs)
+        self._diffs_of = x
+        return float(np.sqrt(self._sq.max()))
+
+    def step(self, x):
+        if self._diffs_of is not x:
+            self.residual(x)
         return x + _solve_differences(2.0 * self._diffs, 2.0 * self._sq)
 
 
 class _Crm(_Operator):
     """Circumcenter of x and its m sequentially composed reflections.
 
-    Each reflection 2 P_i(y) - y uses the block's projection without
-    AffineSubspace's shape check, since x was checked once.  The projections
-    of x itself are not used, so proj is ignored, and a stacked kernel that
-    was not passed in is built only if a residual asks for them.
+    Each reflection 2 P_i(y) - y feeds the next, so the step works block by
+    block, through the block's projection without AffineSubspace's shape
+    check, since x was checked once.  The kernel serves the residual only.
     """
 
-    def step(self, x, proj=None):
+    def __init__(self, kernel, subspaces):
+        super().__init__(kernel)
+        self.subspaces = subspaces
+        self.points = np.empty((len(subspaces) + 1, kernel.ambient_dim))
+
+    def step(self, x):
         pts = self.points
         pts[0] = y = x
         for i, U in enumerate(self.subspaces):
@@ -287,14 +275,10 @@ class _Crm(_Operator):
 
 
 def _step_input(x, subspaces, ndims=(1,)):
+    """x checked against the blocks, the block list and a kernel built on it."""
     subspaces = list(subspaces)
-    if not subspaces:
-        raise ValueError("need at least one subspace")
-    x = np.asarray(x, dtype=float)
-    n = subspaces[0].ambient_dim
-    if x.ndim not in ndims or x.shape[-1] != n:
-        raise DimensionMismatch(f"point has shape {x.shape}, ambient dimension is {n}")
-    return x, subspaces
+    kernel = _BlockKernel(subspaces)
+    return _check_point(x, kernel.ambient_dim, ndims), subspaces, kernel
 
 
 def fspm_step(x, subspaces, weights):
@@ -303,15 +287,15 @@ def fspm_step(x, subspaces, weights):
     A 2-D x is a batch of points, stepped together and bitwise equal to
     stepping each row alone.
     """
-    x, subspaces = _step_input(x, subspaces, ndims=(1, 2))
-    operator = _Fspm(subspaces, validate_weights(weights, len(subspaces)))
+    x, subspaces, kernel = _step_input(x, subspaces, ndims=(1, 2))
+    operator = _Fspm(kernel, validate_weights(weights, len(subspaces)))
     return operator.step(x) if x.ndim == 1 else operator.step_batch(x)
 
 
 def crm_step(x, subspaces):
     """Circumcenter of x and its sequentially composed reflections."""
-    x, subspaces = _step_input(x, subspaces)
-    return _Crm(subspaces).step(x)
+    x, subspaces, kernel = _step_input(x, subspaces)
+    return _Crm(kernel, subspaces).step(x)
 
 
 def pcrm_step(x, subspaces, workers=1):
@@ -320,8 +304,8 @@ def pcrm_step(x, subspaces, workers=1):
     `workers` is accepted for compatibility and does not change the
     computation, so the output is bitwise identical for every worker count.
     """
-    x, subspaces = _step_input(x, subspaces)
-    return _Pcrm(subspaces).step(x)
+    x, _, kernel = _step_input(x, subspaces)
+    return _Pcrm(kernel).step(x)
 
 
 def solve(instance, config, x0=None):
@@ -330,14 +314,12 @@ def solve(instance, config, x0=None):
     Stops when the configured rule fires (status CONVERGED) or after
     config.max_iterations steps (status MAX_ITER).  Wall time is measured
     around the iteration loop only; the trace records every iterate.  The
-    operators use the instance's stacked kernel, built once per instance.
-    The feasibility residual of x_k is read off the projections P_i(x_k),
-    which the F-SPM step from x_k then reuses; the P-CRM step reuses the
-    differences P_i(x_k) - x_k the residual formed.  Without a residual to
-    record, F-SPM and Cimmino form no projection at all, and an iteration
-    that stops without recording a residual projects nothing.  An iterate
-    is checked for finiteness only when its distance to the reference is
-    not finite or there is no reference.
+    operator is built on the instance's stacked kernel, built once per
+    instance, and answers residual(x_k) and step(x_k); the step does not
+    depend on whether the residual was asked for.  An iteration that stops
+    without recording a residual projects nothing.  An iterate is checked
+    for finiteness only when its distance to the reference is not finite
+    or there is no reference.
 
     Raises MissingReference when stop_rule is REL_ERR_TO_KNOWN but the
     instance has no known solution, and NumericalBreakdown (with the partial
@@ -368,11 +350,11 @@ def solve(instance, config, x0=None):
             weights = cimmino_weights(m)
         else:
             weights = uniform_weights(m)
-        operator = _Fspm(subspaces, validate_weights(weights, m), kernel)
+        operator = _Fspm(kernel, validate_weights(weights, m))
     elif method is Method.CRM:
-        operator = _Crm(subspaces, kernel)
+        operator = _Crm(kernel, subspaces)
     else:
-        operator = _Pcrm(subspaces, kernel)
+        operator = _Pcrm(kernel)
 
     need_resid = config.record_residuals or rule is StopRule.FEASIBILITY_RESIDUAL
     tol = config.tolerance
@@ -391,8 +373,7 @@ def solve(instance, config, x0=None):
             raise NumericalBreakdown(
                 f"non-finite iterate at iteration {k}", trace=trace, point=x
             )
-        proj = operator.project(x) if need_resid else None
-        resid = operator.residual(x, proj) if need_resid else float("nan")
+        resid = operator.residual(x) if need_resid else float("nan")
         trace.append(k, resid, dist, nproj, time.perf_counter() - start)
 
         if rule is StopRule.REL_ERR_TO_KNOWN:
@@ -409,8 +390,8 @@ def solve(instance, config, x0=None):
             break
 
         prev = x
-        x = operator.step(x, proj)
-        nproj += operator.per_iter
+        x = operator.step(x)
+        nproj += m
         k += 1
     trace.wall_time_s = time.perf_counter() - start
     return SolveResult(point=x, trace=trace)

@@ -362,24 +362,44 @@ class TestSolveGoldenCsv:
 
     HEADER = "method,blocks,m,n,coherence,seed,workers,iterations,projections,time_s,rel_err,converged"
 
-    @pytest.mark.parametrize("descriptor, method, tolerance, record", [
-        ("gen_descriptor", "pcrm", "1e-8",
+    @pytest.mark.parametrize("descriptor, method, flags, record", [
+        ("gen_descriptor", "pcrm", ("--tolerance", "1e-8"),
          "pcrm,16,300,20,0.1,3,1,4,64,0,4.437954896272e-09,true"),
-        # The auto rule is rel_err here.  Under the feasibility rule Cimmino
-        # takes as many steps but records residuals, which ends it on other
-        # last digits.
-        ("gen_descriptor", "cimmino", "1e-8",
+        # The auto rule is rel_err here.  The feasibility rule measures each
+        # iterate but steps by the same map, so it ends on the same point.
+        ("gen_descriptor", "cimmino", ("--tolerance", "1e-8"),
+         "cimmino,16,300,20,0.1,3,1,10,160,0,5.091744822208e-09,true"),
+        ("gen_descriptor", "cimmino", ("--tolerance", "1e-8", "--stop-rule", "feasibility"),
          "cimmino,16,300,20,0.1,3,1,10,160,0,5.091744822208e-09,true"),
         # No known solution: the auto rule is feasibility and rel_err is nan.
-        ("underdetermined_descriptor", "pcrm", "1e-5",
+        ("underdetermined_descriptor", "pcrm", ("--tolerance", "1e-5"),
          "pcrm,3,12,40,0.1,2,1,18,54,0,nan,true"),
+        ("underdetermined_descriptor", "crm", ("--tolerance", "1e-5"),
+         "crm,3,12,40,0.1,2,1,9,27,0,nan,true"),
+        ("underdetermined_descriptor", "cimmino", ("--tolerance", "1e-5"),
+         "cimmino,3,12,40,0.1,2,1,60,180,0,nan,true"),
+        ("underdetermined_descriptor", "fspm", ("--tolerance", "1e-5"),
+         "fspm,3,12,40,0.1,2,1,82,246,0,nan,true"),
     ])
-    def test_record(self, request, capsys, descriptor, method, tolerance, record):
+    def test_record(self, request, capsys, descriptor, method, flags, record):
         path = request.getfixturevalue(descriptor)
         capsys.readouterr()  # the block count that `gen` printed
-        assert run_cli("solve", "--inst", str(path), "--method", method,
-                       "--tolerance", tolerance) == 0
+        assert run_cli("solve", "--inst", str(path), "--method", method, *flags) == 0
         assert masked_time(capsys.readouterr().out) == masked_time(f"{self.HEADER}\n{record}\n")
+
+    @pytest.mark.parametrize("descriptor", ["gen_descriptor", "underdetermined_descriptor"])
+    def test_cimmino_with_uniform_weights_is_fspm(self, request, capsys, descriptor):
+        path = request.getfixturevalue(descriptor)
+        capsys.readouterr()
+        rows = {}
+        for method, flags in (("fspm", ()), ("cimmino", ("--weights", "uniform")),
+                              ("cimmino", ())):
+            assert run_cli("solve", "--inst", str(path), "--method", method, *flags) == 0
+            rows[method, flags] = masked_time(capsys.readouterr().out)[1]
+        uniform = rows["cimmino", ("--weights", "uniform")]
+        assert uniform[0] == "cimmino"
+        assert uniform[1:] == rows["fspm", ()][1:]
+        assert uniform[1:] != rows["cimmino", ()][1:]
 
 
 def test_solve_and_bench_agree(gen_descriptor, tmp_path, capsys):

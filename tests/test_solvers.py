@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import tracemalloc
 
@@ -273,8 +274,9 @@ class TestAffineFspmStep:
     @pytest.mark.parametrize("copies", [1, 2])
     def test_matches_per_block_reference(self, rng, copies):
         blocks = mixed_blocks() if copies == 1 else mixed_blocks() + mixed_blocks(seed=6)
+        kernel = solvers._BlockKernel(blocks)
         for weights in self.weight_sets(len(blocks), rng):
-            operator = solvers._Fspm(blocks, weights)
+            operator = solvers._Fspm(kernel, weights)
             for _ in range(3):
                 x = 10.0 * rng.standard_normal(10)
                 y = operator.step(x)
@@ -284,16 +286,20 @@ class TestAffineFspmStep:
 
     def test_steps_are_fresh_arrays(self, rng):
         blocks = mixed_blocks()
-        operator = solvers._Fspm(blocks, uniform_weights(len(blocks)))
+        kernel = solvers._BlockKernel(blocks)
+        operator = solvers._Fspm(kernel, uniform_weights(len(blocks)))
         x = rng.standard_normal(10)
         y1, y2 = operator.step(x), operator.step(x)
         np.testing.assert_array_equal(y1, y2)
         assert not np.shares_memory(y1, y2)
-        assert not np.shares_memory(y1, operator.points)
-        proj = operator.project(x)
-        y3 = operator.step(x, proj)
-        assert not np.shares_memory(y3, operator.points)
-        np.testing.assert_allclose(y3, y1, rtol=0, atol=1e-12)
+        assert not np.shares_memory(y1, x)
+        # A residual asked for in between changes no step.
+        operator.residual(x)
+        y3 = operator.step(x)
+        np.testing.assert_array_equal(y3, y1)
+        assert not np.shares_memory(y3, y1)
+        for _, _, basis_t, anchors in kernel.groups:
+            assert not np.shares_memory(y3, basis_t) and not np.shares_memory(y3, anchors)
 
     @pytest.mark.parametrize("blocks", ["mixed", "slow"])
     def test_batch_steps_all_rows_at_once(self, rng, monkeypatch, blocks):
@@ -308,9 +314,9 @@ class TestAffineFspmStep:
             row_steps = []
             real_step = solvers._Fspm.step
 
-            def spy(operator, x, proj=None):
+            def spy(operator, x):
                 row_steps.append(x)
-                return real_step(operator, x, proj)
+                return real_step(operator, x)
 
             monkeypatch.setattr(solvers._Fspm, "step", spy)
             batch = fspm_step(X, subspaces, weights)
@@ -320,17 +326,21 @@ class TestAffineFspmStep:
             reference = np.stack([fspm_step_reference(subspaces, weights, x) for x in X])
             np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def spy_on(monkeypatch, name):
+        calls = []
+        real = getattr(solvers._BlockKernel, name)
+
+        def spy(kernel, x, *args):
+            calls.append(x)
+            return real(kernel, x, *args)
+
+        monkeypatch.setattr(solvers._BlockKernel, name, spy)
+        return calls
+
     @pytest.fixture
     def project_all_calls(self, monkeypatch):
-        calls = []
-        real = solvers._BlockKernel.project_all
-
-        def spy(kernel, x, out):
-            calls.append(x)
-            return real(kernel, x, out)
-
-        monkeypatch.setattr(solvers._BlockKernel, "project_all", spy)
-        return calls
+        return self.spy_on(monkeypatch, "project_all")
 
     def test_unrecorded_solve_projects_nothing(self, project_all_calls):
         inst = build_instance(40, 8, 0.1, 4)
@@ -340,10 +350,12 @@ class TestAffineFspmStep:
             assert res.trace.iteration_count > 1
         assert project_all_calls == []
 
-    def test_recorded_solve_projects_each_iterate_once(self, project_all_calls):
+    def test_recorded_solve_measures_each_iterate_once(self, monkeypatch, project_all_calls):
         inst = build_instance(40, 8, 0.1, 4)
+        distances_calls = self.spy_on(monkeypatch, "distances")
         res = solve(inst, SolverConfig(method=Method.CIMMINO, record_residuals=True))
-        assert len(project_all_calls) == len(res.trace.iterations) > 1
+        assert len(distances_calls) == len(res.trace.iterations) > 1
+        assert project_all_calls == []
 
     def test_recording_residuals_changes_no_iterate(self):
         inst = build_underdetermined_instance(40, [2] * 12, 0.0, 3)
@@ -356,8 +368,7 @@ class TestAffineFspmStep:
             )
             assert recorded.trace.status is unrecorded.trace.status is Status.CONVERGED
             assert recorded.trace.iteration_count == unrecorded.trace.iteration_count > 10
-            gap = np.linalg.norm(recorded.point - unrecorded.point)
-            assert gap <= 1e-12 * np.linalg.norm(recorded.point)
+            np.testing.assert_array_equal(recorded.point, unrecorded.point)
 
 
 class TestCrmStep:
@@ -635,16 +646,13 @@ class TestPcrmDifferences:
         subspaces = list(self.slow_instance().subspaces)
         x1, x2 = rng.standard_normal((2, 40))
         expected = pcrm_step(x2, subspaces)
-        operator = solvers._Pcrm(subspaces)
-        operator.residual(x1, operator.project(x1))
-        np.testing.assert_array_equal(operator.step(x2, operator.project(x2)), expected)
-        proj = operator.project(x2)
-        kept = proj.copy()
-        expected_residual = max(np.linalg.norm(p - x2) for p in kept)
-        assert operator.residual(x2, proj) == pytest.approx(expected_residual, rel=1e-12)
-        np.testing.assert_array_equal(operator.step(x2, proj), expected)
-        np.testing.assert_array_equal(operator.step(x2, proj), expected)
-        np.testing.assert_array_equal(proj, kept)
+        operator = solvers._Pcrm(solvers._BlockKernel(subspaces))
+        operator.residual(x1)
+        np.testing.assert_array_equal(operator.step(x2), expected)
+        np.testing.assert_array_equal(operator.step(x2), expected)
+        expected_residual = max(np.linalg.norm(U.project(x2) - x2) for U in subspaces)
+        assert operator.residual(x2) == pytest.approx(expected_residual, rel=1e-12)
+        np.testing.assert_array_equal(operator.step(x2), expected)
 
     @pytest.mark.parametrize("with_reference", [True, False])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -770,6 +778,18 @@ class TestKernelDistances:
         with pytest.raises(DimensionMismatch):
             affine._BlockKernel(mixed_blocks()).distances(np.zeros(shape))
 
+    @pytest.mark.parametrize("shape", [(9,), (3, 11), (2, 2, 10), (3, 10)])
+    def test_every_point_check_raises_one_message(self, shape):
+        blocks = mixed_blocks()
+        checks = [lambda x: pcrm_step(x, blocks), lambda x: crm_step(x, blocks)]
+        if shape != (3, 10):  # a stack of points, which only these accept
+            checks += [affine._BlockKernel(blocks).distances, blocks[0].project,
+                       blocks[0].reflect, lambda x: fspm_step(x, blocks, uniform_weights(7))]
+        message = re.escape(f"point has shape {shape}, ambient dimension is 10")
+        for check in checks:
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                check(np.zeros(shape))
+
     def test_stacks_are_read_only(self):
         kernel = affine._BlockKernel(mixed_blocks() + mixed_blocks(seed=6))
         for _, members, basis_t, anchors in kernel.groups:
@@ -810,7 +830,7 @@ class TestOneKernelPerInstance:
         inst = build_instance(400, 20, 0.1, 3)  # the known-solution check builds it
         blocks = list(inst.subspaces)
         assert built == [blocks]
-        for method, workers in (("pcrm", 1), ("pcrm", 2), ("crm", 1), ("cimmino", 1)):
+        for method, workers in (("pcrm", 1), ("pcrm", 2), ("crm", 1), ("cimmino", 1), ("fspm", 1)):
             res = solve(inst, SolverConfig(method=method, workers=workers, record_residuals=True))
             assert res.trace.status is Status.CONVERGED
         estimate_regularity(inst, 50, 0)
@@ -821,7 +841,7 @@ class TestOneKernelPerInstance:
 
     @pytest.mark.parametrize("method, record", [
         ("pcrm", False), ("pcrm", True), ("crm", False), ("crm", True),
-        ("cimmino", False), ("fspm", False),
+        ("cimmino", False), ("cimmino", True), ("fspm", False), ("fspm", True),
     ])
     def test_solve_points_match_operators_on_the_bare_blocks(self, method, record):
         inst = build_instance(300, 20, 0.1, 3)
