@@ -154,6 +154,22 @@ def _check_point(x, n, ndims=(1, 2)):
     return x
 
 
+def _block_list(subspaces):
+    """(blocks, n): the blocks as a list and the ambient dimension they share.
+
+    ValueError for an empty list, DimensionMismatch for mixed dimensions."""
+    subspaces = list(subspaces)
+    if not subspaces:
+        raise ValueError("need at least one subspace")
+    n = subspaces[0].ambient_dim
+    for i, U in enumerate(subspaces):
+        if U.ambient_dim != n:
+            raise DimensionMismatch(
+                f"block {i} has ambient dimension {U.ambient_dim}, block 0 has {n}"
+            )
+    return subspaces, n
+
+
 def _uses_null(rank, n):
     """Whether a rank-`rank` block in R^n stores its null basis (the thinner one)."""
     return (n - rank) <= rank
@@ -173,10 +189,8 @@ class _BlockKernel:
     """
 
     def __init__(self, subspaces):
-        subspaces = list(subspaces)
-        if not subspaces:
-            raise ValueError("need at least one subspace")
-        n = self.ambient_dim = subspaces[0].ambient_dim
+        subspaces, n = _block_list(subspaces)
+        self.ambient_dim = n
         self.block_count = len(subspaces)
         by_basis = {}
         for i, U in enumerate(subspaces):
@@ -247,6 +261,10 @@ class _BlockKernel:
                 np.subtract(X[s:s + rows], diff, out=diff)
                 out[s:s + rows, members] = _row_norms(diff).T
         return out[0] if x.ndim == 1 else out
+
+    def residual(self, x):
+        """The feasibility residual max_i d(x, U_i), per row for a 2-D x."""
+        return self.distances(x).max(axis=-1)
 
 
 def _row_norms(D):
@@ -513,9 +531,7 @@ def intersection_subspace(subspaces):
 
     Raises EmptyIntersection when the stacked system is inconsistent.
     """
-    subspaces = list(subspaces)
-    if not subspaces:
-        raise ValueError("need at least one subspace")
+    subspaces, _ = _block_list(subspaces)
     matrices = [U.constraint_matrix for U in subspaces]
     rhs = [U.rhs for U in subspaces]
     limit = CONSISTENCY_RTOL * (1.0 + np.sqrt(sum(b @ b for b in rhs)))
@@ -540,4 +556,4 @@ def residual(subspaces, x):
     Row-wise for a 2-D x.  All m distances come from one _BlockKernel of
     the blocks; an instance keeps its own kernel for repeated use.
     """
-    return _BlockKernel(subspaces).distances(x).max(axis=-1)
+    return _BlockKernel(subspaces).residual(x)

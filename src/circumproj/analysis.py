@@ -108,7 +108,7 @@ def estimate_regularity(instance, samples, seed):
     """
     stacked = intersection_subspace(instance.subspaces)
     points = _sample_points(stacked, samples, seed)
-    per_block_max = instance._kernel.distances(points).max(axis=-1)
+    per_block_max = instance._kernel.residual(points)
     to_intersection = stacked.distance(points)
     keep = per_block_max > 1e-12 * (1.0 + np.linalg.norm(points, axis=-1))
     if not np.any(keep):

@@ -12,7 +12,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .analysis import angle_report_and_bound, estimate_regularity
 from .errors import CircumprojError, NumericalBreakdown
 from .problems import (
     GenerationDescriptor,
-    block_count,
+    _protocol_descriptor,
     build_instance,
     instance_from_descriptor,
 )
@@ -34,11 +34,6 @@ from .solvers import (
     uniform_weights,
 )
 
-CSV_HEADER = [
-    "method", "blocks", "m", "n", "coherence", "seed", "workers",
-    "iterations", "projections", "time_s", "rel_err", "converged",
-]
-
 DEFAULT_BENCH = {
     "m_values": [5000, 7500, 10000, 12500],
     "n_values": [100, 250, 500],
@@ -50,13 +45,6 @@ DEFAULT_BENCH = {
     "workers": [1],
     "out": "bench_results.csv",
 }
-
-STOP_RULES = {
-    "rel_err": StopRule.REL_ERR_TO_KNOWN,
-    "feasibility": StopRule.FEASIBILITY_RESIDUAL,
-    "step_norm": StopRule.STEP_NORM,
-}
-
 
 @dataclass
 class BenchRecord:
@@ -83,6 +71,9 @@ class BenchRecord:
         ]
 
 
+CSV_HEADER = [f.name for f in fields(BenchRecord)]
+
+
 def _fail(message, code=2):
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -97,7 +88,7 @@ def _stop_rule(name, instance):
     """The named stop rule; "auto" is rel_err with a known solution, else feasibility."""
     if name == "auto":
         name = "rel_err" if instance.known_solution is not None else "feasibility"
-    return STOP_RULES[name]
+    return StopRule(name)
 
 
 def _run_cell(instance, config):
@@ -125,16 +116,10 @@ def _run_cell(instance, config):
 
 
 def cmd_gen(args):
-    if not args.m > args.n >= 1:
-        return _fail(f"need m > n >= 1, got m={args.m}, n={args.n}")
-    if not 0.0 <= args.coherence <= 1.0:
-        return _fail(f"coherence must lie in [0, 1], got {args.coherence}")
-    if args.seed < 0:
-        return _fail(f"seed must be a non-negative integer, got {args.seed}")
-    descriptor = GenerationDescriptor(
-        m=args.m, n=args.n, coherence=args.coherence, seed=args.seed,
-        block_count=block_count(args.m, args.n),
-    )
+    try:
+        descriptor = _protocol_descriptor(args.m, args.n, args.coherence, args.seed)
+    except (ValueError, CircumprojError) as exc:
+        return _fail(str(exc))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(descriptor.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -360,7 +345,7 @@ def build_parser():
     p_solve.add_argument("--tolerance", type=float, default=1e-5)
     p_solve.add_argument("--max-iterations", type=int, default=10_000)
     p_solve.add_argument("--stop-rule", default="auto",
-                         choices=["auto"] + sorted(STOP_RULES))
+                         choices=["auto"] + sorted(rule.value for rule in StopRule))
     p_solve.add_argument("--weights", default=None,
                          help="uniform | cimmino | comma-separated p0,p1,...")
     p_solve.add_argument("--csv", default=None, help="append the record to this CSV")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineSubspace, _BlockKernel
+from .affine import AffineSubspace, _BlockKernel, _block_list
 from .errors import DimensionMismatch, InconsistentSystem, InvalidCoherence
 
 GENERATOR_ID = "pcg64-boxmuller"
@@ -212,19 +212,16 @@ class ProblemInstance:
     descriptor: GenerationDescriptor | None = None
 
     def __post_init__(self):
-        if not self.subspaces:
-            raise ValueError("instance needs at least one block")
-        for U in self.subspaces:
-            if U.ambient_dim != self.ambient_dim:
-                raise DimensionMismatch(
-                    f"block {U.label} has ambient dimension {U.ambient_dim}, "
-                    f"instance has {self.ambient_dim}"
-                )
+        _, n = _block_list(self.subspaces)
+        if n != self.ambient_dim:
+            raise DimensionMismatch(
+                f"blocks have ambient dimension {n}, instance has {self.ambient_dim}"
+            )
         if self.known_solution is not None:
             xs = np.asarray(self.known_solution, dtype=float).ravel()
             if xs.shape != (self.ambient_dim,):
                 raise DimensionMismatch("known solution has the wrong length")
-            misfit = float(self._kernel.distances(xs).max())
+            misfit = float(self._kernel.residual(xs))
             if misfit > 1e-8 * (1.0 + float(np.linalg.norm(xs))):
                 raise InconsistentSystem(
                     f"known solution violates the blocks (residual {misfit:.3e})"
@@ -246,21 +243,7 @@ def build_instance(m, n, c, seed):
     Generically the stacked matrix has full column rank, so the intersection
     is the singleton {x*}.
     """
-    m, n = _check_integer("m", m), _check_integer("n", n)
-    if not m > n >= 1:
-        raise ValueError(f"protocol requires m > n >= 1, got m={m}, n={n}")
-    c = _check_coherence(c)
-    stream = _NormalStream(seed)
-    A = _coherent_matrix(stream, m, n, c)
-    w = stream.draw(m)
-    x_star = A.T @ w
-    b = A @ x_star
-
-    blocks = block_count(m, n)
-    descriptor = GenerationDescriptor(
-        m=m, n=n, coherence=c, seed=int(seed), block_count=blocks
-    )
-    return _partitioned(A, b, _partition_sizes(m, blocks), x_star, descriptor)
+    return _draw(_protocol_descriptor(m, n, c, seed))
 
 
 def build_underdetermined_instance(n, block_rows, c, seed):
@@ -269,24 +252,46 @@ def build_underdetermined_instance(n, block_rows, c, seed):
     The intersection is generically a positive-dimensional affine set, so no
     known solution is attached (the best approximation depends on the start).
     """
+    return _draw(_underdetermined_descriptor(n, block_rows, c, seed))
+
+
+def _protocol_descriptor(m, n, c, seed):
+    """The descriptor of build_instance(m, n, c, seed), whose arguments it
+    checks: ValueError, or InvalidCoherence for a coherence outside [0, 1]."""
+    m, n = _check_integer("m", m), _check_integer("n", n)
+    if not m > n >= 1:
+        raise ValueError(f"protocol requires m > n >= 1, got m={m}, n={n}")
+    return GenerationDescriptor(
+        m=m, n=n, coherence=_check_coherence(c), seed=_check_integer("seed", seed, 0),
+        block_count=block_count(m, n),
+    )
+
+
+def _underdetermined_descriptor(n, block_rows, c, seed):
+    """The descriptor of build_underdetermined_instance(n, block_rows, c,
+    seed), whose arguments it checks as _protocol_descriptor does."""
     n = _check_integer("n", n)
-    rows = [_check_integer("block_rows entry", r) for r in block_rows]
+    rows = tuple(_check_integer("block_rows entry", r) for r in block_rows)
     if not rows or any(r < 1 for r in rows):
         raise ValueError("block_rows must be a nonempty list of positive counts")
     total = sum(rows)
     if total > n:
         raise ValueError(f"total rows {total} exceed ambient dimension {n}")
-    c = _check_coherence(c)
-    stream = _NormalStream(seed)
-    A = _coherent_matrix(stream, total, n, c)
-    planted = stream.draw(n)
-    b = A @ planted
-
-    descriptor = GenerationDescriptor(
-        m=total, n=n, coherence=c, seed=int(seed),
-        block_count=len(rows), block_rows=tuple(rows),
+    return GenerationDescriptor(
+        m=total, n=n, coherence=_check_coherence(c), seed=_check_integer("seed", seed, 0),
+        block_count=len(rows), block_rows=rows,
     )
-    return _partitioned(A, b, rows, None, descriptor)
+
+
+def _draw(descriptor):
+    """The instance a checked descriptor describes, drawn from its seed."""
+    d = descriptor
+    stream = _NormalStream(d.seed)
+    A = _coherent_matrix(stream, d.m, d.n, d.coherence)
+    if d.block_rows is not None:
+        return _partitioned(A, A @ stream.draw(d.n), d.block_rows, None, d)
+    x_star = A.T @ stream.draw(d.m)
+    return _partitioned(A, A @ x_star, _partition_sizes(d.m, d.block_count), x_star, d)
 
 
 def _partitioned(A, b, sizes, known_solution, descriptor):
@@ -309,25 +314,23 @@ def instance_from_descriptor(descriptor):
     """Regenerate the instance a descriptor came from (bit-exact).
 
     ValueError, naming the field, when the descriptor's `m` or
-    `block_count` disagrees with the instance it regenerates.
+    `block_count` disagrees with the instance it regenerates.  That is
+    checked from the descriptor's other fields, before anything is drawn.
     """
-    if descriptor.generator_id != GENERATOR_ID:
+    d = descriptor
+    if d.generator_id != GENERATOR_ID:
         raise ValueError(
-            f"unknown generator id {descriptor.generator_id!r}; "
+            f"unknown generator id {d.generator_id!r}; "
             f"this build regenerates only {GENERATOR_ID!r}"
         )
-    if descriptor.block_rows is not None:
-        instance = build_underdetermined_instance(
-            descriptor.n, descriptor.block_rows, descriptor.coherence, descriptor.seed
-        )
+    if d.block_rows is not None:
+        implied = _underdetermined_descriptor(d.n, d.block_rows, d.coherence, d.seed)
     else:
-        instance = build_instance(
-            descriptor.m, descriptor.n, descriptor.coherence, descriptor.seed
-        )
+        implied = _protocol_descriptor(d.m, d.n, d.coherence, d.seed)
     for name in ("m", "block_count"):
-        given, built = getattr(descriptor, name), getattr(instance.descriptor, name)
+        given, built = getattr(d, name), getattr(implied, name)
         if given != built:
             raise ValueError(
                 f"descriptor {name} is {given}, but the instance it regenerates has {built}"
             )
-    return instance
+    return _draw(implied)

@@ -9,12 +9,13 @@ Three operators act on the same block list:
 * P-CRM: circumcenter of x and the m independent reflections of x.
 
 Each operator is built on the stacked block kernel it is handed (the
-instance's in `solve`, one built on the block list in the step functions)
-and answers `residual(x)`, the feasibility residual max_i d(x, U_i), and
-`step(x)`, the next iterate.  F-SPM has one step formula, the affine map
-x -> a x + c + sum_g B_g^T (q_g * (B_g x)) on the kernel's stacks.  P-CRM
-reads its residual and its step off one difference matrix d_i = P_i(x) - x;
-F-SPM, Cimmino and CRM read the residual off the kernel's distances.
+instance's in `solve`, one built on the block list in `fspm_step` and
+`pcrm_step`) and answers `residual(x)`, the feasibility residual
+max_i d(x, U_i), and `step(x)`, the next iterate.  A CRM step reads only
+the blocks, so `crm_step` builds no kernel.  F-SPM has one step formula,
+the affine map x -> a x + c + sum_g B_g^T (q_g * (B_g x)) on the kernel's
+stacks.  P-CRM reads its residual and its step off one difference matrix
+d_i = P_i(x) - x; F-SPM, Cimmino and CRM read the kernel's residual.
 Everything runs in the calling thread: the `workers` setting is accepted
 and recorded but does not change the computation, so P-CRM results are
 bitwise identical for every worker count.
@@ -32,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .affine import _BlockKernel, _check_point
+from .affine import _BlockKernel, _block_list, _check_point
 from .circumcenters import _solve_differences, circumcenter
 from .errors import (
     DimensionMismatch,
@@ -155,9 +156,9 @@ class SolveResult:
 class _Operator:
     """One method's step and residual, on the stacked kernel it is handed.
 
-    `solve` hands every operator the instance's kernel; the step functions
-    hand it one built on their block list.  `residual(x)` is the paper's
-    feasibility residual max_i d(x, U_i), read off the kernel's distances,
+    `solve` hands every operator the instance's kernel; `fspm_step` and
+    `pcrm_step` hand it one built on their block list.  `residual(x)` is the
+    paper's feasibility residual max_i d(x, U_i), the kernel's `residual`,
     and `step(x)` is the next iterate.
     """
 
@@ -165,7 +166,7 @@ class _Operator:
         self.kernel = kernel
 
     def residual(self, x):
-        return float(self.kernel.distances(x).max())
+        return float(self.kernel.residual(x))
 
 
 class _Fspm(_Operator):
@@ -207,20 +208,6 @@ class _Fspm(_Operator):
             y += (q * (basis @ x)) @ basis
         return y
 
-    def step_batch(self, X):
-        """`step` of every row of a 2-D X, in one pass of each product.
-
-        The stacked matmuls apply the same matrix-vector products to each
-        row as `step` does, so the batch is bitwise equal to stepping row
-        by row.  (One matrix-matrix product per stack would be faster, but
-        it rounds differently from the row steps.)
-        """
-        Y = self.scale * X + self.shift
-        for basis, q in self.terms:
-            coeff = np.matmul(basis, X[:, :, None])[:, :, 0]
-            Y += np.matmul((q * coeff)[:, None, :], basis)[:, 0]
-        return Y
-
 
 class _Pcrm(_Operator):
     """Circumcenter of x and its m independent reflections 2 P_i(x) - x.
@@ -258,13 +245,14 @@ class _Crm(_Operator):
 
     Each reflection 2 P_i(y) - y feeds the next, so the step works block by
     block, through the block's projection without AffineSubspace's shape
-    check, since x was checked once.  The kernel serves the residual only.
+    check, since x was checked once.  The kernel serves the residual only,
+    so a step-only operator (`crm_step`) is handed None.
     """
 
     def __init__(self, kernel, subspaces):
         super().__init__(kernel)
         self.subspaces = subspaces
-        self.points = np.empty((len(subspaces) + 1, kernel.ambient_dim))
+        self.points = np.empty((len(subspaces) + 1, subspaces[0].ambient_dim))
 
     def step(self, x):
         pts = self.points
@@ -275,27 +263,28 @@ class _Crm(_Operator):
 
 
 def _step_input(x, subspaces, ndims=(1,)):
-    """x checked against the blocks, the block list and a kernel built on it."""
-    subspaces = list(subspaces)
-    kernel = _BlockKernel(subspaces)
-    return _check_point(x, kernel.ambient_dim, ndims), subspaces, kernel
+    """x checked against the blocks, and the checked block list."""
+    subspaces, n = _block_list(subspaces)
+    return _check_point(x, n, ndims), subspaces
 
 
 def fspm_step(x, subspaces, weights):
     """One weighted simultaneous-projection step p_0 x + sum_i p_i P_i(x).
 
-    A 2-D x is a batch of points, stepped together and bitwise equal to
-    stepping each row alone.
+    A 2-D x is a batch of points, each row stepped alone.
     """
-    x, subspaces, kernel = _step_input(x, subspaces, ndims=(1, 2))
-    operator = _Fspm(kernel, validate_weights(weights, len(subspaces)))
-    return operator.step(x) if x.ndim == 1 else operator.step_batch(x)
+    x, subspaces = _step_input(x, subspaces, ndims=(1, 2))
+    operator = _Fspm(_BlockKernel(subspaces), validate_weights(weights, len(subspaces)))
+    if x.ndim == 1:
+        return operator.step(x)
+    # The reshape keeps an empty batch at shape (0, n).
+    return np.array([operator.step(row) for row in x]).reshape(x.shape)
 
 
 def crm_step(x, subspaces):
     """Circumcenter of x and its sequentially composed reflections."""
-    x, subspaces, kernel = _step_input(x, subspaces)
-    return _Crm(kernel, subspaces).step(x)
+    x, subspaces = _step_input(x, subspaces)
+    return _Crm(None, subspaces).step(x)
 
 
 def pcrm_step(x, subspaces, workers=1):
@@ -304,8 +293,8 @@ def pcrm_step(x, subspaces, workers=1):
     `workers` is accepted for compatibility and does not change the
     computation, so the output is bitwise identical for every worker count.
     """
-    x, _, kernel = _step_input(x, subspaces)
-    return _Pcrm(kernel).step(x)
+    x, subspaces = _step_input(x, subspaces)
+    return _Pcrm(_BlockKernel(subspaces)).step(x)
 
 
 def solve(instance, config, x0=None):

@@ -365,6 +365,28 @@ class TestDescriptorChecks:
             with pytest.raises(ValueError, match=f"descriptor block_count is {value}"):
                 instance_from_descriptor(desc)
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"m": 10000, "n": 500, "coherence": 0.1, "seed": 1, "generator_id": GENERATOR_ID,
+          "block_count": 99}, "descriptor block_count is 99, but the instance it regenerates has 21"),
+        ({"m": 999, "n": 40, "coherence": 0.1, "seed": 2, "generator_id": GENERATOR_ID,
+          "block_count": 3, "block_rows": [3, 4, 5]},
+         "descriptor m is 999, but the instance it regenerates has 12"),
+    ])
+    def test_counts_are_checked_before_any_draw(self, monkeypatch, payload, message):
+        calls = []
+
+        def spy(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran before the counts were checked")
+            return record
+
+        monkeypatch.setattr(problems._NormalStream, "draw", spy("draw"))
+        monkeypatch.setattr(problems.AffineSubspace, "__init__", spy("factorization"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            instance_from_descriptor(GenerationDescriptor.from_dict(payload))
+        assert calls == []
+
     @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
     def test_coherence_must_be_a_number(self, under, value):
         under["coherence"] = value

@@ -302,7 +302,7 @@ class TestAffineFspmStep:
             assert not np.shares_memory(y3, basis_t) and not np.shares_memory(y3, anchors)
 
     @pytest.mark.parametrize("blocks", ["mixed", "slow"])
-    def test_batch_steps_all_rows_at_once(self, rng, monkeypatch, blocks):
+    def test_batch_steps_all_rows_at_once(self, rng, blocks):
         if blocks == "mixed":
             subspaces = mixed_blocks()
         else:
@@ -311,17 +311,7 @@ class TestAffineFspmStep:
         X = 5.0 * rng.standard_normal((7, n))
         for weights in self.weight_sets(len(subspaces), rng):
             rows = np.stack([fspm_step(x, subspaces, weights) for x in X])
-            row_steps = []
-            real_step = solvers._Fspm.step
-
-            def spy(operator, x):
-                row_steps.append(x)
-                return real_step(operator, x)
-
-            monkeypatch.setattr(solvers._Fspm, "step", spy)
             batch = fspm_step(X, subspaces, weights)
-            monkeypatch.undo()
-            assert row_steps == []
             np.testing.assert_array_equal(batch, rows)
             reference = np.stack([fspm_step_reference(subspaces, weights, x) for x in X])
             np.testing.assert_allclose(batch, reference, rtol=0, atol=1e-12)
@@ -392,6 +382,17 @@ class TestCrmStep:
             s_star = kkt_project_blocks(subs, x)
             y = crm_step(x, subs)
             assert np.linalg.norm(y - s_star) <= np.linalg.norm(x - s_star) + 1e-12
+
+    def test_builds_no_kernel(self, rng, monkeypatch):
+        blocks = mixed_blocks()
+        x = rng.standard_normal(10)
+        expected = crm_step(x, blocks)
+
+        def refuse(kernel, subspaces):
+            raise AssertionError("crm_step built a _BlockKernel")
+
+        monkeypatch.setattr(affine._BlockKernel, "__init__", refuse)
+        np.testing.assert_array_equal(crm_step(x, blocks), expected)
 
 
 class TestPcrmStep:
@@ -859,3 +860,31 @@ class TestOneKernelPerInstance:
                 weights = cimmino_weights(m) if method == "cimmino" else uniform_weights(m)
                 x = fspm_step(x, blocks, weights)
         np.testing.assert_array_equal(res.point, x)
+
+
+class TestBlockListCheck:
+    """Every entry point that takes a block list checks it the same way."""
+
+    ENTRY_POINTS = {
+        "residual": lambda blocks, x: residual(blocks, x),
+        "fspm_step": lambda blocks, x: fspm_step(x, blocks, uniform_weights(len(blocks))),
+        "crm_step": lambda blocks, x: crm_step(x, blocks),
+        "pcrm_step": lambda blocks, x: pcrm_step(x, blocks),
+        "intersection_subspace": lambda blocks, x: intersection_subspace(blocks),
+        "project_intersection": lambda blocks, x: project_intersection(blocks, x),
+        "_BlockKernel": lambda blocks, x: affine._BlockKernel(blocks),
+        "ProblemInstance": lambda blocks, x: ProblemInstance(subspaces=tuple(blocks),
+                                                             ambient_dim=2),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_mixed_dimensions_raise_dimension_mismatch(self, entry):
+        blocks = [AffineSubspace([[1.0, 0.0]], [0.0]), AffineSubspace([[1.0, 0.0, 0.0]], [0.0])]
+        message = "^block 1 has ambient dimension 3, block 0 has 2$"
+        with pytest.raises(DimensionMismatch, match=message):
+            self.ENTRY_POINTS[entry](blocks, np.zeros(2))
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_empty_list_raises_value_error(self, entry):
+        with pytest.raises(ValueError, match="^need at least one subspace$"):
+            self.ENTRY_POINTS[entry]([], np.zeros(2))
