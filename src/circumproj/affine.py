@@ -176,13 +176,13 @@ def _uses_null(rank, n):
 
 
 class _BlockKernel:
-    """All m block projections and distances of a point, from bases stacked once.
+    """All m block differences P_i(x) - x and distances of a point, from bases stacked once.
 
     Blocks are grouped by the one basis they store (`_basis`, which spans
     null(A) when `_use_null`) and its width w.  A group's g bases are stored
-    transposed as one (g, w, n) array, so projecting x onto its blocks is
-    one matrix-vector product with the flattened (g w, n) stack, giving
-    every block's coefficients, plus one batched product mapping them back.
+    transposed as one (g, w, n) array, so one matrix-vector product with the
+    flattened (g w, n) stack gives every block's coefficients of x, and one
+    batched product maps them back to the blocks' differences.
     Nothing is padded: the stacks hold sum_i w_i n numbers, and there is one
     group per distinct (route, width).  The stacks are read-only, so one
     kernel can serve every solve and diagnostic of an instance.
@@ -196,8 +196,8 @@ class _BlockKernel:
         for i, U in enumerate(subspaces):
             by_basis.setdefault((U._use_null, U._basis.shape[1]), []).append(i)
         self.groups = []
-        # Per group: B_i z_i of each row-route block, whose distances are
-        # read off coefficients; None on the null route.
+        # Per group: B_i z_i of each row-route block, whose distances and
+        # differences are read off coefficients; None on the null route.
         self._anchor_coeffs = []
         for (use_null, w), members in by_basis.items():
             # Filled row by row to get C order: np.stack of the transposed
@@ -214,18 +214,32 @@ class _BlockKernel:
             self.groups.append((use_null, members, basis_t, anchors))
             self._anchor_coeffs.append(anchor_coeff)
 
-    def project_all(self, x, out):
-        """Write P_i(x) into out[i] for every block i."""
-        for use_null, members, basis_t, anchors in self.groups:
+    def differences(self, x, out, sq):
+        """Write d_i = P_i(x) - x into out[i] and ||d_i||^2 into sq[i] for every block i.
+
+        One product B_g x per group.  On the row route d_i = R_i (a_i - R_i^T x)
+        for the coefficients a_i = R_i^T z_i that `distances` reads, as z_i lies
+        in range(R_i), and sq_i is the squared norm of those w numbers: P_i(x)
+        is never formed.  On the null route d_i = (z_i + N_i (N_i^T x)) - x,
+        formed in place in one temporary.
+        """
+        for (use_null, members, basis_t, anchors), anchor_coeff in zip(
+                self.groups, self._anchor_coeffs):
             g, w, n = basis_t.shape
             coeff = basis_t.reshape(g * w, n) @ x
+            if not use_null:
+                np.subtract(anchor_coeff.reshape(g * w), coeff, out=coeff)
             if w == 1:
                 # Same products as the matmul below, without its per-block overhead.
-                span = coeff[:, None] * basis_t[:, 0]
+                d = coeff[:, None] * basis_t[:, 0]
             else:
-                span = np.matmul(coeff.reshape(g, 1, w), basis_t)[:, 0]
-            out[members] = anchors + span if use_null else x - span + anchors
-        return out
+                d = np.matmul(coeff.reshape(g, 1, w), basis_t)[:, 0]
+            if use_null:
+                d += anchors
+                d -= x
+            v = d if use_null else coeff.reshape(g, w)
+            sq[members] = np.einsum("ij,ij->i", v, v)
+            out[members] = d
 
     def distances(self, x):
         """d(x, U_i) for every block i: shape (m,) for a point, (k, m) for k rows.

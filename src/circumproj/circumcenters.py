@@ -39,6 +39,7 @@ Every route accepts y only when its misfit ||D y - r|| (which equals
 ||G alpha - r||) is at most SOLVE_RTOL * (1 + ||r||).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,11 +133,12 @@ def _solve_differences(diffs, rhs):
         alpha = _certified_cholesky_solve(gram, rhs) if m <= n else None
         if alpha is None:
             alpha, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
-        misfit = np.linalg.norm(gram @ alpha - rhs)
+        misfit = gram @ alpha - rhs
         step = alpha @ diffs
     else:
-        misfit = np.linalg.norm(diffs @ step - rhs)
-    if misfit > SOLVE_RTOL * (1.0 + np.linalg.norm(rhs)):
+        misfit = diffs @ step - rhs
+    misfit = math.sqrt(misfit @ misfit)
+    if misfit > SOLVE_RTOL * (1.0 + math.sqrt(rhs @ rhs)):
         raise DegenerateSystem(
             f"no equidistant point in the affine hull (normal-system residual {misfit:.3e})"
         )

@@ -105,13 +105,17 @@ class SolverConfig:
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
         for name in ("max_iterations", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _check_count(name, getattr(self, name))
         if self.weights is not None and self.method in (Method.CRM, Method.PCRM):
             raise ValueError(f"weights apply to fspm and cimmino only, not {self.method.value}")
+
+
+def _check_count(name, value):
+    """Raise ValueError unless `value` is an integer (not a bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -212,32 +216,32 @@ class _Fspm(_Operator):
 class _Pcrm(_Operator):
     """Circumcenter of x and its m independent reflections 2 P_i(x) - x.
 
-    `residual(x)` projects x onto every block straight into the one
-    difference buffer, subtracts x in place to get d_i = P_i(x) - x, and
-    keeps their squared norms sq_i; the residual is sqrt(max_i sq_i).  The
+    `residual(x)` has the kernel write d_i = P_i(x) - x and sq_i = ||d_i||^2
+    into the operator's buffers and returns sqrt(max_i sq_i).  The
     reflections are x + 2 d_i, so the circumcenter is x + y for the
-    minimum-norm y with (2 d) y = 2 sq.  `step(x)` solves that from the
-    differences of this x, forming them first when the last residual was
-    of another point.  No point set is assembled.
+    minimum-norm y with (2 d) y = 2 sq.  `step(x)` doubles the d and sq of
+    this x in place, forming them first if the last residual was of another
+    point, and solves for y; the doubled buffers then belong to no point.
     """
 
     def __init__(self, kernel):
         super().__init__(kernel)
         self._diffs = np.empty((kernel.block_count, kernel.ambient_dim))
-        self._sq = None
+        self._sq = np.empty(kernel.block_count)
         self._diffs_of = None  # the x that _diffs and _sq belong to
 
     def residual(self, x):
-        diffs = self.kernel.project_all(x, self._diffs)
-        diffs -= x
-        self._sq = np.einsum("ij,ij->i", diffs, diffs)
+        self.kernel.differences(x, self._diffs, self._sq)
         self._diffs_of = x
-        return float(np.sqrt(self._sq.max()))
+        return math.sqrt(self._sq.max())
 
     def step(self, x):
         if self._diffs_of is not x:
             self.residual(x)
-        return x + _solve_differences(2.0 * self._diffs, 2.0 * self._sq)
+        self._diffs_of = None
+        self._diffs *= 2.0
+        self._sq *= 2.0
+        return x + _solve_differences(self._diffs, self._sq)
 
 
 class _Crm(_Operator):
@@ -290,9 +294,10 @@ def crm_step(x, subspaces):
 def pcrm_step(x, subspaces, workers=1):
     """Circumcenter of x and its m independent reflections.
 
-    `workers` is accepted for compatibility and does not change the
+    `workers` is validated like SolverConfig's and does not change the
     computation, so the output is bitwise identical for every worker count.
     """
+    _check_count("workers", workers)
     x, subspaces = _step_input(x, subspaces)
     return _Pcrm(_BlockKernel(subspaces)).step(x)
 
@@ -353,7 +358,11 @@ def solve(instance, config, x0=None):
     prev = None
     start = time.perf_counter()
     while True:
-        dist = float(np.linalg.norm(x - reference)) if reference is not None else float("nan")
+        if reference is not None:
+            e = x - reference
+            dist = math.sqrt(e @ e)
+        else:
+            dist = float("nan")
         # A finite distance to the reference already shows that x is finite.
         if not math.isfinite(dist) and not np.all(np.isfinite(x)):
             trace.append(k, float("nan"), float("nan"), nproj, time.perf_counter() - start)
@@ -368,7 +377,7 @@ def solve(instance, config, x0=None):
         if rule is StopRule.REL_ERR_TO_KNOWN:
             stop = dist <= tol * ref_norm if ref_norm > 0 else dist <= tol
         elif rule is StopRule.FEASIBILITY_RESIDUAL:
-            stop = resid <= tol * (1.0 + float(np.linalg.norm(x)))
+            stop = resid <= tol * (1.0 + math.sqrt(x @ x))
         else:
             stop = prev is not None and float(np.linalg.norm(x - prev)) <= tol
         if stop:

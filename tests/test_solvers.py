@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -123,6 +125,13 @@ def mixed_blocks(seed=5, n=10):
     return [AffineSubspace(A, A @ planted, label=i) for i, A in enumerate(mats)]
 
 
+def differences(kernel, x):
+    """The kernel's differences P_i(x) - x of every block, in a fresh array."""
+    out = np.empty((kernel.block_count, kernel.ambient_dim))
+    kernel.differences(x, out, np.empty(kernel.block_count))
+    return out
+
+
 class TestBlockKernel:
     def test_mixed_blocks_take_every_route(self):
         blocks = mixed_blocks()
@@ -130,23 +139,34 @@ class TestBlockKernel:
         assert [U._use_null for U in blocks] == [False, False, True, True, False, True, False]
         assert blocks[5].direction_basis().shape == (10, 0)
 
-    def test_project_all_matches_per_block_projection(self, rng):
+    def test_differences_match_per_block_projection(self, rng):
         blocks = mixed_blocks()
         kernel = solvers._BlockKernel(blocks)
-        out = np.empty((len(blocks), 10))
+        out, sq = np.empty((len(blocks), 10)), np.empty(len(blocks))
         for _ in range(5):
             x = 10.0 * rng.standard_normal(10)
-            kernel.project_all(x, out)
+            kernel.differences(x, out, sq)
             for i, U in enumerate(blocks):
-                np.testing.assert_allclose(out[i], U.project(x), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(out[i], U.project(x) - x, rtol=0, atol=1e-12)
+
+    def test_differences_squared_norms_match_the_differences(self, rng):
+        blocks = mixed_blocks()
+        kernel = solvers._BlockKernel(blocks)
+        out, sq = np.empty((len(blocks), 10)), np.empty(len(blocks))
+        for scale in (1e-3, 1.0, 1e3):
+            x = scale * rng.standard_normal(10)
+            kernel.differences(x, out, sq)
+            np.testing.assert_allclose(sq, np.einsum("ij,ij->i", out, out), rtol=1e-12, atol=0)
+            # Rank 0 leaves x where it is; the full-rank tall block moves it.
+            assert sq[4] == 0.0 and sq[5] > 0.0
 
     @pytest.mark.parametrize("use_null", [False, True])
     def test_single_route_instances(self, rng, use_null):
         blocks = [U for U in mixed_blocks() if U._use_null is use_null]
         kernel = solvers._BlockKernel(blocks)
         x = rng.standard_normal(10)
-        out = kernel.project_all(x, np.empty((len(blocks), 10)))
-        np.testing.assert_allclose(out, np.stack([U.project(x) for U in blocks]),
+        out = differences(kernel, x)
+        np.testing.assert_allclose(out, np.stack([U.project(x) - x for U in blocks]),
                                    rtol=0, atol=1e-12)
 
     def test_groups_share_route_and_width_without_padding(self, rng):
@@ -160,8 +180,8 @@ class TestBlockKernel:
             assert widths == {basis_t.shape[1]}
             assert {blocks[i]._use_null for i in members} == {use_null}
         x = rng.standard_normal(10)
-        out = kernel.project_all(x, np.empty((len(blocks), 10)))
-        np.testing.assert_allclose(out, np.stack([U.project(x) for U in blocks]),
+        out = differences(kernel, x)
+        np.testing.assert_allclose(out, np.stack([U.project(x) - x for U in blocks]),
                                    rtol=0, atol=1e-12)
 
     def test_group_stacks_start_on_64_byte_boundaries(self):
@@ -180,8 +200,8 @@ class TestBlockKernel:
         kernel = solvers._BlockKernel(blocks)
         assert sum(g[2].size for g in kernel.groups) == (20 + 30) * n
         x = np.linspace(-1.0, 1.0, n)
-        out = kernel.project_all(x, np.empty((len(blocks), n)))
-        np.testing.assert_allclose(out, np.stack([U.project(x) for U in blocks]),
+        out = differences(kernel, x)
+        np.testing.assert_allclose(out, np.stack([U.project(x) - x for U in blocks]),
                                    rtol=0, atol=1e-12)
 
     def test_width_one_groups_match_the_batched_matmul_bitwise(self, rng):
@@ -189,13 +209,14 @@ class TestBlockKernel:
         kernel = solvers._BlockKernel(inst.subspaces)
         assert 1 in {basis_t.shape[1] for _, _, basis_t, _ in kernel.groups}
         x = rng.standard_normal(10)
-        out = kernel.project_all(x, np.empty((len(inst.subspaces), 10)))
+        assert all(use_null for use_null, _, _, _ in kernel.groups)
+        out = differences(kernel, x)
         expected = np.empty_like(out)
-        for use_null, members, basis_t, anchors in kernel.groups:
+        for _, members, basis_t, anchors in kernel.groups:
             g, w, n = basis_t.shape
             coeff = basis_t.reshape(g * w, n) @ x
             span = np.matmul(coeff.reshape(g, 1, w), basis_t)[:, 0]
-            expected[members] = anchors + span if use_null else x - span + anchors
+            expected[members] = (anchors + span) - x
         np.testing.assert_array_equal(out, expected)
 
     def test_steps_match_per_block_definitions(self, rng):
@@ -329,23 +350,23 @@ class TestAffineFspmStep:
         return calls
 
     @pytest.fixture
-    def project_all_calls(self, monkeypatch):
-        return self.spy_on(monkeypatch, "project_all")
+    def differences_calls(self, monkeypatch):
+        return self.spy_on(monkeypatch, "differences")
 
-    def test_unrecorded_solve_projects_nothing(self, project_all_calls):
+    def test_unrecorded_solve_projects_nothing(self, differences_calls):
         inst = build_instance(40, 8, 0.1, 4)
         for method in (Method.CIMMINO, Method.FSPM):
             res = solve(inst, SolverConfig(method=method, record_residuals=False))
             assert res.trace.status is Status.CONVERGED
             assert res.trace.iteration_count > 1
-        assert project_all_calls == []
+        assert differences_calls == []
 
-    def test_recorded_solve_measures_each_iterate_once(self, monkeypatch, project_all_calls):
+    def test_recorded_solve_measures_each_iterate_once(self, monkeypatch, differences_calls):
         inst = build_instance(40, 8, 0.1, 4)
         distances_calls = self.spy_on(monkeypatch, "distances")
         res = solve(inst, SolverConfig(method=Method.CIMMINO, record_residuals=True))
         assert len(distances_calls) == len(res.trace.iterations) > 1
-        assert project_all_calls == []
+        assert differences_calls == []
 
     def test_recording_residuals_changes_no_iterate(self):
         inst = build_underdetermined_instance(40, [2] * 12, 0.0, 3)
@@ -421,6 +442,11 @@ class TestPcrmStep:
             d_pcrm = np.linalg.norm(pcrm_step(x, inst.subspaces) - s_star)
             d_fspm = np.linalg.norm(fspm_step(x, inst.subspaces, w) - s_star)
             assert d_pcrm <= d_fspm + 1e-9
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "two", None])
+    def test_pcrm_step_rejects_invalid_workers(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            pcrm_step(np.array([1.0, 1.0]), axes_blocks(), workers=workers)
 
     def test_bitwise_identical_across_workers(self, rng):
         inst = random_block_instance(rng, n_range=(8, 16), block_range=(4, 8))
@@ -654,6 +680,24 @@ class TestPcrmDifferences:
         expected_residual = max(np.linalg.norm(U.project(x2) - x2) for U in subspaces)
         assert operator.residual(x2) == pytest.approx(expected_residual, rel=1e-12)
         np.testing.assert_array_equal(operator.step(x2), expected)
+
+    def test_width_zero_and_one_pcrm_point_is_pinned(self):
+        # The point passes through threaded BLAS and LAPACK calls, so it is
+        # pinned for this build of OpenBLAS at one thread, in a child process.
+        code = (
+            "import hashlib; from circumproj import build_instance, solve, SolverConfig\n"
+            "inst = build_instance(12500, 100, 0.1, 1)\n"
+            "res = solve(inst, SolverConfig(method='pcrm'))\n"
+            "print(sorted(g[2].shape[1] for g in inst._kernel.groups),"
+            " res.trace.iteration_count, hashlib.sha256(res.point.tobytes()).hexdigest())"
+        )
+        src = os.path.dirname(os.path.dirname(solvers.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == ("[0, 1] 1 "
+                       "bb68043e9d8f083d82b018fb8e561340afead1c440cb26308bd26f2512d517c8\n")
 
     @pytest.mark.parametrize("with_reference", [True, False])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
