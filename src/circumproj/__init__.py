@@ -11,14 +11,13 @@ from .analysis import (
     AngleReport,
     angle_report,
     angle_report_and_bound,
-    direction_basis,
     error_bound_constant,
     estimate_regularity,
     friedrichs_cosine,
     principal_cosines,
     verify_error_bound,
 )
-from .circumcenters import CircumcenterSystem, circumcenter, gram_system
+from .circumcenters import circumcenter
 from .errors import (
     CircumprojError,
     DegenerateSystem,

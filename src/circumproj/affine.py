@@ -13,11 +13,14 @@ from .errors import DimensionMismatch, EmptyIntersection, InconsistentSystem
 # Residual cutoff deciding whether a right-hand side is attainable.
 CONSISTENCY_RTOL = 1e-8
 
-# A block keeps its QR factors only when their triangle T has
-# ||T||_F * ||T^-1||_F, an upper bound on sigma_max / sigma_min, below this.
-# The SVD rank cutoff, max(rows, n) * eps * sigma_max, is about
-# 1e-13 * sigma_max at n = 500, so a certified block is full rank by a margin
-# that rounding cannot erase.
+# The one guarantee of all four certified routes: a wide block's QR, a tall
+# block's or prefix's R-only QR, the tall and the wide (Cholesky) circumcenter
+# solves.  Each keeps its triangle T only when ||T||_F * ||T^-1||_F, an upper
+# bound on sigma_max / sigma_min (squared for the Cholesky factor of a Gram
+# matrix, which bounds kappa_2(G)), is below this; every other input takes
+# the SVD or least squares.  The SVD rank cutoff, max(rows, n) * eps *
+# sigma_max, is about 1e-13 * sigma_max at n = 500, so a certified block is
+# full rank by a margin that rounding cannot erase.
 QR_CONDITION_LIMIT = 1e8
 
 # Diagonal blocks up to this order are inverted or solved directly by LAPACK.
@@ -62,7 +65,8 @@ class AffineSubspace:
     DimensionMismatch
         Shapes of A and b disagree or A is empty.
     InconsistentSystem
-        b is not in range(A) at tolerance CONSISTENCY_RTOL * (1 + ||b||).
+        b is not in range(A) at tolerance CONSISTENCY_RTOL * (1 + ||b||),
+        or A or b is not finite.
     """
 
     def __init__(self, constraint_matrix, rhs, label=0):
@@ -73,6 +77,8 @@ class AffineSubspace:
         rows = A.shape[0]
         if b.shape != (rows,):
             raise DimensionMismatch(f"rhs has length {b.size}, expected {rows}")
+        if not np.isfinite(b).all():
+            raise InconsistentSystem("rhs is not finite")
 
         limit = CONSISTENCY_RTOL * (1.0 + np.linalg.norm(b))
         found = _factor_prefix([A], [b], limit)
@@ -380,13 +386,18 @@ def _complement(B):
 def _factor_whole(A, b, limit):
     """Factors of a whole block: its QR, or the SVD when that is not certified.
 
-    Raises InconsistentSystem when the anchor's misfit exceeds `limit`.
+    Raises InconsistentSystem when the anchor's misfit exceeds `limit` or
+    is not finite, and when an uncertified A is not finite.
     """
     factors = _factor_qr(A, b) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
     if factors is None:
+        # A non-finite A never passes a certificate, so only here is it checked.
+        if not np.isfinite(A).all():
+            raise InconsistentSystem("constraint matrix is not finite")
         factors = _factor_svd(A, b)
     misfit = np.linalg.norm(A @ factors[1] - b)
-    if misfit > limit:
+    # False for a nan misfit too, as from a non-finite A.
+    if not misfit <= limit:
         raise InconsistentSystem(
             f"rhs outside range of constraint matrix (residual {misfit:.3e})"
         )
@@ -434,6 +445,20 @@ def _certified_inverse(T):
     except np.linalg.LinAlgError:
         return None
     return T_inv if bound <= QR_CONDITION_LIMIT else None
+
+
+def _certified_cholesky_solve(gram, rhs):
+    """G^-1 r from G = L L^T, or None unless (||L||_F ||L^-1||_F)^2 <=
+    QR_CONDITION_LIMIT, an upper bound on kappa_2(G)."""
+    try:
+        L = np.linalg.cholesky(gram)
+        L_inv = np.linalg.inv(L)
+    except np.linalg.LinAlgError:  # G is not numerically positive definite
+        return None
+    # A nearly singular L may overflow L^-1 to inf, which fails the test.
+    if not np.vdot(L, L) * np.vdot(L_inv, L_inv) <= QR_CONDITION_LIMIT:
+        return None
+    return rhs @ L_inv.T @ L_inv
 
 
 def _triangular_inverse(T):
@@ -527,7 +552,7 @@ def _factor_prefix(matrices, rhs, limit):
     for A, b in zip(matrices, rhs):
         r = A @ factors[1] - b
         misfit_sq += r @ r
-    if np.sqrt(misfit_sq) > limit:
+    if not np.sqrt(misfit_sq) <= limit:
         return None
     return A_prefix, b_prefix, factors
 

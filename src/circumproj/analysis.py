@@ -8,7 +8,6 @@ the constant sqrt(1 + 4 / (1 - c_F^2)) turns per-block distances into a bound
 on the distance to the intersection.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +17,6 @@ from .problems import _check_integer
 
 # Principal cosines >= 1 - INTERSECTION_CUTOFF mark shared directions.
 INTERSECTION_CUTOFF = 1e-10
-
-
-def direction_basis(subspace):
-    """Orthonormal basis of the subspace's direction space, shape (n, dim)."""
-    return subspace.direction_basis()
 
 
 def principal_cosines(u_subspace, v_subspace):
@@ -64,9 +58,6 @@ class AngleReport:
             "intersection_dim": self.intersection_dim,
             "principal_cosines": list(self.principal_cosines),
         }
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def angle_report(u_subspace, v_subspace):

@@ -13,21 +13,24 @@ whose matrix G = D D^T is the Gram matrix of the differences.
 `_solve_differences(D, r)` solves for y from the differences alone, so a
 caller that already holds them (the P-CRM step, whose differences are
 twice d_i = P_i(x) - x) never assembles the points.  It takes one of three
-routes:
+routes; the two certified solves, and their certificates, live in `affine`
+beside those of the block factorizations:
 
-* A tall D (m > n: more points than dimensions plus one) is solved by one
-  R-only Householder QR of [D | r] = Q [[R, c], [0, d]]: y = R^-1 c, with
-  neither Q nor G formed, when R passes the certificate of tall blocks,
-  ||R||_F * ||R^-1||_F <= affine.QR_CONDITION_LIMIT.  A certified D has
+* A tall D (m > n: more points than dimensions plus one) is solved by
+  affine._certified_tall_solve, one R-only Householder QR of
+  [D | r] = Q [[R, c], [0, d]]: y = R^-1 c, with neither Q nor G formed,
+  when R passes the certificate of tall blocks,
+  ||R||_F * ||R^-1||_F <= affine's condition limit.  A certified D has
   full column rank, so y is the only solution there is.
-* A wide D (m <= n) is solved through the Cholesky factor G = L L^T:
-  alpha = L^-T L^-1 r, kept only when (||L||_F * ||L^-1||_F)^2 <=
-  QR_CONDITION_LIMIT.  That product bounds kappa_2(G) = kappa_2(L)^2, so a
-  certified G is positive definite by a wide margin, and alpha is the only
-  solution of the normal system.  The bound is deliberately not scaled
-  to G's diagonal: a difference of rounding-noise length (x on a block up
-  to rounding) must read as dependence and fall back, since its direction
-  is noise that an exact solve would follow.
+* A wide D (m <= n) is solved by affine._certified_cholesky_solve, through
+  the Cholesky factor G = L L^T: alpha = L^-T L^-1 r, kept only when
+  (||L||_F * ||L^-1||_F)^2 <= that same limit.  That product
+  bounds kappa_2(G) = kappa_2(L)^2, so a certified G is positive definite
+  by a wide margin, and alpha is the only solution of the normal system.
+  The bound is deliberately not scaled to G's diagonal: a difference of
+  rounding-noise length (x on a block up to rounding) must read as
+  dependence and fall back, since its direction is noise that an exact
+  solve would follow.
 * Every set that misses its certificate (zero or repeated differences,
   affinely dependent or nearly dependent points, a hull of lower
   dimension) takes the minimum-norm least-squares solution of the Gram
@@ -40,31 +43,14 @@ Every route accepts y only when its misfit ||D y - r|| (which equals
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import QR_CONDITION_LIMIT, _certified_tall_solve
+from .affine import _certified_cholesky_solve, _certified_tall_solve
 from .errors import DegenerateSystem, DimensionMismatch
 
 # Accepted least-squares misfit of the normal system, relative to 1 + ||rhs||.
 SOLVE_RTOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class CircumcenterSystem:
-    """Normal system assembled from a point set.
-
-    gram:        (m, m) Gram matrix of x_j - x_0 (symmetric PSD)
-    rhs:         (m,) vector of half squared difference norms
-    base_point:  x_0
-    differences: (m, n) rows x_j - x_0
-    """
-
-    gram: np.ndarray
-    rhs: np.ndarray
-    base_point: np.ndarray
-    differences: np.ndarray
 
 
 def _as_points(points):
@@ -75,23 +61,6 @@ def _as_points(points):
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise DimensionMismatch(f"expected a nonempty sequence of points, got shape {pts.shape}")
     return pts
-
-
-def _differences(points):
-    """x_0, the difference rows D and r = 1/2 ||d_j||^2 of a point set."""
-    pts = _as_points(points)
-    base = pts[0]
-    diffs = pts[1:] - base
-    return base, diffs, 0.5 * np.einsum("ij,ij->i", diffs, diffs)
-
-
-def gram_system(points):
-    """Assemble the circumcenter normal system for a sequence of points.
-
-    A single point yields the empty (0 x 0) system.
-    """
-    base, diffs, rhs = _differences(points)
-    return CircumcenterSystem(gram=diffs @ diffs.T, rhs=rhs, base_point=base, differences=diffs)
 
 
 def circumcenter(points):
@@ -110,10 +79,12 @@ def circumcenter(points):
     (e.g. three distinct collinear points), and when a point is not finite
     or a squared difference overflows.
     """
-    base, diffs, rhs = _differences(points)
+    pts = _as_points(points)
+    base = pts[0]
+    diffs = pts[1:] - base
     if diffs.shape[0] == 0:
         return base.copy()
-    return base + _solve_differences(diffs, rhs)
+    return base + _solve_differences(diffs, 0.5 * np.einsum("ij,ij->i", diffs, diffs))
 
 
 def _solve_differences(diffs, rhs):
@@ -143,17 +114,3 @@ def _solve_differences(diffs, rhs):
             f"no equidistant point in the affine hull (normal-system residual {misfit:.3e})"
         )
     return step
-
-
-def _certified_cholesky_solve(gram, rhs):
-    """G^-1 r from G = L L^T, or None unless (||L||_F ||L^-1||_F)^2 <=
-    QR_CONDITION_LIMIT, an upper bound on kappa_2(G)."""
-    try:
-        L = np.linalg.cholesky(gram)
-        L_inv = np.linalg.inv(L)
-    except np.linalg.LinAlgError:  # G is not numerically positive definite
-        return None
-    # A nearly singular L may overflow L^-1 to inf, which fails the test.
-    if not np.vdot(L, L) * np.vdot(L_inv, L_inv) <= QR_CONDITION_LIMIT:
-        return None
-    return rhs @ L_inv.T @ L_inv

@@ -10,7 +10,8 @@ class DimensionMismatch(CircumprojError):
 
 
 class InconsistentSystem(CircumprojError):
-    """Right-hand side is not attainable: b lies outside range(A)."""
+    """Right-hand side is not attainable: b lies outside range(A), or A or
+    b is not finite."""
 
 
 class EmptyIntersection(CircumprojError):

@@ -26,7 +26,6 @@ weight p_i, i >= 1, is positive, so F-SPM counts m though its map forms none.
 """
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -42,6 +41,7 @@ from .errors import (
     MissingReference,
     NumericalBreakdown,
 )
+from .problems import _check_integer
 
 
 class Method(str, Enum):
@@ -64,12 +64,14 @@ class Status(str, Enum):
 
 
 def uniform_weights(block_count):
-    """All weights 1/(m+1), identity term included."""
+    """All weights 1/(m+1), identity term included; ValueError unless m >= 1."""
+    block_count = _check_integer("block_count", block_count, 1)
     return np.full(block_count + 1, 1.0 / (block_count + 1))
 
 
 def cimmino_weights(block_count):
     """Cimmino preset: no identity term, equal weights 1/m on the blocks."""
+    block_count = _check_integer("block_count", block_count, 1)
     w = np.full(block_count + 1, 1.0 / block_count)
     w[0] = 0.0
     return w
@@ -102,20 +104,12 @@ class SolverConfig:
     def __post_init__(self):
         self.method = Method(self.method)
         self.stop_rule = StopRule(self.stop_rule)
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         for name in ("max_iterations", "workers"):
-            _check_count(name, getattr(self, name))
+            _check_integer(name, getattr(self, name), 1)
         if self.weights is not None and self.method in (Method.CRM, Method.PCRM):
             raise ValueError(f"weights apply to fspm and cimmino only, not {self.method.value}")
-
-
-def _check_count(name, value):
-    """Raise ValueError unless `value` is an integer (not a bool) >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -123,24 +117,22 @@ class IterationTrace:
     """Per-iteration history of one solve.
 
     Entry k describes the iterate x_k: feasibility residual (nan when not
-    recorded), distance to the known solution (nan when unknown), cumulative
-    projection count spent to reach x_k, and elapsed wall-clock seconds.
+    recorded), distance to the known solution (nan when unknown) and
+    cumulative projection count spent to reach x_k.
     """
 
     iterations: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     distances: list = field(default_factory=list)
     projections: list = field(default_factory=list)
-    elapsed_s: list = field(default_factory=list)
     status: Status | None = None
     wall_time_s: float = float("nan")
 
-    def append(self, k, resid, dist, nproj, elapsed):
+    def append(self, k, resid, dist, nproj):
         self.iterations.append(k)
         self.residuals.append(resid)
         self.distances.append(dist)
         self.projections.append(nproj)
-        self.elapsed_s.append(elapsed)
 
     @property
     def iteration_count(self):
@@ -297,7 +289,7 @@ def pcrm_step(x, subspaces, workers=1):
     `workers` is validated like SolverConfig's and does not change the
     computation, so the output is bitwise identical for every worker count.
     """
-    _check_count("workers", workers)
+    _check_integer("workers", workers, 1)
     x, subspaces = _step_input(x, subspaces)
     return _Pcrm(_BlockKernel(subspaces)).step(x)
 
@@ -365,14 +357,14 @@ def solve(instance, config, x0=None):
             dist = float("nan")
         # A finite distance to the reference already shows that x is finite.
         if not math.isfinite(dist) and not np.all(np.isfinite(x)):
-            trace.append(k, float("nan"), float("nan"), nproj, time.perf_counter() - start)
+            trace.append(k, float("nan"), float("nan"), nproj)
             trace.status = Status.DIVERGED_NUMERICALLY
             trace.wall_time_s = time.perf_counter() - start
             raise NumericalBreakdown(
                 f"non-finite iterate at iteration {k}", trace=trace, point=x
             )
         resid = operator.residual(x) if need_resid else float("nan")
-        trace.append(k, resid, dist, nproj, time.perf_counter() - start)
+        trace.append(k, resid, dist, nproj)
 
         if rule is StopRule.REL_ERR_TO_KNOWN:
             stop = dist <= tol * ref_norm if ref_norm > 0 else dist <= tol

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from circumproj import AffineSubspace, ProblemInstance
+from circumproj import AffineSubspace, ProblemInstance, affine
 
 
 def random_block_instance(rng, n_range=(3, 12), block_range=(2, 4),
@@ -39,3 +39,45 @@ def hyperplane_instance(rng, n, blocks):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the blocks that went through the SVD factorization."""
+    calls = []
+    factor_svd = affine._factor_svd
+
+    def spy(A, b):
+        calls.append(A.shape)
+        return factor_svd(A, b)
+
+    monkeypatch.setattr(affine, "_factor_svd", spy)
+    return calls
+
+
+@pytest.fixture
+def tall_solves(monkeypatch):
+    """Row counts of the stacks that went through _certified_tall_solve."""
+    calls = []
+    solve = affine._certified_tall_solve
+
+    def spy(A, b):
+        calls.append(A.shape[0])
+        return solve(A, b)
+
+    monkeypatch.setattr(affine, "_certified_tall_solve", spy)
+    return calls
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """Shapes of the Gram systems solved by least squares."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        calls.append(a.shape)
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    return calls

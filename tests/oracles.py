@@ -102,3 +102,14 @@ def svd_factors(A, b):
     rank = int(np.count_nonzero(s > max(rows, n) * np.finfo(float).eps * s[0]))
     z0 = Vh[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
     return rank, z0, Vh[:rank].T, Vh[rank:].T
+
+
+def gram_circumcenter(points):
+    """The Gram route alone: minimum-norm least squares on the normal system
+    G alpha = r, with G = D D^T for the differences d_j = x_j - x_0 and
+    r_j = 1/2 ||d_j||^2, and the point x_0 + D^T alpha."""
+    pts = np.asarray(points, dtype=float)
+    diffs = pts[1:] - pts[0]
+    rhs = 0.5 * np.einsum("ij,ij->i", diffs, diffs)
+    alpha = np.linalg.lstsq(diffs @ diffs.T, rhs, rcond=None)[0]
+    return pts[0] + alpha @ diffs

@@ -22,20 +22,6 @@ from circumproj import affine
 from oracles import kkt_project, kkt_project_blocks, kkt_residuals, point_in_subspace, svd_factors
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Shapes of the blocks that went through the SVD factorization."""
-    calls = []
-    factor_svd = affine._factor_svd
-
-    def spy(A, b):
-        calls.append(A.shape)
-        return factor_svd(A, b)
-
-    monkeypatch.setattr(affine, "_factor_svd", spy)
-    return calls
-
-
 def block_with_singular_values(rng, singular_values, n):
     """rows x n matrix U diag(s) V^T with random orthonormal U and V."""
     rows = len(singular_values)
@@ -77,6 +63,21 @@ class TestConstruction:
         z = rng.standard_normal(9)
         U = AffineSubspace(A, A @ z)
         assert U.rank == np.linalg.matrix_rank(A)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 7), (9, 4), (30, 5)])
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected(self, rng, shape, where, bad):
+        # Wide, tall, and tall enough for the prefix route; the bad entry
+        # sits in the last row, outside any prefix.
+        A = rng.standard_normal(shape)
+        b = A @ rng.standard_normal(shape[1])
+        if where == "A":
+            A[-1, 0] = bad
+        else:
+            b[-1] = bad
+        with pytest.raises(InconsistentSystem, match="not finite"):
+            AffineSubspace(A, b)
 
 
 class TestProject:
@@ -393,20 +394,6 @@ class TestTallFactorization:
         assert svd_calls == []
         assert S.rank == 50
         assert np.linalg.norm(S.anchor - inst.known_solution) <= 1e-12
-
-
-@pytest.fixture
-def tall_solves(monkeypatch):
-    """Row counts of the stacks that went through _certified_tall_solve."""
-    calls = []
-    solve = affine._certified_tall_solve
-
-    def spy(A, b):
-        calls.append(A.shape[0])
-        return solve(A, b)
-
-    monkeypatch.setattr(affine, "_certified_tall_solve", spy)
-    return calls
 
 
 class TestTallPrefix:

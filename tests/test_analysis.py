@@ -8,7 +8,6 @@ from circumproj import (
     angle_report,
     build_instance,
     build_underdetermined_instance,
-    direction_basis,
     error_bound_constant,
     estimate_regularity,
     friedrichs_cosine,
@@ -31,18 +30,18 @@ def diagonal_line():
 
 class TestDirectionBasis:
     def test_coordinate_hyperplane(self):
-        B = direction_basis(AffineSubspace([[1.0, 0.0]], [0.0]))
+        B = AffineSubspace([[1.0, 0.0]], [0.0]).direction_basis()
         assert B.shape == (2, 1)
         np.testing.assert_allclose(np.abs(B[:, 0]), [0.0, 1.0], atol=1e-14)
 
     def test_point_has_empty_basis(self):
         U = AffineSubspace([[1.0, 0.0], [0.0, 1.0]], [2.0, 3.0])
-        assert direction_basis(U).shape == (2, 0)
+        assert U.direction_basis().shape == (2, 0)
 
     def test_random_block(self, rng):
         A = rng.standard_normal((3, 7))
         z = rng.standard_normal(7)
-        B = direction_basis(AffineSubspace(A, A @ z))
+        B = AffineSubspace(A, A @ z).direction_basis()
         assert B.shape == (7, 4)
         assert np.max(np.abs(A @ B)) < 1e-12
         np.testing.assert_allclose(B.T @ B, np.eye(4), atol=1e-12)

@@ -18,33 +18,12 @@ from circumproj import (
     build_instance,
     build_underdetermined_instance,
     circumcenter,
-    gram_system,
     pcrm_step,
     project_intersection,
     solve,
 )
 from circumproj import solvers
-
-
-@pytest.fixture
-def lstsq_calls(monkeypatch):
-    """Shapes of the Gram systems solved by least squares."""
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def spy(a, b, rcond=None):
-        calls.append(a.shape)
-        return lstsq(a, b, rcond=rcond)
-
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
-    return calls
-
-
-def gram_circumcenter(points):
-    """The Gram route alone: minimum-norm least squares on the normal system."""
-    system = gram_system(points)
-    alpha = np.linalg.lstsq(system.gram, system.rhs, rcond=None)[0]
-    return system.base_point + alpha @ system.differences
+from oracles import gram_circumcenter
 
 
 def sphere_points(rng, k, center, radius):
@@ -53,36 +32,11 @@ def sphere_points(rng, k, center, radius):
     return center + radius * u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-class TestGramSystem:
-    def test_right_triangle(self):
-        sys = gram_system([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_array_equal(sys.gram, [[4.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_array_equal(sys.rhs, [2.0, 2.0])
-
-    def test_single_point_empty(self):
-        sys = gram_system([[1.0, 2.0, 3.0]])
-        assert sys.gram.shape == (0, 0)
-        assert sys.rhs.shape == (0,)
-        np.testing.assert_array_equal(sys.base_point, [1.0, 2.0, 3.0])
-
-    def test_duplicated_point_rank_one(self):
-        sys = gram_system([[0.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
-        np.testing.assert_array_equal(sys.gram, [[4.0, 4.0], [4.0, 4.0]])
-        np.testing.assert_array_equal(sys.rhs, [2.0, 2.0])
-        assert np.linalg.matrix_rank(sys.gram) == 1
-
+class TestCircumcenter:
     def test_ragged_input_rejected(self):
         with pytest.raises(DimensionMismatch):
-            gram_system([[1.0, 2.0], [1.0, 2.0, 3.0]])
+            circumcenter([[1.0, 2.0], [1.0, 2.0, 3.0]])
 
-    def test_gram_symmetric_psd(self, rng):
-        pts = rng.standard_normal((6, 4))
-        sys = gram_system(pts)
-        np.testing.assert_allclose(sys.gram, sys.gram.T, atol=1e-12)
-        assert np.linalg.eigvalsh(sys.gram).min() > -1e-10
-
-
-class TestCircumcenter:
     def test_single_point(self):
         c = circumcenter([[5.0, -1.0]])
         np.testing.assert_array_equal(c, [5.0, -1.0])
@@ -236,7 +190,8 @@ class TestWideRoute:
         pts = flat_sphere_points(rng, 4, 8, center, 2.0)
         pts[3] = pts[2] + 1e-6 * (pts[4] - pts[2])
         pts[3] = center + 2.0 * (pts[3] - center) / np.linalg.norm(pts[3] - center)
-        assert np.linalg.cond(gram_system(pts).gram) > 1e8
+        diffs = pts[1:] - pts[0]
+        assert np.linalg.cond(diffs @ diffs.T) > 1e8
         c = circumcenter(pts)
         assert lstsq_calls == [(4, 4)]
         np.testing.assert_array_equal(c, gram_circumcenter(pts))
@@ -336,5 +291,3 @@ def test_module_and_function_keep_their_names():
     assert circumcenters.SOLVE_RTOL == 1e-8
     assert circumproj.circumcenter is circumcenters.circumcenter
     assert solvers.circumcenter is circumcenters.circumcenter
-    assert circumproj.gram_system is circumcenters.gram_system
-    assert circumproj.CircumcenterSystem is circumcenters.CircumcenterSystem

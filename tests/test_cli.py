@@ -123,6 +123,8 @@ class TestSolve:
         ("--workers", "0"),
         ("--tolerance", "0"),
         ("--tolerance", "-1"),
+        ("--tolerance", "inf"),
+        ("--tolerance", "nan"),
         ("--max-iterations", "0"),
     ])
     def test_invalid_solver_setting_exits_2(self, descriptor_file, capsys, flag, value):

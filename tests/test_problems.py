@@ -9,9 +9,12 @@ import pytest
 
 from circumproj import (
     GENERATOR_ID,
+    AffineSubspace,
     GenerationDescriptor,
+    InconsistentSystem,
     InvalidCoherence,
     Method,
+    ProblemInstance,
     SolverConfig,
     block_count,
     build_instance,
@@ -339,6 +342,12 @@ class TestArgumentChecks:
         under = build_underdetermined_instance(np.int64(9), [np.int16(2), 3], 0.1, np.int64(33))
         assert matrix_digest(under) == matrix_digest(build_underdetermined_instance(9, [2, 3], 0.1, 33))
         assert under.descriptor.block_rows == (2, 3)
+
+    @pytest.mark.parametrize("known", [[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf]])
+    def test_non_finite_known_solution_rejected(self, known):
+        blocks = (AffineSubspace([[0.0, 1.0]], [0.0]),)
+        with pytest.raises(InconsistentSystem, match="known solution"):
+            ProblemInstance(subspaces=blocks, ambient_dim=2, known_solution=known)
 
 
 class TestDescriptorChecks:

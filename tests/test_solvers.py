@@ -64,6 +64,17 @@ class TestWeights:
         with pytest.raises(InvalidWeights):
             validate_weights(bad, 2)
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("preset", [uniform_weights, cimmino_weights])
+    def test_presets_need_a_block_count(self, preset, count):
+        with pytest.raises(ValueError, match="block_count"):
+            preset(count)
+
+    @pytest.mark.parametrize("tolerance", [np.inf, np.nan, -np.inf])
+    def test_config_rejects_non_finite_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(method="pcrm", tolerance=tolerance)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(method="pcrm", tolerance=0.0)
@@ -743,19 +754,19 @@ class TestEstimateRate:
     def test_geometric_sequence(self):
         trace = IterationTrace()
         for k in range(12):
-            trace.append(k, np.nan, 0.5 ** k, 0, 0.0)
+            trace.append(k, np.nan, 0.5 ** k, 0)
         assert abs(estimate_rate(trace) - 0.5) < 1e-6
 
     def test_constant_sequence_not_contracting(self):
         trace = IterationTrace()
         for k in range(8):
-            trace.append(k, np.nan, 3.0, 0, 0.0)
+            trace.append(k, np.nan, 3.0, 0)
         assert np.isclose(estimate_rate(trace), 1.0)
 
     def test_too_short(self):
         trace = IterationTrace()
-        trace.append(0, np.nan, 1.0, 0, 0.0)
-        trace.append(1, np.nan, 0.5, 0, 0.0)
+        trace.append(0, np.nan, 1.0, 0)
+        trace.append(1, np.nan, 0.5, 0)
         with pytest.raises(InsufficientData):
             estimate_rate(trace)
 
@@ -911,7 +922,9 @@ class TestBlockListCheck:
 
     ENTRY_POINTS = {
         "residual": lambda blocks, x: residual(blocks, x),
-        "fspm_step": lambda blocks, x: fspm_step(x, blocks, uniform_weights(len(blocks))),
+        # Weights written out: uniform_weights(0) raises before fspm_step sees the list.
+        "fspm_step": lambda blocks, x: fspm_step(x, blocks, np.full(len(blocks) + 1,
+                                                                    1.0 / (len(blocks) + 1))),
         "crm_step": lambda blocks, x: crm_step(x, blocks),
         "pcrm_step": lambda blocks, x: pcrm_step(x, blocks),
         "intersection_subspace": lambda blocks, x: intersection_subspace(blocks),

@@ -1,0 +1,65 @@
+"""The public surface of circumproj, pinned: adding or removing a name is an
+explicit edit of this file."""
+
+import types
+
+import numpy as np
+
+import circumproj
+from circumproj import affine, analysis, circumcenters, cli, problems, solvers
+
+PUBLIC_NAMES = {
+    # affine
+    "AffineSubspace", "intersection_subspace", "project_intersection", "residual",
+    # analysis
+    "AngleReport", "angle_report", "angle_report_and_bound", "error_bound_constant",
+    "estimate_regularity", "friedrichs_cosine", "principal_cosines", "verify_error_bound",
+    # circumcenters
+    "circumcenter",
+    # errors
+    "CircumprojError", "DegenerateSystem", "DimensionMismatch", "EmptyIntersection",
+    "InconsistentSystem", "InsufficientData", "InvalidCoherence", "InvalidWeights",
+    "MissingReference", "NumericalBreakdown",
+    # problems
+    "GENERATOR_ID", "GenerationDescriptor", "ProblemInstance", "block_count",
+    "build_instance", "build_underdetermined_instance", "gaussian_matrix",
+    "instance_from_descriptor",
+    # solvers
+    "IterationTrace", "Method", "SolveResult", "SolverConfig", "Status", "StopRule",
+    "cimmino_weights", "crm_step", "estimate_rate", "fspm_step", "pcrm_step", "solve",
+    "uniform_weights", "validate_weights",
+}
+
+
+def test_public_names_are_pinned():
+    # Submodules become attributes once imported, so they are not counted.
+    names = {name for name, value in vars(circumproj).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC_NAMES
+
+
+def test_retired_names_stay_retired():
+    for name in ("direction_basis", "gram_system", "CircumcenterSystem"):
+        assert not hasattr(circumproj, name)
+    assert not hasattr(analysis, "direction_basis")
+    assert not hasattr(circumcenters, "gram_system")
+    assert not hasattr(circumproj.AngleReport, "to_json")
+    assert "elapsed_s" not in vars(circumproj.IterationTrace())
+
+
+def test_benchmark_bindings_stay():
+    # The benchmark harness calls these bindings by module attribute.
+    assert affine.project_intersection is circumproj.project_intersection
+    assert solvers.circumcenter is circumcenters.circumcenter
+    assert analysis.estimate_regularity is circumproj.estimate_regularity
+    assert cli.estimate_regularity is analysis.estimate_regularity
+    assert cli.solve is solvers.solve
+    assert callable(cli.main)
+    for name in ("build_instance", "build_underdetermined_instance", "ProblemInstance"):
+        assert getattr(problems, name) is getattr(circumproj, name)
+    for name in ("solve", "SolverConfig", "Status"):
+        assert getattr(solvers, name) is getattr(circumproj, name)
+    U = affine.AffineSubspace([[1.0, 0.0, 0.0]], [2.0])
+    assert U.direction_basis().shape == (3, 2)
+    assert U.row_space_basis().shape == (3, 1)
+    np.testing.assert_array_equal(U.project(np.zeros(3)), [2.0, 0.0, 0.0])
