@@ -6,6 +6,10 @@ diagnostics rely on.  Subspaces are immutable after construction and safe to
 share across threads.
 """
 
+import ctypes
+import functools
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyIntersection, InconsistentSystem
@@ -28,6 +32,11 @@ _TRIANGULAR_LEAF = 32
 
 # Householder reflectors applied together, in one compact WY block, by _apply_q.
 _WY_PANEL = 128
+
+# Symbols bound by ctypes in the LAPACK that numpy's linalg links: only the
+# ILP64 (64-bit integer) names, with or without scipy-openblas's prefix.
+_DGEQRF_NAMES = ("scipy_dgeqrf_64_", "dgeqrf_64_")
+_BLAS_THREADS_NAMES = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
 
 
 class AffineSubspace:
@@ -67,9 +76,12 @@ class AffineSubspace:
     InconsistentSystem
         b is not in range(A) at tolerance CONSISTENCY_RTOL * (1 + ||b||),
         or A or b is not finite.
+
+    `raw_qr`, for a wide block only, is the (h, tau) of _geqrf(A^T) when it
+    has already been computed, as an instance's pooled build does.
     """
 
-    def __init__(self, constraint_matrix, rhs, label=0):
+    def __init__(self, constraint_matrix, rhs, label=0, *, raw_qr=None):
         A = np.atleast_2d(np.asarray(constraint_matrix, dtype=float))
         b = np.asarray(rhs, dtype=float).ravel()
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
@@ -80,9 +92,9 @@ class AffineSubspace:
         if not np.isfinite(b).all():
             raise InconsistentSystem("rhs is not finite")
 
-        limit = CONSISTENCY_RTOL * (1.0 + np.linalg.norm(b))
+        limit = CONSISTENCY_RTOL * (1.0 + _norm([b]))
         found = _factor_prefix([A], [b], limit)
-        factors = found[2] if found else _factor_whole(A, b, limit)
+        factors = found[2] if found else _factor_whole(A, b, limit, raw_qr)
         self._keep(A, b, factors, label)
 
     @classmethod
@@ -304,7 +316,112 @@ def _aligned_empty(shape):
     return buf[start:start + size].reshape(shape)
 
 
-def _factor_qr(A, b):
+def _norm(vectors):
+    """||v|| of the concatenation v of `vectors`.  Where the sum of squares
+    overflows, for entries near the largest float, it is taken again scaled
+    by max |v_i|, so that it stays finite.  np.vdot gives the bytes of
+    v @ v, but raises no overflow warning, and costs no np.errstate."""
+    total = math.sqrt(sum(np.vdot(v, v) for v in vectors))
+    if total < math.inf:
+        return total
+    scale = max(float(np.max(np.abs(v), initial=0.0)) for v in vectors)
+    if not 0.0 < scale < np.inf:
+        return scale
+    return scale * math.sqrt(sum(u @ u for u in (v / scale for v in vectors)))
+
+
+@functools.cache
+def _lapack_symbol(names):
+    """The first of the symbols `names` in the library numpy's linalg links, or None."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+
+
+@functools.cache
+def _dgeqrf():
+    """LAPACK's dgeqrf with 64-bit integer arguments, or None where not bound."""
+    func = _lapack_symbol(_DGEQRF_NAMES)
+    if func is not None:
+        i64 = ctypes.POINTER(ctypes.c_int64)
+        # M, N, A, LDA, TAU, WORK, LWORK, INFO
+        func.argtypes = [i64, i64, ctypes.c_void_p, i64, ctypes.c_void_p, ctypes.c_void_p,
+                         i64, i64]
+        func.restype = None
+    return func
+
+
+def _blas_threads():
+    """The thread count the BLAS that numpy links reports now, or None."""
+    func = _lapack_symbol(_BLAS_THREADS_NAMES)
+    if func is None:
+        return None
+    func.argtypes = []
+    func.restype = ctypes.c_int
+    return int(func())
+
+
+@functools.lru_cache(maxsize=64)
+def _geqrf_lwork(m, k):
+    """The workspace length numpy's raw QR gives dgeqrf on an m x k matrix:
+    LAPACK's optimum, at least max(1, k), so the blocking and the bytes match."""
+    query, info = np.zeros(1), ctypes.c_int64()
+    _dgeqrf()(ctypes.c_int64(m), ctypes.c_int64(k), query.ctypes.data,
+              ctypes.c_int64(max(1, m)), query.ctypes.data, query.ctypes.data,
+              ctypes.c_int64(-1), info)
+    return max(1, k, int(query[0]))
+
+
+class _RawQR:
+    """One Householder QR of an m x k matrix X, as np.linalg.qr(X, mode="raw").
+
+    `h` is a C-order (k, m) array holding X^T, which is X in LAPACK's column
+    order.  Every other buffer is allocated here, in the calling thread, and
+    run() only calls dgeqrf on them; it overwrites h with the raw factor and
+    fills tau.  ctypes releases the GIL for that call, so runs on separate
+    threads overlap.  Without a bound dgeqrf, run() takes numpy's raw QR,
+    which holds the GIL but gives the same bytes.
+    """
+
+    @classmethod
+    def of(cls, X):
+        """The QR of a copy of X, whatever X's layout."""
+        return cls(np.array(X.T, dtype=float, order="C"))
+
+    def __init__(self, h):
+        # dgeqrf writes through a raw pointer into h.
+        if h.dtype != np.float64 or h.ndim != 2 or not (h.flags.c_contiguous and h.flags.writeable):
+            raise ValueError("h must be a writeable C-order 2-D float64 array")
+        self.h = h
+        k, m = h.shape
+        self.tau = np.empty(min(m, k))
+        self._dgeqrf = _dgeqrf()
+        self._work = None if self._dgeqrf is None else np.empty(_geqrf_lwork(m, k))
+
+    def run(self):
+        """(h, tau), the raw factor of X."""
+        h, tau, work = self.h, self.tau, self._work
+        k, m = h.shape
+        if work is None:
+            h[...], tau[...] = np.linalg.qr(h.T, mode="raw")
+            return h, tau
+        info = ctypes.c_int64()
+        self._dgeqrf(ctypes.c_int64(m), ctypes.c_int64(k), h.ctypes.data,
+                     ctypes.c_int64(max(1, m)), tau.ctypes.data, work.ctypes.data,
+                     ctypes.c_int64(work.size), info)
+        if info.value != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf rejected argument {-info.value}")
+        return h, tau
+
+
+def _geqrf(X):
+    """(h, tau) of np.linalg.qr(X, mode="raw") for a 2-D X, bitwise, through _RawQR."""
+    return _RawQR.of(X).run()
+
+
+def _factor_qr(A, b, raw_qr=None):
     """Factors of a wide block from a QR of A^T, or None if not certified.
 
     One geqrf, A^T = Q [T; 0] with Q = H_0 ... H_{rows-1} kept as its
@@ -313,10 +430,10 @@ def _factor_qr(A, b):
     of _apply_q over [E | T^-T b; 0], where E is the identity columns that
     pick out the stored basis (the trailing n - rows for the null space,
     the leading rows for the row space), gives that basis and z0 together.
-    Q itself is never formed.
+    Q itself is never formed.  `raw_qr` is that geqrf when already computed.
     """
     rows, n = A.shape
-    h, tau = np.linalg.qr(A.T, mode="raw")
+    h, tau = _geqrf(A.T) if raw_qr is None else raw_qr
     # h is rows x n; row j holds column j of LAPACK's factor, so T = tril(h)^T.
     T_inv = _certified_inverse(np.tril(h[:, :rows]).T)
     if T_inv is None:
@@ -336,7 +453,7 @@ def _factor_qr(A, b):
 
 
 def _apply_q(h, tau, C, leading=0):
-    """Overwrite C with Q C for the Q of np.linalg.qr(X, mode="raw") -> (h, tau).
+    """Overwrite C with Q C for the Q of _geqrf(X) -> (h, tau).
 
     X is n x k with k <= n, so Q = H_0 ... H_{k-1} with H_j = I - tau_j v_j v_j^T.
     The reflectors are applied in panels of _WY_PANEL, last panel first, each
@@ -374,7 +491,7 @@ def _complement(B):
     if k == 0:
         out = np.eye(n)
     else:
-        h, tau = np.linalg.qr(B, mode="raw")
+        h, tau = _geqrf(B)
         out = np.zeros((n, n - k))
         d = np.arange(n - k)
         out[k + d, d] = 1.0
@@ -383,19 +500,20 @@ def _complement(B):
     return out
 
 
-def _factor_whole(A, b, limit):
+def _factor_whole(A, b, limit, raw_qr=None):
     """Factors of a whole block: its QR, or the SVD when that is not certified.
 
     Raises InconsistentSystem when the anchor's misfit exceeds `limit` or
-    is not finite, and when an uncertified A is not finite.
+    is not finite, and when an uncertified A is not finite.  `raw_qr` is
+    passed to _factor_qr.
     """
-    factors = _factor_qr(A, b) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
+    factors = _factor_qr(A, b, raw_qr) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
     if factors is None:
         # A non-finite A never passes a certificate, so only here is it checked.
         if not np.isfinite(A).all():
             raise InconsistentSystem("constraint matrix is not finite")
         factors = _factor_svd(A, b)
-    misfit = np.linalg.norm(A @ factors[1] - b)
+    misfit = _norm([A @ factors[1] - b])
     # False for a nan misfit too, as from a non-finite A.
     if not misfit <= limit:
         raise InconsistentSystem(
@@ -424,14 +542,20 @@ def _certified_tall_solve(A, b):
     A is (rows, n) with rows > n.  With [A | b] = Q [[R, c], [0, d]], an R
     that passes _certified_inverse makes A full column rank, and R^-1 c is
     then the unique least-squares solution of A y = b, with misfit |d|; the
-    caller checks that misfit.  Q is never formed.
+    caller checks that misfit.  Q is never formed, and geqrf overwrites the
+    one copy of [A | b]^T, whose row j is column j of [A | b].
     """
-    n = A.shape[1]
-    Rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
-    R_inv = _certified_inverse(Rb[:n, :n])
+    rows, n = A.shape
+    h = np.empty((n + 1, rows))
+    h[:n] = A.T
+    h[n] = b
+    _RawQR(h).run()
+    # Kept in C order: the certificate's norms and products, and so its
+    # bytes, depend on the layout of R.
+    R_inv = _certified_inverse(np.ascontiguousarray(np.triu(h[:n, :n].T)))
     if R_inv is None:
         return None
-    return R_inv @ Rb[:n, n]
+    return R_inv @ h[n, :n]
 
 
 def _certified_inverse(T):
@@ -548,11 +672,8 @@ def _factor_prefix(matrices, rhs, limit):
     factors = _factor_tall_qr(A_prefix, b_prefix)
     if factors is None:
         return None
-    misfit_sq = 0.0
-    for A, b in zip(matrices, rhs):
-        r = A @ factors[1] - b
-        misfit_sq += r @ r
-    if not np.sqrt(misfit_sq) <= limit:
+    misfit = _norm([A @ factors[1] - b for A, b in zip(matrices, rhs)])
+    if not misfit <= limit:
         return None
     return A_prefix, b_prefix, factors
 
@@ -573,7 +694,7 @@ def intersection_subspace(subspaces):
     subspaces, _ = _block_list(subspaces)
     matrices = [U.constraint_matrix for U in subspaces]
     rhs = [U.rhs for U in subspaces]
-    limit = CONSISTENCY_RTOL * (1.0 + np.sqrt(sum(b @ b for b in rhs)))
+    limit = CONSISTENCY_RTOL * (1.0 + _norm(rhs))
     try:
         found = _factor_prefix(matrices, rhs, limit)
         if found is None:

@@ -33,13 +33,15 @@ beside those of the block factorizations:
   solve would follow.
 * Every set that misses its certificate (zero or repeated differences,
   affinely dependent or nearly dependent points, a hull of lower
-  dimension) takes the minimum-norm least-squares solution of the Gram
-  system.  Affinely dependent inputs make G singular; the minimum-norm
+  dimension) takes a minimum-norm least-squares solution: of D y = r
+  itself when D is tall, so that the condition number is kappa_2(D) and
+  not its square, and of the m x m Gram system when D is wide.
+  Affinely dependent inputs make D rank deficient; the minimum-norm
   solution still recovers the unique equidistant point of the hull
   whenever one exists.
 
-Every route accepts y only when its misfit ||D y - r|| (which equals
-||G alpha - r||) is at most SOLVE_RTOL * (1 + ||r||).
+Every route accepts y only when its misfit, ||D y - r|| or, on the wide
+route, ||G alpha - r||, is at most SOLVE_RTOL * (1 + ||r||).
 """
 
 import math
@@ -69,9 +71,10 @@ def circumcenter(points):
     More points than dimensions plus one (a tall difference matrix) are
     solved by a certified R-only QR of [D | r], and every other set by a
     certified Cholesky factorization of the Gram matrix; a set that misses
-    its certificate falls back to minimum-norm least squares on the Gram
-    system (SVD with the standard max-dim * eps singular value cutoff), so
-    duplicated or affinely dependent inputs are handled.  With a single
+    its certificate falls back to minimum-norm least squares on D y = r
+    (tall) or on the Gram system (wide), by the SVD with the standard
+    max-dim * eps singular value cutoff, so duplicated or affinely
+    dependent inputs are handled.  With a single
     input point, or when all points coincide, the first point is returned
     unchanged.
 
@@ -98,16 +101,18 @@ def _solve_differences(diffs, rhs):
     # LAPACK fails on non-finite input with an untyped error, and prints to stderr.
     if not np.isfinite(rhs).all():
         raise DegenerateSystem("points or their squared differences are not finite")
-    step = _certified_tall_solve(diffs, rhs) if m > n else None
-    if step is None:
+    if m > n:
+        step = _certified_tall_solve(diffs, rhs)
+        if step is None:
+            step, _, _, _ = np.linalg.lstsq(diffs, rhs, rcond=None)
+        misfit = diffs @ step - rhs
+    else:
         gram = diffs @ diffs.T
-        alpha = _certified_cholesky_solve(gram, rhs) if m <= n else None
+        alpha = _certified_cholesky_solve(gram, rhs)
         if alpha is None:
             alpha, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
         misfit = gram @ alpha - rhs
         step = alpha @ diffs
-    else:
-        misfit = diffs @ step - rhs
     misfit = math.sqrt(misfit @ misfit)
     if misfit > SOLVE_RTOL * (1.0 + math.sqrt(rhs @ rhs)):
         raise DegenerateSystem(

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,20 @@ def tall_solves(monkeypatch):
         return solve(A, b)
 
     monkeypatch.setattr(affine, "_certified_tall_solve", spy)
+    return calls
+
+
+@pytest.fixture
+def raw_qrs(monkeypatch):
+    """(shape of h, thread) of every Householder QR run, in any thread."""
+    calls = []
+    run = affine._RawQR.run
+
+    def spy(self):
+        calls.append((self.h.shape, threading.get_ident()))
+        return run(self)
+
+    monkeypatch.setattr(affine._RawQR, "run", spy)
     return calls
 
 

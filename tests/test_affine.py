@@ -80,6 +80,47 @@ class TestConstruction:
             AffineSubspace(A, b)
 
 
+    @pytest.mark.parametrize("b, consistent", [([1e200, -1e200], False), ([1e200, 1e200], True)])
+    def test_huge_rhs_is_judged_without_overflow(self, b, consistent):
+        # ||b|| overflows when formed directly, which made every misfit pass.
+        A = [[1.0, 0.0], [1.0, 0.0]]
+        if not consistent:
+            with pytest.raises(InconsistentSystem, match="outside range"):
+                AffineSubspace(A, b)
+            return
+        U = AffineSubspace(A, b)
+        assert U.rank == 1
+        np.testing.assert_allclose(U.anchor, [1e200, 0.0], rtol=1e-15)
+
+
+class TestGeqrf:
+    """affine._geqrf is numpy's raw QR, bitwise, through LAPACK or without it."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(17)
+        X = {shape: rng.standard_normal(shape)
+             for shape in [(1, 6), (6, 1), (9, 9), (4, 11), (11, 4), (130, 129)]}
+        X["strided"] = rng.standard_normal((14, 10))[::2, 1::3]
+        X["fortran"] = np.asfortranarray(rng.standard_normal((8, 5)))
+        X["nan"] = rng.standard_normal((7, 5))
+        X["nan"][2, 3] = np.nan
+        return X
+
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_bitwise_equal_to_numpy_raw_qr(self, monkeypatch, bound):
+        if not bound:
+            monkeypatch.setattr(affine, "_dgeqrf", lambda: None)
+        elif affine._dgeqrf() is None:
+            pytest.skip("numpy links no ILP64 dgeqrf")
+        for name, X in self.inputs().items():
+            h, tau = affine._geqrf(X)
+            want_h, want_tau = np.linalg.qr(X, mode="raw")
+            assert h.shape == want_h.shape and tau.shape == want_tau.shape, name
+            assert h.tobytes() == np.ascontiguousarray(want_h).tobytes(), name
+            assert tau.tobytes() == want_tau.tobytes(), name
+
+
 class TestProject:
     def test_orthogonal_drop(self):
         U = AffineSubspace([[1.0, 0.0]], [0.0])
@@ -219,6 +260,12 @@ class TestIntersection:
         U2 = AffineSubspace([[1.0, 0.0]], [1.0])
         with pytest.raises(EmptyIntersection):
             intersection_subspace([U1, U2])
+
+
+    def test_huge_rhs_contradiction_is_empty(self):
+        blocks = [AffineSubspace([[1.0, 0.0]], [1e200]), AffineSubspace([[1.0, 0.0]], [-1e200])]
+        with pytest.raises(EmptyIntersection):
+            intersection_subspace(blocks)
 
 
 class TestResidual:
@@ -363,6 +410,16 @@ class TestTallFactorization:
         P = U.project(rng.standard_normal((3, n)))
         np.testing.assert_array_equal(P, np.tile(U.anchor, (3, 1)))
 
+    @pytest.mark.parametrize("rows, n", [(2, 1), (51, 50), (126, 100), (300, 40)])
+    def test_tall_solve_is_numpys_r_only_qr_bitwise(self, rng, rows, n):
+        # geqrf overwrites one copy of [A | b]^T; R must reach the certificate
+        # in C order, as numpy's R-only QR gives it, or its bytes change.
+        A = rng.standard_normal((rows, n))
+        b = rng.standard_normal(rows)
+        Rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
+        want = affine._certified_inverse(Rb[:n, :n]) @ Rb[:n, n]
+        assert affine._certified_tall_solve(A, b).tobytes() == want.tobytes()
+
     def test_dependent_columns_fall_back(self, rng, svd_calls):
         A = rng.standard_normal((30, 8))
         A[:, 7] = A[:, 0] - 2.0 * A[:, 1]
@@ -440,20 +497,14 @@ class TestTallPrefix:
         expected = affine._certified_tall_solve(A, b)
         assert np.linalg.norm(U.anchor - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_regularity_estimate_factors_one_short_prefix(self, monkeypatch):
+    def test_regularity_estimate_factors_one_short_prefix(self, monkeypatch, raw_qrs):
         inst = build_instance(4000, 100, 0.1, 1)
-        calls = []
-        qr = np.linalg.qr
-
-        def spy(a, mode="reduced"):
-            calls.append((a.shape, mode))
-            return qr(a, mode=mode)
-
-        monkeypatch.setattr(np.linalg, "qr", spy)
+        raw_qrs.clear()
         estimate_regularity(inst, 50, 0)
-        assert len(calls) == 1
-        (rows, cols), mode = calls[0]
-        assert mode == "r" and rows <= 2 * 100 and cols == 101
+        # One QR, of [A | b] for the prefix rows: h holds its transpose.
+        assert len(raw_qrs) == 1
+        (cols, rows), _ = raw_qrs[0]
+        assert rows <= 2 * 100 and cols == 101
 
     def test_prefix_intersection_copies_no_stack(self):
         inst = build_instance(4000, 100, 0.1, 1)
@@ -726,17 +777,11 @@ class TestFactorGuards:
         lambda: build_instance(2000, 200, 0.1, 1),
         lambda: build_underdetermined_instance(400, [20] * 12, 0.0, 1),
     ])
-    def test_instances_factor_by_raw_qr_and_hold_one_basis(self, monkeypatch, build):
-        modes = []
-        qr = np.linalg.qr
-
-        def spy(a, mode="reduced"):
-            modes.append(mode)
-            return qr(a, mode=mode)
-
-        monkeypatch.setattr(np.linalg, "qr", spy)
+    def test_instances_factor_by_raw_qr_and_hold_one_basis(self, raw_qrs, build):
         inst = build()
-        assert modes and set(modes) == {"raw"}
+        # One raw QR of A^T per block, whose h holds A: the wide route.
+        assert sorted(shape for shape, _ in raw_qrs) == sorted(
+            U.constraint_matrix.shape for U in inst.subspaces)
         n = inst.ambient_dim
         for U in inst.subspaces:
             assert U.constraint_matrix.shape[0] <= n

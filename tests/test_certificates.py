@@ -14,9 +14,11 @@ kappa_F clears QR_CONDITION_LIMIT by a factor of two must keep the fast
 route and agree with an SVD oracle, and one whose kappa_F exceeds it by
 that factor must take the fallback, counted by the svd_calls, tall_solves
 and lstsq_calls spies.  Within that factor the decision may go either way.
-A block agrees with the oracle on every route.  A circumcenter step is
-checked only when certified: the fallback solves the Gram system, whose
-condition number is kappa_2(D)^2, and may fail its misfit test.
+A block agrees with the oracle on every route.  A wide circumcenter step
+is checked only when certified: the fallback solves the Gram system, whose
+condition number is kappa_2(D)^2, and may fail its misfit test.  A tall
+one falls back to least squares on D itself, so a consistent system gives
+the planted step on both outcomes.
 """
 
 import numpy as np
@@ -179,21 +181,29 @@ def test_wide_cholesky_route(lstsq_calls, m, n):
     sweep(route)
 
 
+def tall_circumcenter_step(lstsq_calls, ratio, seed, m=30, n=12):
+    """Whether the graded tall system D y = D y_planted took its certificate;
+    either way the step must be y_planted to the tall bound."""
+    rng = np.random.default_rng(seed)
+    D, sigma = graded(rng, m, n, ratio)
+    y = rng.standard_normal(n)
+    lstsq_calls.clear()
+    step = _solve_differences(D, D @ y)
+    certified = lstsq_calls == []
+    assert lstsq_calls in ([], [(m, n)])
+    assert expected_route(kappa_f(sigma), QR_CONDITION_LIMIT) in (None, certified)
+    kappa = sigma[0] / sigma[-1]
+    assert np.linalg.norm(step - y) <= ANCHOR_BOUND * EPS * kappa * np.linalg.norm(y)
+    return certified
+
+
 def test_tall_circumcenter_route(lstsq_calls):
-    m, n = 30, 12
+    sweep(lambda ratio, seed: tall_circumcenter_step(lstsq_calls, ratio, seed))
 
-    def route(ratio, seed):
-        rng = np.random.default_rng(seed)
-        D, sigma = graded(rng, m, n, ratio)
-        y = rng.standard_normal(n)
-        lstsq_calls.clear()
-        step = solve_or_none(D, D @ y)
-        certified = lstsq_calls == []
-        assert lstsq_calls in ([], [(m, m)])
-        assert expected_route(kappa_f(sigma), QR_CONDITION_LIMIT) in (None, certified)
-        if certified:
-            kappa = sigma[0] / sigma[-1]
-            assert np.linalg.norm(step - y) <= ANCHOR_BOUND * EPS * kappa * np.linalg.norm(y)
-        return certified
 
-    sweep(route)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("ratio", [1e-8, 1e-9, 1e-10, 1e-12])
+def test_tall_circumcenter_fallback_keeps_the_planted_step(lstsq_calls, ratio, seed):
+    # Least squares on the Gram D D^T, whose condition is kappa_2(D)^2,
+    # raised DegenerateSystem or missed the step by up to 0.77 relative here.
+    tall_circumcenter_step(lstsq_calls, ratio, seed)

@@ -25,7 +25,7 @@ from circumproj import (
     residual,
     solve,
 )
-from circumproj import problems
+from circumproj import affine, problems
 from oracles import ReferenceNormalStream, kkt_project_blocks, reference_coherent_matrix
 
 
@@ -309,6 +309,75 @@ class TestSplitDraw:
         assert len({ident for _, _, ident in box_muller_ranges}) > 1
         assert len(box_muller_ranges) == 8
         assert out[0].tobytes() == ReferenceNormalStream(9).draw(count).tobytes()
+
+
+def factor_digest(instance):
+    """SHA-256 of every block's rank, anchor and stored basis."""
+    h = hashlib.sha256()
+    for U in instance.subspaces:
+        h.update(np.int64(U.rank).tobytes())
+        h.update(U.anchor.tobytes())
+        h.update(U._basis.tobytes())
+    return h.hexdigest()
+
+
+# build_instance(1000, 150, 0.1, 3): 7 blocks of 143 x 150, above
+# _POOLED_BLOCK_ENTRIES.  Pinned from the serial build that preceded the
+# pool; like GOLDEN_2000_100_7 it depends on the BLAS kernels numpy runs.
+FACTORS_1000_150_3 = "eedb341d1acfbc62ad773a7624ef54eb27c15605e731c1e76a405f5f82ac6967"
+
+
+class TestPooledBuild:
+    """Block QRs on a pool of threads change no byte and leave no thread."""
+
+    @pytest.mark.parametrize("workers", [0, 1, 3])
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_worker_count_changes_no_byte(self, monkeypatch, raw_qrs, workers, bound):
+        if not bound:
+            monkeypatch.setattr(affine, "_dgeqrf", lambda: None)
+        monkeypatch.setattr(problems, "_factor_workers", lambda: workers)
+        before = threading.active_count()
+        inst = build_instance(1000, 150, 0.1, 3)
+        assert factor_digest(inst) == FACTORS_1000_150_3
+        assert threading.active_count() == before
+        main = threading.get_ident()
+        assert len(raw_qrs) == 7
+        assert all((ident != main) == (workers > 0) for _, ident in raw_qrs)
+
+    def test_small_blocks_stay_in_the_calling_thread(self, monkeypatch, raw_qrs):
+        monkeypatch.setattr(problems, "_factor_workers", lambda: 3)
+        inst = build_instance(1000, 100, 0.1, 3)  # 11 blocks of 91 x 100
+        assert inst.block_count == 11
+        assert [ident for _, ident in raw_qrs] == [threading.get_ident()] * 11
+
+    @pytest.mark.parametrize("cpus, blas, workers", [
+        (1, 1, 0), (2, 1, 1), (2, 2, 0), (8, 2, 3), (8, 3, 1), (4, None, 0), (4, 0, 0),
+    ])
+    def test_workers_fill_the_spare_cpus(self, monkeypatch, cpus, blas, workers):
+        monkeypatch.setattr(problems, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(affine, "_blas_threads", lambda: blas)
+        assert problems._factor_workers() == workers
+        monkeypatch.setattr(affine, "_dgeqrf", lambda: None)
+        assert problems._factor_workers() == 0
+
+    def test_inconsistent_block_mid_build_raises_as_serial(self, monkeypatch):
+        A = gaussian_matrix(1000, 150, 0.1, 3)
+        b = A @ np.linspace(-1.0, 1.0, 150)
+        sizes = problems._partition_sizes(1000, 7)
+        lo = sum(sizes[:3])
+        # Block 3 repeats a row with another right-hand side.
+        A[lo + 1] = A[lo]
+        b[lo + 1] = b[lo] + 1.0
+        errors = []
+        for workers in (0, 1, 3):
+            monkeypatch.setattr(problems, "_factor_workers", lambda: workers)
+            before = threading.active_count()
+            with pytest.raises(InconsistentSystem) as info:
+                problems._partitioned(A, b, sizes, None, None)
+            assert threading.active_count() == before
+            errors.append(str(info.value))
+        assert errors[0].startswith("rhs outside range")
+        assert errors == errors[:1] * 3
 
 
 class TestArgumentChecks:
