@@ -11,6 +11,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionMismatch, EmptyIntersection, InconsistentSystem
 
@@ -24,7 +25,11 @@ CONSISTENCY_RTOL = 1e-8
 # matrix, which bounds kappa_2(G)), is below this; every other input takes
 # the SVD or least squares.  The SVD rank cutoff, max(rows, n) * eps *
 # sigma_max, is about 1e-13 * sigma_max at n = 500, so a certified block is
-# full rank by a margin that rounding cannot erase.
+# full rank by a margin that rounding cannot erase.  The routes call the
+# LAPACK gufuncs of numpy.linalg's inv, solve and cholesky directly, under
+# the same error state, and take np.tril/np.triu's np.where on a cached
+# mask and np.linalg.norm's dot in memory order, so their bytes are those
+# of the numpy.linalg formulas without the wrappers' per-call cost.
 QR_CONDITION_LIMIT = 1e8
 
 # Diagonal blocks up to this order are inverted or solved directly by LAPACK.
@@ -33,10 +38,28 @@ _TRIANGULAR_LEAF = 32
 # Householder reflectors applied together, in one compact WY block, by _apply_q.
 _WY_PANEL = 128
 
+# Triangle masks of at most this many entries are cached, 64 of them in at
+# most 1 MiB.  Above it a fresh mask costs little beside its block:
+# protocol-tall's would hold 0.9 MB to save about 55 us of a 9 ms block.
+_CACHED_MASK_ENTRIES = 1 << 14
+# The zero that np.tril and np.triu fill with.
+_ZERO = np.zeros(1)
+_ZERO.setflags(write=False)
+
 # Symbols bound by ctypes in the LAPACK that numpy's linalg links: only the
 # ILP64 (64-bit integer) names, with or without scipy-openblas's prefix.
 _DGEQRF_NAMES = ("scipy_dgeqrf_64_", "dgeqrf_64_")
 _BLAS_THREADS_NAMES = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+
+
+def _lapack_failed(err, flag):
+    raise LinAlgError("LAPACK found the matrix singular or not positive definite")
+
+
+# The error state numpy.linalg puts around its LAPACK gufuncs, which flag a
+# failed factorization as an invalid value: LinAlgError then, else no warning.
+_LAPACK_ERRORS = dict(call=_lapack_failed, invalid="call", over="ignore", divide="ignore",
+                      under="ignore")
 
 
 class AffineSubspace:
@@ -217,6 +240,11 @@ class _BlockKernel:
         # Per group: B_i z_i of each row-route block, whose distances and
         # differences are read off coefficients; None on the null route.
         self._anchor_coeffs = []
+        null = [i for i, U in enumerate(subspaces) if U._use_null]
+        # The null-route blocks, whose squared differences `differences`
+        # reads off `out`: None for none, a slice for all.
+        self._null_rows = (None if not null else slice(None) if len(null) == len(subspaces)
+                           else np.asarray(null))
         for (use_null, w), members in by_basis.items():
             # Filled row by row to get C order: np.stack of the transposed
             # bases would keep their strides and slow both products.
@@ -239,7 +267,8 @@ class _BlockKernel:
         for the coefficients a_i = R_i^T z_i that `distances` reads, as z_i lies
         in range(R_i), and sq_i is the squared norm of those w numbers: P_i(x)
         is never formed.  On the null route d_i = (z_i + N_i (N_i^T x)) - x,
-        formed in place in one temporary.
+        formed in place in one temporary, and the sq_i of every null-route
+        block come from one einsum over the rows of `out` once all are written.
         """
         for (use_null, members, basis_t, anchors), anchor_coeff in zip(
                 self.groups, self._anchor_coeffs):
@@ -255,9 +284,14 @@ class _BlockKernel:
             if use_null:
                 d += anchors
                 d -= x
-            v = d if use_null else coeff.reshape(g, w)
-            sq[members] = np.einsum("ij,ij->i", v, v)
+            else:
+                v = coeff.reshape(g, w)
+                sq[members] = np.einsum("ij,ij->i", v, v)
             out[members] = d
+        null = self._null_rows
+        if null is not None:
+            rows = out[null]
+            sq[null] = np.einsum("ij,ij->i", rows, rows)
 
     def distances(self, x):
         """d(x, U_i) for every block i: shape (m,) for a point, (k, m) for k rows.
@@ -334,7 +368,7 @@ def _norm(vectors):
 def _lapack_symbol(names):
     """The first of the symbols `names` in the library numpy's linalg links, or None."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        lib = ctypes.CDLL(_umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
     return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
@@ -412,7 +446,7 @@ class _RawQR:
                      ctypes.c_int64(max(1, m)), tau.ctypes.data, work.ctypes.data,
                      ctypes.c_int64(work.size), info)
         if info.value != 0:
-            raise np.linalg.LinAlgError(f"dgeqrf rejected argument {-info.value}")
+            raise LinAlgError(f"dgeqrf rejected argument {-info.value}")
         return h, tau
 
 
@@ -435,7 +469,7 @@ def _factor_qr(A, b, raw_qr=None):
     rows, n = A.shape
     h, tau = _geqrf(A.T) if raw_qr is None else raw_qr
     # h is rows x n; row j holds column j of LAPACK's factor, so T = tril(h)^T.
-    T_inv = _certified_inverse(np.tril(h[:, :rows]).T)
+    T_inv = _certified_inverse(_tril(h[:, :rows]).T)
     if T_inv is None:
         return None
     use_null = _uses_null(rows, n)
@@ -469,13 +503,13 @@ def _apply_q(h, tau, C, leading=0):
     for s in reversed(range(0, k, _WY_PANEL)):
         e = min(s + _WY_PANEL, k)
         # Rows of V^T: v_j is zero above j, one at j and h[j, j+1:] below.
-        Vt = np.triu(h[s:e, s:], 1)
+        Vt = _triu(h[s:e, s:], 1)
         live = tau[s:e] != 0
         Vt[~live] = 0.0
         d = np.arange(e - s)
         Vt[d, d] = live
         G = Vt @ Vt.T
-        T_inv = np.triu(G, 1)
+        T_inv = _triu(G, 1)
         T_inv[d, d] = np.where(live, 0.5 * G[d, d], 1.0)
         X = C[s:, min(s, leading):]
         X -= Vt.T @ _triangular_solve(T_inv, Vt @ X)
@@ -543,7 +577,9 @@ def _certified_tall_solve(A, b):
     that passes _certified_inverse makes A full column rank, and R^-1 c is
     then the unique least-squares solution of A y = b, with misfit |d|; the
     caller checks that misfit.  Q is never formed, and geqrf overwrites the
-    one copy of [A | b]^T, whose row j is column j of [A | b].
+    one copy of [A | b]^T, whose row j is column j of [A | b].  R is
+    np.triu's triangle, taken by _triu, and certified by _certified_inverse,
+    so the bytes are those of the same formula through numpy.linalg.
     """
     rows, n = A.shape
     h = np.empty((n + 1, rows))
@@ -552,7 +588,7 @@ def _certified_tall_solve(A, b):
     _RawQR(h).run()
     # Kept in C order: the certificate's norms and products, and so its
     # bytes, depend on the layout of R.
-    R_inv = _certified_inverse(np.ascontiguousarray(np.triu(h[:n, :n].T)))
+    R_inv = _certified_inverse(np.ascontiguousarray(_triu(h[:n, :n].T)))
     if R_inv is None:
         return None
     return R_inv @ h[n, :n]
@@ -560,24 +596,67 @@ def _certified_tall_solve(A, b):
 
 def _certified_inverse(T):
     """Inverse of an upper triangle T, or None unless
-    ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT."""
+    ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT.
+
+    The inverse is _triangular_inverse's, whose leaves run numpy.linalg.inv's
+    gufunc, and each norm is np.linalg.norm's, so the bytes and the verdict
+    are those of that formula through numpy.linalg.
+    """
     try:
         # A nearly singular T may overflow to inf or nan; both fail the test.
         with np.errstate(all="ignore"):
             T_inv = _triangular_inverse(T)
-            bound = np.linalg.norm(T) * np.linalg.norm(T_inv)
-    except np.linalg.LinAlgError:
+    except LinAlgError:
         return None
+    bound = _frobenius(T) * _frobenius(T_inv)
     return T_inv if bound <= QR_CONDITION_LIMIT else None
+
+
+def _frobenius(M):
+    """np.linalg.norm(M), bitwise: the squares summed in M's memory order.
+    A float, so an overflowed product of two norms raises no warning."""
+    v = M.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def _tri(rows, cols, k):
+    """np.tri(rows, cols, k, dtype=bool), the mask np.tril and np.triu build
+    on every call; read-only and cached up to _CACHED_MASK_ENTRIES entries."""
+    if rows * cols > _CACHED_MASK_ENTRIES:
+        return np.tri(rows, cols, k, dtype=bool)
+    return _cached_tri(rows, cols, k)
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_tri(rows, cols, k):
+    mask = np.tri(rows, cols, k, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _tril(M):
+    """np.tril(M) of a 2-D M, bitwise: the same np.where on a cached mask."""
+    return np.where(_tri(*M.shape, 0), M, _ZERO)
+
+
+def _triu(M, k=0):
+    """np.triu(M, k) of a 2-D M, bitwise: the same np.where on a cached mask."""
+    return np.where(_tri(*M.shape, k - 1), _ZERO, M)
 
 
 def _certified_cholesky_solve(gram, rhs):
     """G^-1 r from G = L L^T, or None unless (||L||_F ||L^-1||_F)^2 <=
-    QR_CONDITION_LIMIT, an upper bound on kappa_2(G)."""
+    QR_CONDITION_LIMIT, an upper bound on kappa_2(G).
+
+    L and L^-1 come from the gufuncs of np.linalg.cholesky and
+    np.linalg.inv, under their error state, so the bytes and the verdict
+    are those of that formula through numpy.linalg.
+    """
     try:
-        L = np.linalg.cholesky(gram)
-        L_inv = np.linalg.inv(L)
-    except np.linalg.LinAlgError:  # G is not numerically positive definite
+        with np.errstate(**_LAPACK_ERRORS):
+            L = _umath_linalg.cholesky_lo(gram, signature="d->d")
+            L_inv = _umath_linalg.inv(L, signature="d->d")
+    except LinAlgError:  # G is not numerically positive definite
         return None
     # A nearly singular L may overflow L^-1 to inf, which fails the test.
     if not np.vdot(L, L) * np.vdot(L_inv, L_inv) <= QR_CONDITION_LIMIT:
@@ -589,17 +668,21 @@ def _triangular_inverse(T):
     """Inverse of an upper-triangular matrix by recursive 2x2 blocking.
 
     inv([[T11, T12], [0, T22]]) = [[X11, -X11 T12 X22], [0, X22]] with
-    Xii = inv(Tii); about a quarter of the flops of a general inverse.
+    Xii = inv(Tii); about a quarter of the flops of a general inverse.  A
+    leaf is np.linalg.inv's gufunc, and raises LinAlgError where it would.
     """
     k = T.shape[0]
     if k <= _TRIANGULAR_LEAF:
-        return np.linalg.inv(T)
+        with np.errstate(**_LAPACK_ERRORS):
+            return _umath_linalg.inv(T, signature="d->d")
     h = k // 2
     X11 = _triangular_inverse(T[:h, :h])
     X22 = _triangular_inverse(T[h:, h:])
-    X = np.zeros_like(T)
+    # np.zeros_like(T) less the zeroing that the three blocks overwrite.
+    X = np.empty_like(T)
     X[:h, :h] = X11
     X[h:, h:] = X22
+    X[h:, :h] = 0.0
     X[:h, h:] = -(X11 @ T[:h, h:]) @ X22
     return X
 
@@ -609,11 +692,13 @@ def _triangular_solve(T, W):
 
     With T = [[T11, T12], [0, T22]], Y2 = T22^-1 W2 and
     Y1 = T11^-1 (W1 - T12 Y2); a general solve would spend the flops of a
-    full LU on T.
+    full LU on T.  W is 2-D, and a leaf is np.linalg.solve's gufunc, which
+    raises LinAlgError where it would.
     """
     k = T.shape[0]
     if k <= _TRIANGULAR_LEAF:
-        return np.linalg.solve(T, W)
+        with np.errstate(**_LAPACK_ERRORS):
+            return _umath_linalg.solve(T, W, signature="dd->d")
     h = k // 2
     Y2 = _triangular_solve(T[h:, h:], W[h:])
     Y1 = _triangular_solve(T[:h, :h], W[:h] - T[:h, h:] @ Y2)

@@ -34,9 +34,14 @@ _BOX_MULLER_CHUNK = 1 << 14
 
 # Wide blocks with at least this many entries have their QR computed on a
 # pool thread when there is a spare CPU.  With BLAS at one thread on 2 CPUs,
-# a pooled build of the 41 blocks of a 40n x n protocol matrix took 1.18x
-# the serial time at n = 60, 1.02x at n = 100 (about 99 x 100 blocks),
-# 0.84-0.97x at n = 140-150 and 0.57x at n = 500.
+# the median of 30 alternating in-process builds of the 41 blocks of a
+# 40n x n protocol matrix, pooled over serial, was 1.08x at n = 60 and
+# 0.63x at n = 500.  At n = 100 (98 x 100 blocks) it was 0.84-0.92x on a
+# quiet host, the pooled build winning 26-29 of 30, but 0.89-0.98x, winning
+# 21-22, while other work shared the host, and 1.17-1.28x while another
+# process kept a CPU busy; at n = 120-140 it was 0.76-0.79x on a quiet
+# host.  Twelve 20 x 400 blocks took 1.2-1.35x.  A 99 x 100 block stays
+# serial: a spare CPU saves it less than a busy one costs.
 _POOLED_BLOCK_ENTRIES = 20_000
 
 

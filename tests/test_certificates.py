@@ -24,7 +24,16 @@ the planted step on both outcomes.
 import numpy as np
 import pytest
 
-from circumproj import AffineSubspace, DegenerateSystem
+from circumproj import (
+    AffineSubspace,
+    DegenerateSystem,
+    SolverConfig,
+    affine,
+    build_instance,
+    build_underdetermined_instance,
+    circumcenters,
+    solve,
+)
 from circumproj.affine import QR_CONDITION_LIMIT
 from circumproj.circumcenters import _solve_differences
 from oracles import svd_factors
@@ -207,3 +216,253 @@ def test_tall_circumcenter_fallback_keeps_the_planted_step(lstsq_calls, ratio, s
     # Least squares on the Gram D D^T, whose condition is kappa_2(D)^2,
     # raised DegenerateSystem or missed the step by up to 0.77 relative here.
     tall_circumcenter_step(lstsq_calls, ratio, seed)
+
+
+# Bytes: every certified route against the numpy.linalg formula it stands for.
+# The references below are the routes written with np.linalg.inv, solve,
+# cholesky and norm, np.triu and np.zeros_like; the library calls the same
+# LAPACK gufuncs and np.where directly, and must give the same bytes, the
+# same None or the same LinAlgError, with no warning.
+
+
+def np_triangular_inverse(T):
+    k = T.shape[0]
+    if k <= affine._TRIANGULAR_LEAF:
+        return np.linalg.inv(T)
+    h = k // 2
+    X11 = np_triangular_inverse(T[:h, :h])
+    X22 = np_triangular_inverse(T[h:, h:])
+    X = np.zeros_like(T)
+    X[:h, :h] = X11
+    X[h:, h:] = X22
+    X[:h, h:] = -(X11 @ T[:h, h:]) @ X22
+    return X
+
+
+def np_triangular_solve(T, W):
+    k = T.shape[0]
+    if k <= affine._TRIANGULAR_LEAF:
+        return np.linalg.solve(T, W)
+    h = k // 2
+    Y2 = np_triangular_solve(T[h:, h:], W[h:])
+    Y1 = np_triangular_solve(T[:h, :h], W[:h] - T[:h, h:] @ Y2)
+    return np.concatenate([Y1, Y2])
+
+
+def np_certified_inverse(T):
+    try:
+        with np.errstate(all="ignore"):
+            T_inv = np_triangular_inverse(T)
+            bound = np.linalg.norm(T) * np.linalg.norm(T_inv)
+    except np.linalg.LinAlgError:
+        return None
+    return T_inv if bound <= QR_CONDITION_LIMIT else None
+
+
+def np_certified_cholesky_solve(gram, rhs):
+    try:
+        L = np.linalg.cholesky(gram)
+        L_inv = np.linalg.inv(L)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.vdot(L, L) * np.vdot(L_inv, L_inv) <= QR_CONDITION_LIMIT:
+        return None
+    return rhs @ L_inv.T @ L_inv
+
+
+def np_certified_tall_solve(A, b):
+    rows, n = A.shape
+    h = np.empty((n + 1, rows))
+    h[:n] = A.T
+    h[n] = b
+    affine._RawQR(h).run()
+    R_inv = np_certified_inverse(np.ascontiguousarray(np.triu(h[:n, :n].T)))
+    return None if R_inv is None else R_inv @ h[n, :n]
+
+
+def np_apply_q(h, tau, C, leading=0):
+    k = tau.shape[0]
+    for s in reversed(range(0, k, affine._WY_PANEL)):
+        e = min(s + affine._WY_PANEL, k)
+        Vt = np.triu(h[s:e, s:], 1)
+        live = tau[s:e] != 0
+        Vt[~live] = 0.0
+        d = np.arange(e - s)
+        Vt[d, d] = live
+        G = Vt @ Vt.T
+        T_inv = np.triu(G, 1)
+        T_inv[d, d] = np.where(live, 0.5 * G[d, d], 1.0)
+        X = C[s:, min(s, leading):]
+        X -= Vt.T @ np_triangular_solve(T_inv, Vt @ X)
+
+
+def outcome(route, *args):
+    """route(*args), or LinAlgError when it raises one."""
+    try:
+        return route(*args)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+def assert_same_outcome(got, want):
+    if want is None or want is np.linalg.LinAlgError:
+        assert got is want
+        return
+    assert isinstance(got, np.ndarray) and got.shape == want.shape
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+        want.flags.c_contiguous, want.flags.f_contiguous)
+    assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+def graded_triangle(rng, k, ratio):
+    """The R of a QR of a k x k matrix with singular values 1 down to `ratio`."""
+    return np.linalg.qr(graded(rng, k, k, ratio)[0], mode="r")
+
+
+def broken(M, kind):
+    """A copy of M with one entry made nan or inf, or one diagonal entry zero."""
+    M = M.copy()
+    j = min(M.shape) * 2 // 3
+    if kind == "singular":
+        M[j, j] = 0.0
+    else:
+        M[j // 2, j] = np.nan if kind == "nan" else np.inf
+    return M
+
+
+EDGES = ["singular", "nan", "inf"]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("k", [20, 99])
+def test_certified_inverse_is_numpys_bitwise(k, order):
+    # k = 20 is one LAPACK leaf; k = 99 recurses to four.
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        triangles = [graded_triangle(rng, k, ratio) for ratio in RATIOS]
+        triangles += [broken(triangles[0], kind) for kind in EDGES]
+        seen = set()
+        for T in triangles:
+            T = np.asarray(T, order=order)
+            want = np_certified_inverse(T)
+            assert_same_outcome(affine._certified_inverse(T), want)
+            seen.add(want is None)
+            if want is not None:
+                # The certificate's norms sum in memory order, as numpy's do.
+                assert affine._frobenius(T) == np.linalg.norm(T)
+                assert affine._frobenius(want) == np.linalg.norm(want)
+        assert seen == {True, False}
+
+
+@pytest.mark.parametrize("k", [20, 99])
+def test_triangular_solve_is_numpys_bitwise(k):
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        triangles = [graded_triangle(rng, k, ratio) for ratio in RATIOS]
+        triangles += [broken(triangles[0], kind) for kind in EDGES]
+        outcomes = []
+        for T in triangles:
+            W = rng.standard_normal((k, 3))
+            want = outcome(np_triangular_solve, T, W)
+            assert_same_outcome(outcome(affine._triangular_solve, T, W), want)
+            outcomes.append(want)
+        assert outcomes[-3] is np.linalg.LinAlgError  # the singular leaf
+
+
+@pytest.mark.parametrize("m, n", [(8, 20), (20, 20)])
+def test_certified_cholesky_solve_is_numpys_bitwise(m, n):
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        grams = [D @ D.T for D, _ in (graded(rng, m, n, ratio) for ratio in RATIOS)]
+        indefinite = grams[0].copy()
+        indefinite[m // 2, m // 2] = -1.0
+        grams += [indefinite] + [broken(grams[0], kind) for kind in ("nan", "inf")]
+        wants = []
+        for G in grams:
+            r = rng.standard_normal(m)
+            want = np_certified_cholesky_solve(G, r)
+            assert_same_outcome(affine._certified_cholesky_solve(G, r), want)
+            wants.append(want)
+        assert wants[len(RATIOS)] is None  # the indefinite Gram
+        assert any(want is not None for want in wants)
+
+
+@pytest.mark.parametrize("rows, n", [(30, 12), (126, 100)])
+def test_certified_tall_solve_is_numpys_bitwise(rows, n):
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        systems = [graded(rng, rows, n, ratio)[0] for ratio in RATIOS]
+        zero_column = systems[0].copy()
+        zero_column[:, n // 2] = 0.0  # an exactly zero pivot in R
+        systems += [zero_column] + [broken(systems[0], kind) for kind in ("nan", "inf")]
+        seen = set()
+        for A in systems:
+            b = rng.standard_normal(rows)
+            want = np_certified_tall_solve(A, b)
+            assert_same_outcome(affine._certified_tall_solve(A, b), want)
+            seen.add(want is None)
+        assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n, k", [(20, 8), (300, 140)])
+def test_apply_q_is_numpys_bitwise(n, k):
+    # 140 reflectors make two WY panels; `leading` skips unit columns.
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        factors = [affine._geqrf(graded(rng, n, k, ratio)[0]) for ratio in RATIOS]
+        h, tau = factors[0]
+        dead = tau.copy()
+        dead[k // 3] = 0.0  # a reflector that is the identity
+        factors += [(h, dead), (broken(h, "nan"), tau)]
+        for h, tau in factors:
+            for leading in (0, 3):
+                C = rng.standard_normal((n, 4))
+                C[:, :leading] = np.eye(n, leading)
+                got, want = C.copy(), C.copy()
+                assert_same_outcome(outcome(affine._apply_q, h, tau, got, leading),
+                                    outcome(np_apply_q, h, tau, want, leading))
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def wrapper_calls(monkeypatch):
+    """Names of the numpy.linalg and triangle wrappers called, in any thread."""
+    calls = []
+    for module, name in [(np.linalg, "inv"), (np.linalg, "solve"), (np.linalg, "cholesky"),
+                         (np, "triu"), (np, "tril")]:
+        def spy(*args, _name=name, _wrapped=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.fixture
+def certified_solves(monkeypatch):
+    """Names of the certified circumcenter routes the solvers called."""
+    calls = []
+    for name in ("_certified_tall_solve", "_certified_cholesky_solve"):
+        def spy(*args, _name=name, _wrapped=getattr(circumcenters, name)):
+            calls.append(_name)
+            return _wrapped(*args)
+
+        monkeypatch.setattr(circumcenters, name, spy)
+    return calls
+
+
+def test_hot_paths_call_no_numpy_linalg_wrapper(wrapper_calls, certified_solves, raw_qrs):
+    build_instance(1000, 150, 0.1, 3)  # wide blocks, pooled where a CPU is spare
+    assert len(raw_qrs) == 7
+    for build, route in [
+        (lambda: build_instance(1250, 10, 0.1, 1), "_certified_tall_solve"),
+        (lambda: build_underdetermined_instance(40, [2] * 12, 0.0, 1), "_certified_cholesky_solve"),
+    ]:
+        instance = build()
+        certified_solves.clear()
+        for method in ("pcrm", "crm"):
+            result = solve(instance, SolverConfig(method=method, tolerance=1e-6,
+                                                  stop_rule="feasibility"))
+            assert result.trace.status == "converged"
+        assert set(certified_solves) == {route}
+    assert wrapper_calls == []
