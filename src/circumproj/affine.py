@@ -6,76 +6,29 @@ diagnostics rely on.  Subspaces are immutable after construction and safe to
 share across threads.
 """
 
-import ctypes
-import functools
 import math
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
+from . import _lapack
 from .errors import DimensionMismatch, EmptyIntersection, InconsistentSystem
 
 # Residual cutoff deciding whether a right-hand side is attainable.
 CONSISTENCY_RTOL = 1e-8
-
-# The one guarantee of all four certified routes: a wide block's QR, a tall
-# block's or prefix's R-only QR, the tall and the wide (Cholesky) circumcenter
-# solves.  Each keeps its triangle T only when ||T||_F * ||T^-1||_F, an upper
-# bound on sigma_max / sigma_min (squared for the Cholesky factor of a Gram
-# matrix, which bounds kappa_2(G)), is below this; every other input takes
-# the SVD or least squares.  The SVD rank cutoff, max(rows, n) * eps *
-# sigma_max, is about 1e-13 * sigma_max at n = 500, so a certified block is
-# full rank by a margin that rounding cannot erase.  The routes call the
-# LAPACK gufuncs of numpy.linalg's inv, solve and cholesky directly, under
-# the same error state, and take np.tril/np.triu's np.where on a cached
-# mask and np.linalg.norm's dot in memory order, so their bytes are those
-# of the numpy.linalg formulas without the wrappers' per-call cost.
-QR_CONDITION_LIMIT = 1e8
-
-# Diagonal blocks up to this order are inverted or solved directly by LAPACK.
-_TRIANGULAR_LEAF = 32
-
-# Householder reflectors applied together, in one compact WY block, by _apply_q.
-_WY_PANEL = 128
-
-# Triangle masks of at most this many entries are cached, 64 of them in at
-# most 1 MiB.  Above it a fresh mask costs little beside its block:
-# protocol-tall's would hold 0.9 MB to save about 55 us of a 9 ms block.
-_CACHED_MASK_ENTRIES = 1 << 14
-# The zero that np.tril and np.triu fill with.
-_ZERO = np.zeros(1)
-_ZERO.setflags(write=False)
-
-# Symbols bound by ctypes in the LAPACK that numpy's linalg links: only the
-# ILP64 (64-bit integer) names, with or without scipy-openblas's prefix.
-_DGEQRF_NAMES = ("scipy_dgeqrf_64_", "dgeqrf_64_")
-_BLAS_THREADS_NAMES = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
-
-
-def _lapack_failed(err, flag):
-    raise LinAlgError("LAPACK found the matrix singular or not positive definite")
-
-
-# The error state numpy.linalg puts around its LAPACK gufuncs, which flag a
-# failed factorization as an invalid value: LinAlgError then, else no warning.
-_LAPACK_ERRORS = dict(call=_lapack_failed, invalid="call", over="ignore", divide="ignore",
-                      under="ignore")
 
 
 class AffineSubspace:
     """One affine block U = {x in R^n : A x = b} with a cached factorization.
 
     A wide block (rows <= n) is factored by one Householder QR of A^T,
-    A^T = Q [T; 0], whose Q is never formed, and kept at rank = rows when
-    the bound ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT certifies that
-    sigma_min / sigma_max is far above the rank cutoff below.  A tall
-    block (rows > n) is factored by one R-only Householder QR of [A | b],
-    whose leading n x n triangle R and last column c = Q^T b give
-    z0 = R^-1 c without forming Q; under the same certificate on R it is
-    kept at rank = n, with an empty null basis, so its projection is the
-    point z0.  A tall block first tries the prefix route of _factor_prefix,
-    and keeps all of its rows either way.  Blocks that miss the certificate
-    (dependent or nearly dependent rows or columns) fall back to a
+    A^T = Q [T; 0], whose Q is never formed, and kept at rank = rows when T
+    passes the certificate that `_lapack` states.  A tall block (rows > n)
+    is factored by one R-only Householder QR of [A | b], whose leading
+    n x n triangle R and last column c = Q^T b give z0 = R^-1 c without
+    forming Q; when R passes the same certificate it is kept at rank = n,
+    with an empty null basis, so its projection is the point z0.  A tall
+    block first tries the prefix route of _factor_prefix, and keeps all of
+    its rows either way.  Blocks that miss the certificate fall back to a
     rank-revealing SVD with the numerical rank threshold
     max(rows, n) * eps * sigma_max.  All routes give the same rank on every
     block whose singular values clear the threshold by more than rounding.
@@ -100,8 +53,8 @@ class AffineSubspace:
         b is not in range(A) at tolerance CONSISTENCY_RTOL * (1 + ||b||),
         or A or b is not finite.
 
-    `raw_qr`, for a wide block only, is the (h, tau) of _geqrf(A^T) when it
-    has already been computed, as an instance's pooled build does.
+    `raw_qr`, for a wide block only, is the _lapack._geqrf(A^T) of an
+    instance's pooled build, when it has already been computed.
     """
 
     def __init__(self, constraint_matrix, rhs, label=0, *, raw_qr=None):
@@ -153,11 +106,11 @@ class AffineSubspace:
 
     def direction_basis(self):
         """Orthonormal basis of null(A), shape (n, n - rank)."""
-        return self._basis if self._use_null else _complement(self._basis)
+        return self._basis if self._use_null else _lapack._complement(self._basis)
 
     def row_space_basis(self):
         """Orthonormal basis of range(A^T), shape (n, rank)."""
-        return _complement(self._basis) if self._use_null else self._basis
+        return _lapack._complement(self._basis) if self._use_null else self._basis
 
     def project(self, x):
         """Orthogonal projection of x onto the subspace (row-wise if 2-D)."""
@@ -364,174 +317,13 @@ def _norm(vectors):
     return scale * math.sqrt(sum(u @ u for u in (v / scale for v in vectors)))
 
 
-@functools.cache
-def _lapack_symbol(names):
-    """The first of the symbols `names` in the library numpy's linalg links, or None."""
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-
-
-@functools.cache
-def _dgeqrf():
-    """LAPACK's dgeqrf with 64-bit integer arguments, or None where not bound."""
-    func = _lapack_symbol(_DGEQRF_NAMES)
-    if func is not None:
-        i64 = ctypes.POINTER(ctypes.c_int64)
-        # M, N, A, LDA, TAU, WORK, LWORK, INFO
-        func.argtypes = [i64, i64, ctypes.c_void_p, i64, ctypes.c_void_p, ctypes.c_void_p,
-                         i64, i64]
-        func.restype = None
-    return func
-
-
-def _blas_threads():
-    """The thread count the BLAS that numpy links reports now, or None."""
-    func = _lapack_symbol(_BLAS_THREADS_NAMES)
-    if func is None:
-        return None
-    func.argtypes = []
-    func.restype = ctypes.c_int
-    return int(func())
-
-
-@functools.lru_cache(maxsize=64)
-def _geqrf_lwork(m, k):
-    """The workspace length numpy's raw QR gives dgeqrf on an m x k matrix:
-    LAPACK's optimum, at least max(1, k), so the blocking and the bytes match."""
-    query, info = np.zeros(1), ctypes.c_int64()
-    _dgeqrf()(ctypes.c_int64(m), ctypes.c_int64(k), query.ctypes.data,
-              ctypes.c_int64(max(1, m)), query.ctypes.data, query.ctypes.data,
-              ctypes.c_int64(-1), info)
-    return max(1, k, int(query[0]))
-
-
-class _RawQR:
-    """One Householder QR of an m x k matrix X, as np.linalg.qr(X, mode="raw").
-
-    `h` is a C-order (k, m) array holding X^T, which is X in LAPACK's column
-    order.  Every other buffer is allocated here, in the calling thread, and
-    run() only calls dgeqrf on them; it overwrites h with the raw factor and
-    fills tau.  ctypes releases the GIL for that call, so runs on separate
-    threads overlap.  Without a bound dgeqrf, run() takes numpy's raw QR,
-    which holds the GIL but gives the same bytes.
-    """
-
-    @classmethod
-    def of(cls, X):
-        """The QR of a copy of X, whatever X's layout."""
-        return cls(np.array(X.T, dtype=float, order="C"))
-
-    def __init__(self, h):
-        # dgeqrf writes through a raw pointer into h.
-        if h.dtype != np.float64 or h.ndim != 2 or not (h.flags.c_contiguous and h.flags.writeable):
-            raise ValueError("h must be a writeable C-order 2-D float64 array")
-        self.h = h
-        k, m = h.shape
-        self.tau = np.empty(min(m, k))
-        self._dgeqrf = _dgeqrf()
-        self._work = None if self._dgeqrf is None else np.empty(_geqrf_lwork(m, k))
-
-    def run(self):
-        """(h, tau), the raw factor of X."""
-        h, tau, work = self.h, self.tau, self._work
-        k, m = h.shape
-        if work is None:
-            h[...], tau[...] = np.linalg.qr(h.T, mode="raw")
-            return h, tau
-        info = ctypes.c_int64()
-        self._dgeqrf(ctypes.c_int64(m), ctypes.c_int64(k), h.ctypes.data,
-                     ctypes.c_int64(max(1, m)), tau.ctypes.data, work.ctypes.data,
-                     ctypes.c_int64(work.size), info)
-        if info.value != 0:
-            raise LinAlgError(f"dgeqrf rejected argument {-info.value}")
-        return h, tau
-
-
-def _geqrf(X):
-    """(h, tau) of np.linalg.qr(X, mode="raw") for a 2-D X, bitwise, through _RawQR."""
-    return _RawQR.of(X).run()
-
-
 def _factor_qr(A, b, raw_qr=None):
-    """Factors of a wide block from a QR of A^T, or None if not certified.
-
-    One geqrf, A^T = Q [T; 0] with Q = H_0 ... H_{rows-1} kept as its
-    reflectors.  Then A = T^T Q[:, :rows]^T, so Q[:, :rows] spans the row
-    space, Q[:, rows:] the null space, and z0 = Q [T^-T b; 0].  One pass
-    of _apply_q over [E | T^-T b; 0], where E is the identity columns that
-    pick out the stored basis (the trailing n - rows for the null space,
-    the leading rows for the row space), gives that basis and z0 together.
-    Q itself is never formed.  `raw_qr` is that geqrf when already computed.
-    """
+    """Factors of a wide block, storing the thinner basis, or None if its QR
+    is not certified; `raw_qr` is _lapack._geqrf(A^T) if already computed."""
     rows, n = A.shape
-    h, tau = _geqrf(A.T) if raw_qr is None else raw_qr
-    # h is rows x n; row j holds column j of LAPACK's factor, so T = tril(h)^T.
-    T_inv = _certified_inverse(_tril(h[:, :rows]).T)
-    if T_inv is None:
-        return None
     use_null = _uses_null(rows, n)
-    w = n - rows if use_null else rows
-    C = np.zeros((n, w + 1))
-    C[:rows, w] = T_inv.T @ b
-    d = np.arange(w)
-    if use_null:
-        C[rows + d, d] = 1.0
-        _apply_q(h, tau, C)
-    else:
-        C[d, d] = 1.0
-        _apply_q(h, tau, C, leading=w)
-    return rows, C[:, w].copy(), C[:, :w]
-
-
-def _apply_q(h, tau, C, leading=0):
-    """Overwrite C with Q C for the Q of _geqrf(X) -> (h, tau).
-
-    X is n x k with k <= n, so Q = H_0 ... H_{k-1} with H_j = I - tau_j v_j v_j^T.
-    The reflectors are applied in panels of _WY_PANEL, last panel first, each
-    in compact WY form I - V T V^T (Schreiber & Van Loan) with T from the UT
-    transform T^-1 = striu(V^T V) + diag(V^T V) / 2 (Joffrain et al.).  A
-    reflector with tau_j = 0 is the identity: it gets v_j = 0 and a unit
-    diagonal in T^-1.  A panel starting at reflector s touches only rows
-    s: of C and, when the first `leading` columns of C are e_0, e_1, ...,
-    leaves the columns before min(s, leading) alone, since they are still
-    unit vectors that its reflectors cannot reach.
-    """
-    k = tau.shape[0]
-    for s in reversed(range(0, k, _WY_PANEL)):
-        e = min(s + _WY_PANEL, k)
-        # Rows of V^T: v_j is zero above j, one at j and h[j, j+1:] below.
-        Vt = _triu(h[s:e, s:], 1)
-        live = tau[s:e] != 0
-        Vt[~live] = 0.0
-        d = np.arange(e - s)
-        Vt[d, d] = live
-        G = Vt @ Vt.T
-        T_inv = _triu(G, 1)
-        T_inv[d, d] = np.where(live, 0.5 * G[d, d], 1.0)
-        X = C[s:, min(s, leading):]
-        X -= Vt.T @ _triangular_solve(T_inv, Vt @ X)
-
-
-def _complement(B):
-    """Orthonormal basis of the orthogonal complement of range(B), read-only.
-
-    B is n x k with orthonormal columns; with B = Q [R; 0], the trailing
-    n - k columns of Q span the complement.
-    """
-    n, k = B.shape
-    if k == 0:
-        out = np.eye(n)
-    else:
-        h, tau = _geqrf(B)
-        out = np.zeros((n, n - k))
-        d = np.arange(n - k)
-        out[k + d, d] = 1.0
-        _apply_q(h, tau, out)
-    out.setflags(write=False)
-    return out
+    found = _lapack._certified_qr_basis(A, b, n - rows if use_null else rows, use_null, raw_qr)
+    return None if found is None else (rows, *found)
 
 
 def _factor_whole(A, b, limit, raw_qr=None):
@@ -557,152 +349,17 @@ def _factor_whole(A, b, limit, raw_qr=None):
 
 
 def _factor_tall_qr(A, b):
-    """Factors of a tall block from _certified_tall_solve, or None if not certified.
+    """Factors of a tall block from _lapack._certified_tall_solve, or None if not certified.
 
     A certified A has full column rank, so the row space is all of R^n, the
     stored null basis is empty, and z0 is the least-squares solution, whose
     misfit the caller's consistency check sees.
     """
     n = A.shape[1]
-    z0 = _certified_tall_solve(A, b)
+    z0 = _lapack._certified_tall_solve(A, b)
     if z0 is None:
         return None
     return n, z0, np.zeros((n, 0))
-
-
-def _certified_tall_solve(A, b):
-    """R^-1 c from an R-only QR of [A | b], or None if R is not certified.
-
-    A is (rows, n) with rows > n.  With [A | b] = Q [[R, c], [0, d]], an R
-    that passes _certified_inverse makes A full column rank, and R^-1 c is
-    then the unique least-squares solution of A y = b, with misfit |d|; the
-    caller checks that misfit.  Q is never formed, and geqrf overwrites the
-    one copy of [A | b]^T, whose row j is column j of [A | b].  R is
-    np.triu's triangle, taken by _triu, and certified by _certified_inverse,
-    so the bytes are those of the same formula through numpy.linalg.
-    """
-    rows, n = A.shape
-    h = np.empty((n + 1, rows))
-    h[:n] = A.T
-    h[n] = b
-    _RawQR(h).run()
-    # Kept in C order: the certificate's norms and products, and so its
-    # bytes, depend on the layout of R.
-    R_inv = _certified_inverse(np.ascontiguousarray(_triu(h[:n, :n].T)))
-    if R_inv is None:
-        return None
-    return R_inv @ h[n, :n]
-
-
-def _certified_inverse(T):
-    """Inverse of an upper triangle T, or None unless
-    ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT.
-
-    The inverse is _triangular_inverse's, whose leaves run numpy.linalg.inv's
-    gufunc, and each norm is np.linalg.norm's, so the bytes and the verdict
-    are those of that formula through numpy.linalg.
-    """
-    try:
-        # A nearly singular T may overflow to inf or nan; both fail the test.
-        with np.errstate(all="ignore"):
-            T_inv = _triangular_inverse(T)
-    except LinAlgError:
-        return None
-    bound = _frobenius(T) * _frobenius(T_inv)
-    return T_inv if bound <= QR_CONDITION_LIMIT else None
-
-
-def _frobenius(M):
-    """np.linalg.norm(M), bitwise: the squares summed in M's memory order.
-    A float, so an overflowed product of two norms raises no warning."""
-    v = M.ravel(order="K")
-    return math.sqrt(v.dot(v))
-
-
-def _tri(rows, cols, k):
-    """np.tri(rows, cols, k, dtype=bool), the mask np.tril and np.triu build
-    on every call; read-only and cached up to _CACHED_MASK_ENTRIES entries."""
-    if rows * cols > _CACHED_MASK_ENTRIES:
-        return np.tri(rows, cols, k, dtype=bool)
-    return _cached_tri(rows, cols, k)
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_tri(rows, cols, k):
-    mask = np.tri(rows, cols, k, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
-def _tril(M):
-    """np.tril(M) of a 2-D M, bitwise: the same np.where on a cached mask."""
-    return np.where(_tri(*M.shape, 0), M, _ZERO)
-
-
-def _triu(M, k=0):
-    """np.triu(M, k) of a 2-D M, bitwise: the same np.where on a cached mask."""
-    return np.where(_tri(*M.shape, k - 1), _ZERO, M)
-
-
-def _certified_cholesky_solve(gram, rhs):
-    """G^-1 r from G = L L^T, or None unless (||L||_F ||L^-1||_F)^2 <=
-    QR_CONDITION_LIMIT, an upper bound on kappa_2(G).
-
-    L and L^-1 come from the gufuncs of np.linalg.cholesky and
-    np.linalg.inv, under their error state, so the bytes and the verdict
-    are those of that formula through numpy.linalg.
-    """
-    try:
-        with np.errstate(**_LAPACK_ERRORS):
-            L = _umath_linalg.cholesky_lo(gram, signature="d->d")
-            L_inv = _umath_linalg.inv(L, signature="d->d")
-    except LinAlgError:  # G is not numerically positive definite
-        return None
-    # A nearly singular L may overflow L^-1 to inf, which fails the test.
-    if not np.vdot(L, L) * np.vdot(L_inv, L_inv) <= QR_CONDITION_LIMIT:
-        return None
-    return rhs @ L_inv.T @ L_inv
-
-
-def _triangular_inverse(T):
-    """Inverse of an upper-triangular matrix by recursive 2x2 blocking.
-
-    inv([[T11, T12], [0, T22]]) = [[X11, -X11 T12 X22], [0, X22]] with
-    Xii = inv(Tii); about a quarter of the flops of a general inverse.  A
-    leaf is np.linalg.inv's gufunc, and raises LinAlgError where it would.
-    """
-    k = T.shape[0]
-    if k <= _TRIANGULAR_LEAF:
-        with np.errstate(**_LAPACK_ERRORS):
-            return _umath_linalg.inv(T, signature="d->d")
-    h = k // 2
-    X11 = _triangular_inverse(T[:h, :h])
-    X22 = _triangular_inverse(T[h:, h:])
-    # np.zeros_like(T) less the zeroing that the three blocks overwrite.
-    X = np.empty_like(T)
-    X[:h, :h] = X11
-    X[h:, h:] = X22
-    X[h:, :h] = 0.0
-    X[:h, h:] = -(X11 @ T[:h, h:]) @ X22
-    return X
-
-
-def _triangular_solve(T, W):
-    """T^-1 W for an upper-triangular T by recursive 2x2 blocking.
-
-    With T = [[T11, T12], [0, T22]], Y2 = T22^-1 W2 and
-    Y1 = T11^-1 (W1 - T12 Y2); a general solve would spend the flops of a
-    full LU on T.  W is 2-D, and a leaf is np.linalg.solve's gufunc, which
-    raises LinAlgError where it would.
-    """
-    k = T.shape[0]
-    if k <= _TRIANGULAR_LEAF:
-        with np.errstate(**_LAPACK_ERRORS):
-            return _umath_linalg.solve(T, W, signature="dd->d")
-    h = k // 2
-    Y2 = _triangular_solve(T[h:, h:], W[h:])
-    Y1 = _triangular_solve(T[:h, :h], W[:h] - T[:h, h:] @ Y2)
-    return np.concatenate([Y1, Y2])
 
 
 def _factor_svd(A, b):
@@ -710,10 +367,7 @@ def _factor_svd(A, b):
     rows, n = A.shape
     # Full right factor is needed: V[:, :r] spans the row space and
     # V[:, r:] the direction (null) space; only the one used is kept.
-    if rows >= n:
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    else:
-        U, s, Vh = np.linalg.svd(A, full_matrices=True)
+    U, s, Vh = np.linalg.svd(A, full_matrices=rows < n)
     sigma_max = s[0] if s.size else 0.0
     cutoff = max(rows, n) * np.finfo(float).eps * sigma_max
     rank = int(np.count_nonzero(s > cutoff))

@@ -13,24 +13,20 @@ whose matrix G = D D^T is the Gram matrix of the differences.
 `_solve_differences(D, r)` solves for y from the differences alone, so a
 caller that already holds them (the P-CRM step, whose differences are
 twice d_i = P_i(x) - x) never assembles the points.  It takes one of three
-routes; the two certified solves, and their certificates, live in `affine`
-beside those of the block factorizations:
+routes; the two certified solves, and the certificate they share, live in
+`_lapack`:
 
 * A tall D (m > n: more points than dimensions plus one) is solved by
-  affine._certified_tall_solve, one R-only Householder QR of
-  [D | r] = Q [[R, c], [0, d]]: y = R^-1 c, with neither Q nor G formed,
-  when R passes the certificate of tall blocks,
-  ||R||_F * ||R^-1||_F <= affine's condition limit.  A certified D has
-  full column rank, so y is the only solution there is.
-* A wide D (m <= n) is solved by affine._certified_cholesky_solve, through
-  the Cholesky factor G = L L^T: alpha = L^-T L^-1 r, kept only when
-  (||L||_F * ||L^-1||_F)^2 <= that same limit.  That product
-  bounds kappa_2(G) = kappa_2(L)^2, so a certified G is positive definite
-  by a wide margin, and alpha is the only solution of the normal system.
-  The bound is deliberately not scaled to G's diagonal: a difference of
-  rounding-noise length (x on a block up to rounding) must read as
-  dependence and fall back, since its direction is noise that an exact
-  solve would follow.
+  _certified_tall_solve, one R-only Householder QR of
+  [D | r] = Q [[R, c], [0, d]]: y = R^-1 c, with neither Q nor G formed.
+  A certified D has full column rank, so y is the only solution there is.
+* A wide D (m <= n) is solved by _certified_cholesky_solve, through the
+  Cholesky factor G = L L^T: alpha = L^-T L^-1 r.  A certified G is
+  positive definite by a wide margin, and alpha is the only solution of
+  the normal system.  The bound is deliberately not scaled to G's
+  diagonal: a difference of rounding-noise length (x on a block up to
+  rounding) must read as dependence and fall back, since its direction is
+  noise that an exact solve would follow.
 * Every set that misses its certificate (zero or repeated differences,
   affinely dependent or nearly dependent points, a hull of lower
   dimension) takes a minimum-norm least-squares solution: of D y = r
@@ -48,7 +44,7 @@ import math
 
 import numpy as np
 
-from .affine import _certified_cholesky_solve, _certified_tall_solve
+from ._lapack import _certified_cholesky_solve, _certified_tall_solve
 from .errors import DegenerateSystem, DimensionMismatch
 
 # Accepted least-squares misfit of the normal system, relative to 1 + ||rhs||.

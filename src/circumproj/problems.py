@@ -12,18 +12,15 @@ bit-exact within this implementation; only statistical equivalence is
 promised across implementations.
 """
 
-import collections
-import contextlib
 import functools
 import itertools
 import numbers
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import affine
+from ._lapack import _block_qrs, _cpu_count
 from .affine import AffineSubspace, _BlockKernel, _block_list
 from .errors import DimensionMismatch, InconsistentSystem, InvalidCoherence
 
@@ -31,37 +28,6 @@ GENERATOR_ID = "pcg64-boxmuller"
 
 # Uniform pairs pushed through the Box-Muller transform at a time.
 _BOX_MULLER_CHUNK = 1 << 14
-
-# Wide blocks with at least this many entries have their QR computed on a
-# pool thread when there is a spare CPU.  With BLAS at one thread on 2 CPUs,
-# the median of 30 alternating in-process builds of the 41 blocks of a
-# 40n x n protocol matrix, pooled over serial, was 1.08x at n = 60 and
-# 0.63x at n = 500.  At n = 100 (98 x 100 blocks) it was 0.84-0.92x on a
-# quiet host, the pooled build winning 26-29 of 30, but 0.89-0.98x, winning
-# 21-22, while other work shared the host, and 1.17-1.28x while another
-# process kept a CPU busy; at n = 120-140 it was 0.76-0.79x on a quiet
-# host.  Twelve 20 x 400 blocks took 1.2-1.35x.  A 99 x 100 block stays
-# serial: a spare CPU saves it less than a busy one costs.
-_POOLED_BLOCK_ENTRIES = 20_000
-
-
-def _cpu_count():
-    """CPUs this process may run on: the ceiling on a draw's threads and on
-    the threads that factor an instance's blocks."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _factor_workers():
-    """Pool threads for block QRs: one per spare CPU, counted in BLAS thread
-    counts, so 0 when the BLAS already uses every CPU; 0 as well when the
-    BLAS does not report its thread count or dgeqrf is not bound."""
-    threads = affine._blas_threads()
-    if not threads or affine._dgeqrf() is None:
-        return 0
-    return max(0, _cpu_count() // threads - 1)
 
 
 class _NormalStream:
@@ -210,9 +176,13 @@ class GenerationDescriptor:
 
     @classmethod
     def from_dict(cls, d):
-        """The descriptor a `to_dict` wrote; ValueError for a count that is
-        not an integer or a coherence that is not a number."""
+        """The descriptor a `to_dict` wrote; ValueError for a non-dict `d`, a
+        non-list `block_rows`, a non-integer count or a non-number coherence."""
+        if not isinstance(d, dict):
+            raise ValueError(f"descriptor must be a JSON object, got {type(d).__name__}")
         rows = d.get("block_rows")
+        if not isinstance(rows, (list, tuple, type(None))):
+            raise ValueError(f"block_rows must be a list of counts, got {type(rows).__name__}")
         return cls(
             m=_check_integer("m", d["m"]),
             n=_check_integer("n", d["n"]),
@@ -287,8 +257,8 @@ def _protocol_descriptor(m, n, c, seed):
     """The descriptor of build_instance(m, n, c, seed), whose arguments it
     checks: ValueError, or InvalidCoherence for a coherence outside [0, 1]."""
     m, n = _check_integer("m", m), _check_integer("n", n)
-    if not m > n >= 1:
-        raise ValueError(f"protocol requires m > n >= 1, got m={m}, n={n}")
+    if not m > n >= 2:
+        raise ValueError(f"protocol requires m > n >= 2 (n = 1 leaves a block empty); m={m}, n={n}")
     return GenerationDescriptor(
         m=m, n=n, coherence=_check_coherence(c), seed=_check_integer("seed", seed, 0),
         block_count=block_count(m, n),
@@ -324,39 +294,15 @@ def _draw(descriptor):
 
 def _partitioned(A, b, sizes, known_solution, descriptor):
     """The instance whose blocks are consecutive row ranges of A x = b with
-    `sizes` rows each, in order.
-
-    The QR of every wide block of at least _POOLED_BLOCK_ENTRIES entries
-    runs on a pool of _factor_workers() threads, at most one block ahead
-    per thread, while this thread certifies the blocks and builds their
-    bases in order.  This thread allocates every buffer of a pooled QR, and
-    a pool thread only runs dgeqrf on them, which releases the GIL.  With
-    no workers there is no pool.  The bytes are the same either way.
-    """
-    n = A.shape[1]
+    `sizes` rows each, in order, built with the QRs of _block_qrs."""
     edges = list(itertools.accumulate(sizes, initial=0))
     blocks = [(A[lo:hi], b[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-    pooled = [A_i.shape[0] <= n and A_i.size >= _POOLED_BLOCK_ENTRIES for A_i, _ in blocks]
-    workers = _factor_workers() if any(pooled) else 0
-    subspaces = []
-
-    def build_next(job):
-        i = len(subspaces)
-        A_i, b_i = blocks[i]
-        raw_qr = None if job is None else job.result()
-        subspaces.append(AffineSubspace(A_i, b_i, label=i, raw_qr=raw_qr))
-
-    with ThreadPoolExecutor(max_workers=workers) if workers else contextlib.nullcontext() as pool:
-        # One entry per block submitted and not yet built: its future, or None.
-        ahead = collections.deque()
-        for (A_i, _), use_pool in zip(blocks, pooled):
-            ahead.append(pool.submit(affine._RawQR.of(A_i.T).run) if workers and use_pool else None)
-            if len(ahead) > workers:
-                build_next(ahead.popleft())
-        while ahead:
-            build_next(ahead.popleft())
+    with _block_qrs([A_i for A_i, _ in blocks]) as qrs:
+        # next(qrs) is bound to no name, so a QR does not outlive its block's build.
+        subspaces = tuple(AffineSubspace(A_i, b_i, label=i, raw_qr=next(qrs))
+                          for i, (A_i, b_i) in enumerate(blocks))
     return ProblemInstance(
-        subspaces=tuple(subspaces),
+        subspaces=subspaces,
         ambient_dim=A.shape[1],
         known_solution=known_solution,
         descriptor=descriptor,

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from circumproj import AffineSubspace, ProblemInstance, affine
+from circumproj import AffineSubspace, ProblemInstance, _lapack, affine
 
 
 def random_block_instance(rng, n_range=(3, 12), block_range=(2, 4),
@@ -61,13 +61,13 @@ def svd_calls(monkeypatch):
 def tall_solves(monkeypatch):
     """Row counts of the stacks that went through _certified_tall_solve."""
     calls = []
-    solve = affine._certified_tall_solve
+    solve = _lapack._certified_tall_solve
 
     def spy(A, b):
         calls.append(A.shape[0])
         return solve(A, b)
 
-    monkeypatch.setattr(affine, "_certified_tall_solve", spy)
+    monkeypatch.setattr(_lapack, "_certified_tall_solve", spy)
     return calls
 
 
@@ -75,13 +75,13 @@ def tall_solves(monkeypatch):
 def raw_qrs(monkeypatch):
     """(shape of h, thread) of every Householder QR run, in any thread."""
     calls = []
-    run = affine._RawQR.run
+    run = _lapack._RawQR.run
 
     def spy(self):
         calls.append((self.h.shape, threading.get_ident()))
         return run(self)
 
-    monkeypatch.setattr(affine._RawQR, "run", spy)
+    monkeypatch.setattr(_lapack._RawQR, "run", spy)
     return calls
 
 

@@ -18,7 +18,7 @@ from circumproj import (
     project_intersection,
     residual,
 )
-from circumproj import affine
+from circumproj import _lapack, affine
 from oracles import kkt_project, kkt_project_blocks, kkt_residuals, point_in_subspace, svd_factors
 
 
@@ -94,7 +94,7 @@ class TestConstruction:
 
 
 class TestGeqrf:
-    """affine._geqrf is numpy's raw QR, bitwise, through LAPACK or without it."""
+    """_lapack._geqrf is numpy's raw QR, bitwise, through LAPACK or without it."""
 
     @staticmethod
     def inputs():
@@ -110,11 +110,11 @@ class TestGeqrf:
     @pytest.mark.parametrize("bound", [True, False])
     def test_bitwise_equal_to_numpy_raw_qr(self, monkeypatch, bound):
         if not bound:
-            monkeypatch.setattr(affine, "_dgeqrf", lambda: None)
-        elif affine._dgeqrf() is None:
+            monkeypatch.setattr(_lapack, "_dgeqrf", lambda: None)
+        elif _lapack._dgeqrf() is None:
             pytest.skip("numpy links no ILP64 dgeqrf")
         for name, X in self.inputs().items():
-            h, tau = affine._geqrf(X)
+            h, tau = _lapack._geqrf(X)
             want_h, want_tau = np.linalg.qr(X, mode="raw")
             assert h.shape == want_h.shape and tau.shape == want_tau.shape, name
             assert h.tobytes() == np.ascontiguousarray(want_h).tobytes(), name
@@ -417,8 +417,8 @@ class TestTallFactorization:
         A = rng.standard_normal((rows, n))
         b = rng.standard_normal(rows)
         Rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
-        want = affine._certified_inverse(Rb[:n, :n]) @ Rb[:n, n]
-        assert affine._certified_tall_solve(A, b).tobytes() == want.tobytes()
+        want = _lapack._certified_inverse(Rb[:n, :n]) @ Rb[:n, n]
+        assert _lapack._certified_tall_solve(A, b).tobytes() == want.tobytes()
 
     def test_dependent_columns_fall_back(self, rng, svd_calls):
         A = rng.standard_normal((30, 8))
@@ -483,7 +483,7 @@ class TestTallPrefix:
         assert tall_solves == [2 * n, 6 * n]
         assert svd_calls == []
         assert U.rank == n
-        expected = affine._certified_tall_solve(A, b)
+        expected = _lapack._certified_tall_solve(A, b)
         assert np.linalg.norm(U.anchor - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("rows, solved", [(8, [8]), (27, [27]), (28, [14]), (70, [14])])
@@ -494,7 +494,7 @@ class TestTallPrefix:
         U = AffineSubspace(A, b)
         assert tall_solves == solved
         assert U.rank == n
-        expected = affine._certified_tall_solve(A, b)
+        expected = _lapack._certified_tall_solve(A, b)
         assert np.linalg.norm(U.anchor - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_regularity_estimate_factors_one_short_prefix(self, monkeypatch, raw_qrs):
@@ -701,13 +701,13 @@ class TestHouseholderFactor:
             v = np.concatenate([np.zeros(j), [1.0], h[j, j + 1:]])
             want -= tau[j] * np.outer(v, v @ want)
         got = C.copy()
-        affine._apply_q(h, tau, got)
+        _lapack._apply_q(h, tau, got)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         # Leading identity columns: panels skip the ones they cannot reach.
         E = np.zeros((n, k + 1))
         E[:k, :k] = np.eye(k)
         E[:, k] = C[:, 0]
-        affine._apply_q(h, tau, E, leading=k)
+        _lapack._apply_q(h, tau, E, leading=k)
         want_e = np.hstack([np.eye(n, k), C[:, :1]])
         for j in reversed(range(k)):
             v = np.concatenate([np.zeros(j), [1.0], h[j, j + 1:]])

@@ -28,13 +28,13 @@ from circumproj import (
     AffineSubspace,
     DegenerateSystem,
     SolverConfig,
-    affine,
+    _lapack,
     build_instance,
     build_underdetermined_instance,
     circumcenters,
     solve,
 )
-from circumproj.affine import QR_CONDITION_LIMIT
+from circumproj._lapack import QR_CONDITION_LIMIT
 from circumproj.circumcenters import _solve_differences
 from oracles import svd_factors
 
@@ -227,7 +227,7 @@ def test_tall_circumcenter_fallback_keeps_the_planted_step(lstsq_calls, ratio, s
 
 def np_triangular_inverse(T):
     k = T.shape[0]
-    if k <= affine._TRIANGULAR_LEAF:
+    if k <= _lapack._TRIANGULAR_LEAF:
         return np.linalg.inv(T)
     h = k // 2
     X11 = np_triangular_inverse(T[:h, :h])
@@ -241,7 +241,7 @@ def np_triangular_inverse(T):
 
 def np_triangular_solve(T, W):
     k = T.shape[0]
-    if k <= affine._TRIANGULAR_LEAF:
+    if k <= _lapack._TRIANGULAR_LEAF:
         return np.linalg.solve(T, W)
     h = k // 2
     Y2 = np_triangular_solve(T[h:, h:], W[h:])
@@ -275,15 +275,15 @@ def np_certified_tall_solve(A, b):
     h = np.empty((n + 1, rows))
     h[:n] = A.T
     h[n] = b
-    affine._RawQR(h).run()
+    _lapack._RawQR(h).run()
     R_inv = np_certified_inverse(np.ascontiguousarray(np.triu(h[:n, :n].T)))
     return None if R_inv is None else R_inv @ h[n, :n]
 
 
 def np_apply_q(h, tau, C, leading=0):
     k = tau.shape[0]
-    for s in reversed(range(0, k, affine._WY_PANEL)):
-        e = min(s + affine._WY_PANEL, k)
+    for s in reversed(range(0, k, _lapack._WY_PANEL)):
+        e = min(s + _lapack._WY_PANEL, k)
         Vt = np.triu(h[s:e, s:], 1)
         live = tau[s:e] != 0
         Vt[~live] = 0.0
@@ -345,12 +345,12 @@ def test_certified_inverse_is_numpys_bitwise(k, order):
         for T in triangles:
             T = np.asarray(T, order=order)
             want = np_certified_inverse(T)
-            assert_same_outcome(affine._certified_inverse(T), want)
+            assert_same_outcome(_lapack._certified_inverse(T), want)
             seen.add(want is None)
             if want is not None:
                 # The certificate's norms sum in memory order, as numpy's do.
-                assert affine._frobenius(T) == np.linalg.norm(T)
-                assert affine._frobenius(want) == np.linalg.norm(want)
+                assert _lapack._frobenius(T) == np.linalg.norm(T)
+                assert _lapack._frobenius(want) == np.linalg.norm(want)
         assert seen == {True, False}
 
 
@@ -364,7 +364,7 @@ def test_triangular_solve_is_numpys_bitwise(k):
         for T in triangles:
             W = rng.standard_normal((k, 3))
             want = outcome(np_triangular_solve, T, W)
-            assert_same_outcome(outcome(affine._triangular_solve, T, W), want)
+            assert_same_outcome(outcome(_lapack._triangular_solve, T, W), want)
             outcomes.append(want)
         assert outcomes[-3] is np.linalg.LinAlgError  # the singular leaf
 
@@ -381,7 +381,7 @@ def test_certified_cholesky_solve_is_numpys_bitwise(m, n):
         for G in grams:
             r = rng.standard_normal(m)
             want = np_certified_cholesky_solve(G, r)
-            assert_same_outcome(affine._certified_cholesky_solve(G, r), want)
+            assert_same_outcome(_lapack._certified_cholesky_solve(G, r), want)
             wants.append(want)
         assert wants[len(RATIOS)] is None  # the indefinite Gram
         assert any(want is not None for want in wants)
@@ -399,7 +399,7 @@ def test_certified_tall_solve_is_numpys_bitwise(rows, n):
         for A in systems:
             b = rng.standard_normal(rows)
             want = np_certified_tall_solve(A, b)
-            assert_same_outcome(affine._certified_tall_solve(A, b), want)
+            assert_same_outcome(_lapack._certified_tall_solve(A, b), want)
             seen.add(want is None)
         assert seen == {True, False}
 
@@ -409,7 +409,7 @@ def test_apply_q_is_numpys_bitwise(n, k):
     # 140 reflectors make two WY panels; `leading` skips unit columns.
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
-        factors = [affine._geqrf(graded(rng, n, k, ratio)[0]) for ratio in RATIOS]
+        factors = [_lapack._geqrf(graded(rng, n, k, ratio)[0]) for ratio in RATIOS]
         h, tau = factors[0]
         dead = tau.copy()
         dead[k // 3] = 0.0  # a reflector that is the identity
@@ -419,7 +419,7 @@ def test_apply_q_is_numpys_bitwise(n, k):
                 C = rng.standard_normal((n, 4))
                 C[:, :leading] = np.eye(n, leading)
                 got, want = C.copy(), C.copy()
-                assert_same_outcome(outcome(affine._apply_q, h, tau, got, leading),
+                assert_same_outcome(outcome(_lapack._apply_q, h, tau, got, leading),
                                     outcome(np_apply_q, h, tau, want, leading))
                 assert got.tobytes() == want.tobytes()
 

@@ -56,6 +56,17 @@ class TestGen:
                        "--seed", "0", "--out", str(tmp_path / "d.json"))
         assert code == 2
 
+    def test_one_column_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # floor(5/1) + 1 = 6 blocks cannot share 5 rows.
+        path = tmp_path / "d.json"
+        code = run_cli("gen", "--m", "5", "--n", "1", "--coherence", "0.1",
+                       "--seed", "1", "--out", str(path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n = 1 leaves a block empty" in captured.err
+        assert not path.exists()
+
     def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "d.json"
         code = run_cli("gen", "--m", "10", "--n", "2", "--coherence", "0.1",
@@ -241,6 +252,18 @@ class TestBench:
         assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_column_cell_fails_with_the_reason(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "m_values": [5], "n_values": [1, 2], "coherence_values": [0.1],
+            "methods": ["pcrm"], "seeds": [1], "workers": [1],
+        }))
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 5
+        assert "n = 1 leaves a block empty" in capsys.readouterr().err
+        rows = read_csv(out)
+        assert len(rows) == 2 and rows[1][CSV_HEADER.index("n")] == "2"
 
     def test_unconverged_cell_exits_5(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -474,6 +497,25 @@ class TestDescriptorChecks:
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert run_cli(command[0], "--inst", str(path), *command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("command", [["solve", "--method", "pcrm"],
+                                         ["analyze", "--mode", "regularity"]])
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "descriptor must be a JSON object"),
+        ('"x"', "descriptor must be a JSON object"),
+        (None, "block_rows must be a list of counts, got int"),
+    ])
+    def test_malformed_descriptor_exits_2(self, underdetermined_descriptor, capsys, command,
+                                          text, message):
+        if text is None:
+            payload = json.loads(underdetermined_descriptor.read_text())
+            payload["block_rows"] = 20
+            text = json.dumps(payload)
+        underdetermined_descriptor.write_text(text)
+        assert run_cli(command[0], "--inst", str(underdetermined_descriptor), *command[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err

@@ -25,7 +25,7 @@ from circumproj import (
     residual,
     solve,
 )
-from circumproj import affine, problems
+from circumproj import _lapack, problems
 from oracles import ReferenceNormalStream, kkt_project_blocks, reference_coherent_matrix
 
 
@@ -334,8 +334,8 @@ class TestPooledBuild:
     @pytest.mark.parametrize("bound", [True, False])
     def test_worker_count_changes_no_byte(self, monkeypatch, raw_qrs, workers, bound):
         if not bound:
-            monkeypatch.setattr(affine, "_dgeqrf", lambda: None)
-        monkeypatch.setattr(problems, "_factor_workers", lambda: workers)
+            monkeypatch.setattr(_lapack, "_dgeqrf", lambda: None)
+        monkeypatch.setattr(_lapack, "_factor_workers", lambda: workers)
         before = threading.active_count()
         inst = build_instance(1000, 150, 0.1, 3)
         assert factor_digest(inst) == FACTORS_1000_150_3
@@ -345,7 +345,7 @@ class TestPooledBuild:
         assert all((ident != main) == (workers > 0) for _, ident in raw_qrs)
 
     def test_small_blocks_stay_in_the_calling_thread(self, monkeypatch, raw_qrs):
-        monkeypatch.setattr(problems, "_factor_workers", lambda: 3)
+        monkeypatch.setattr(_lapack, "_factor_workers", lambda: 3)
         inst = build_instance(1000, 100, 0.1, 3)  # 11 blocks of 91 x 100
         assert inst.block_count == 11
         assert [ident for _, ident in raw_qrs] == [threading.get_ident()] * 11
@@ -354,11 +354,11 @@ class TestPooledBuild:
         (1, 1, 0), (2, 1, 1), (2, 2, 0), (8, 2, 3), (8, 3, 1), (4, None, 0), (4, 0, 0),
     ])
     def test_workers_fill_the_spare_cpus(self, monkeypatch, cpus, blas, workers):
-        monkeypatch.setattr(problems, "_cpu_count", lambda: cpus)
-        monkeypatch.setattr(affine, "_blas_threads", lambda: blas)
-        assert problems._factor_workers() == workers
-        monkeypatch.setattr(affine, "_dgeqrf", lambda: None)
-        assert problems._factor_workers() == 0
+        monkeypatch.setattr(_lapack, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_lapack, "_blas_threads", lambda: blas)
+        assert _lapack._factor_workers() == workers
+        monkeypatch.setattr(_lapack, "_dgeqrf", lambda: None)
+        assert _lapack._factor_workers() == 0
 
     def test_inconsistent_block_mid_build_raises_as_serial(self, monkeypatch):
         A = gaussian_matrix(1000, 150, 0.1, 3)
@@ -370,7 +370,7 @@ class TestPooledBuild:
         b[lo + 1] = b[lo] + 1.0
         errors = []
         for workers in (0, 1, 3):
-            monkeypatch.setattr(problems, "_factor_workers", lambda: workers)
+            monkeypatch.setattr(_lapack, "_factor_workers", lambda: workers)
             before = threading.active_count()
             with pytest.raises(InconsistentSystem) as info:
                 problems._partitioned(A, b, sizes, None, None)
@@ -389,6 +389,12 @@ class TestArgumentChecks:
             build_underdetermined_instance(10, [2, 3], 0.0, seed)
         with pytest.raises(ValueError, match="seed"):
             gaussian_matrix(3, 2, 0.0, seed)
+
+    @pytest.mark.parametrize("m", [2, 5, 100])
+    def test_protocol_needs_two_columns(self, m):
+        # floor(m/1) + 1 = m + 1 blocks cannot share m rows.
+        with pytest.raises(ValueError, match=r"m > n >= 2 \(n = 1 leaves a block empty\)"):
+            build_instance(m, 1, 0.1, 1)
 
     @pytest.mark.parametrize("m, n", [(100.7, 10), (100, 10.0), (True, 0), (100, np.float64(10))])
     def test_non_integral_dimensions_rejected(self, m, n):
@@ -464,6 +470,17 @@ class TestDescriptorChecks:
         with pytest.raises(ValueError, match=f"^{message}$"):
             instance_from_descriptor(GenerationDescriptor.from_dict(payload))
         assert calls == []
+
+    @pytest.mark.parametrize("payload", [[1, 2], "x", 3, None])
+    def test_descriptor_must_be_a_dict(self, payload):
+        with pytest.raises(ValueError, match="descriptor must be a JSON object"):
+            GenerationDescriptor.from_dict(payload)
+
+    @pytest.mark.parametrize("rows", [20, "345", {"3": 4}])
+    def test_block_rows_must_be_a_list(self, under, rows):
+        under["block_rows"] = rows
+        with pytest.raises(ValueError, match="block_rows must be a list of counts"):
+            GenerationDescriptor.from_dict(under)
 
     @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
     def test_coherence_must_be_a_number(self, under, value):

@@ -1,12 +1,16 @@
 """The public surface of circumproj, pinned: adding or removing a name is an
 explicit edit of this file."""
 
+import ctypes
+import importlib
+import pkgutil
 import types
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 import circumproj
-from circumproj import affine, analysis, circumcenters, cli, problems, solvers
+from circumproj import _lapack, affine, analysis, circumcenters, cli, problems, solvers
 
 PUBLIC_NAMES = {
     # affine
@@ -63,3 +67,40 @@ def test_benchmark_bindings_stay():
     assert U.direction_basis().shape == (3, 2)
     assert U.row_space_basis().shape == (3, 1)
     np.testing.assert_array_equal(U.project(np.zeros(3)), [2.0, 0.0, 0.0])
+
+
+# What moved into _lapack, the one module that calls LAPACK directly.
+MOVED_FROM_AFFINE = (
+    "QR_CONDITION_LIMIT", "_LAPACK_ERRORS", "_RawQR", "_TRIANGULAR_LEAF", "_WY_PANEL",
+    "_apply_q", "_blas_threads", "_certified_cholesky_solve", "_certified_inverse",
+    "_certified_tall_solve", "_complement", "_dgeqrf", "_frobenius", "_geqrf",
+    "_geqrf_lwork", "_lapack_symbol", "_tri", "_tril", "_triangular_inverse",
+    "_triangular_solve", "_triu",
+)
+MOVED_FROM_PROBLEMS = ("_POOLED_BLOCK_ENTRIES", "_factor_workers")
+
+
+def test_only_lapack_binds_ctypes_and_numpys_lapack():
+    for module in (affine, problems, circumcenters):
+        bound = [value for value in vars(module).values()
+                 if value is ctypes or value is _umath_linalg]
+        assert bound == [], module.__name__
+    assert _lapack.ctypes is ctypes and _lapack._umath_linalg is _umath_linalg
+
+
+def test_moved_names_have_no_shim():
+    for module, names in [(affine, MOVED_FROM_AFFINE), (problems, MOVED_FROM_PROBLEMS)]:
+        for name in names:
+            assert hasattr(_lapack, name), name
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_condition_limit_is_defined_once():
+    holders = []
+    for info in pkgutil.iter_modules(circumproj.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"circumproj.{info.name}")
+        if hasattr(module, "QR_CONDITION_LIMIT"):
+            holders.append(info.name)
+    assert holders == ["_lapack"]
