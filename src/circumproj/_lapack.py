@@ -144,21 +144,29 @@ class _RawQR:
     """One Householder QR of an m x k matrix X, as np.linalg.qr(X, mode="raw").
 
     `h` is a C-order (k, m) array holding X^T, which is X in LAPACK's column
-    order.  Every other buffer is allocated here, in the calling thread, and
-    run() only calls dgeqrf on them; it overwrites h with the raw factor and
-    fills tau.  Without a bound dgeqrf, run() takes numpy's raw QR, which
-    holds the GIL but gives the same bytes.
+    order.  dgeqrf's workspace is the leading entries of `work`, a 1-D
+    float64 array, or a new array when `work` is None.  Every buffer is
+    allocated in the calling thread, and run() only calls dgeqrf on them;
+    it overwrites h with the raw factor and fills tau.  Without a bound
+    dgeqrf, run() takes numpy's raw QR, which holds the GIL but gives the
+    same bytes.
     """
 
-    def __init__(self, h):
-        # dgeqrf writes through a raw pointer into h.
+    def __init__(self, h, work=None):
+        # dgeqrf writes through raw pointers into h and the workspace.
         if h.dtype != np.float64 or h.ndim != 2 or not (h.flags.c_contiguous and h.flags.writeable):
             raise ValueError("h must be a writeable C-order 2-D float64 array")
         self.h = h
         k, m = h.shape
         self.tau = np.empty(min(m, k))
         self._dgeqrf = _dgeqrf()
-        self._work = None if self._dgeqrf is None else np.empty(_geqrf_lwork(m, k))
+        self._work = None
+        if self._dgeqrf is not None:
+            lwork = _geqrf_lwork(m, k)
+            self._work = np.empty(lwork) if work is None else work[:lwork]
+            if self._work.dtype != np.float64 or self._work.shape != (lwork,) or not (
+                    self._work.flags.c_contiguous and self._work.flags.writeable):
+                raise ValueError(f"work must be a writeable 1-D float64 array of {lwork} or more")
 
     def run(self):
         """(h, tau), the raw factor of X."""
@@ -178,8 +186,14 @@ class _RawQR:
 
 def _geqrf(X, pool=None):
     """(h, tau) of np.linalg.qr(X, mode="raw") for a 2-D X, bitwise, from a
-    copy of X whatever its layout; given a pool, a future of it run there."""
-    qr = _RawQR(np.array(X.T, dtype=float, order="C"))
+    copy of X whatever its layout; given a pool, a future of it run there.
+    h and dgeqrf's workspace share one buffer, so the thread that keeps h
+    frees both, even when a pool thread drops the _RawQR last."""
+    m, k = X.shape
+    buf = np.empty(k * m + (0 if _dgeqrf() is None else _geqrf_lwork(m, k)))
+    h = buf[:k * m].reshape(k, m)
+    np.copyto(h, X.T)
+    qr = _RawQR(h, buf[k * m:])
     return qr.run() if pool is None else pool.submit(qr.run)
 
 
@@ -294,12 +308,15 @@ def _certified_tall_solve(A, b):
     h[:n] = A.T
     h[n] = b
     _RawQR(h).run()
-    # Kept in C order: the certificate's norms and products, and so its
-    # bytes, depend on the layout of R.
-    R_inv = _certified_inverse(np.ascontiguousarray(_triu(h[:n, :n].T)))
+    # Only R and c are kept, so the QR buffer is freed before R is certified.
+    # R is in C order: the certificate's bytes depend on its layout.
+    R = np.ascontiguousarray(_triu(h[:n, :n].T))
+    c = h[n, :n].copy()
+    del h
+    R_inv = _certified_inverse(R)
     if R_inv is None:
         return None
-    return R_inv @ h[n, :n]
+    return R_inv @ c
 
 
 def _certified_inverse(T):

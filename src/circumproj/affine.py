@@ -273,11 +273,15 @@ class _BlockKernel:
                 continue
             rows = max(1, k // g, w)
             for s in range(0, k, rows):
-                c = coeff[s:s + rows].transpose(1, 0, 2)
-                # x - (z_i + N_i c_i), formed in place in its one temporary.
-                diff = c * basis_t if w == 1 else np.matmul(c, basis_t)
-                diff += anchors[:, None]
-                np.subtract(X[s:s + rows], diff, out=diff)
+                if w == 0:
+                    # x - z_i: each block is its one point.
+                    diff = X[s:s + rows] - anchors[:, None]
+                else:
+                    c = coeff[s:s + rows].transpose(1, 0, 2)
+                    # x - (z_i + N_i c_i), formed in place in its one temporary.
+                    diff = c * basis_t if w == 1 else np.matmul(c, basis_t)
+                    diff += anchors[:, None]
+                    np.subtract(X[s:s + rows], diff, out=diff)
                 out[s:s + rows, members] = _row_norms(diff).T
         return out[0] if x.ndim == 1 else out
 
@@ -407,7 +411,7 @@ def _factor_prefix(matrices, rhs, limit):
         need -= heads[-1].shape[0]
         if need == 0:
             break
-    A_prefix, b_prefix = np.vstack(heads), np.concatenate(tails)
+    A_prefix, b_prefix = _stacked(heads), _stacked(tails)
     factors = _factor_tall_qr(A_prefix, b_prefix)
     if factors is None:
         return None
@@ -417,15 +421,35 @@ def _factor_prefix(matrices, rhs, limit):
     return A_prefix, b_prefix, factors
 
 
+def _stacked(arrays):
+    """np.concatenate(arrays), with the bytes of np.vstack for 2-D ones: a
+    read-only view when the arrays are consecutive pieces, in order, of one
+    C-order array, as the blocks of an instance are, and a copy otherwise."""
+    first, base = arrays[0], arrays[0].base
+    start = end = first.ctypes.data
+    for a in arrays:
+        if not (isinstance(base, np.ndarray) and base.flags.c_contiguous and a.base is base
+                and a.flags.c_contiguous and a.dtype == base.dtype
+                and a.shape[1:] == first.shape[1:] and a.ctypes.data == end):
+            return np.concatenate(arrays)
+        end += a.nbytes
+    offset = (start - base.ctypes.data) // base.itemsize
+    flat = base.reshape(-1)[offset:offset + (end - start) // base.itemsize]
+    view = flat.reshape(-1, *first.shape[1:])
+    view.setflags(write=False)
+    return view
+
+
 def intersection_subspace(subspaces):
     """One subspace representing the intersection of the blocks.
 
     Its `project` is the exact best-approximation oracle onto the
     intersection.  A stack that the prefix route of _factor_prefix accepts
     is described by its 2n prefix rows alone, without stacking the blocks.
-    Every other stack is stacked and goes through the whole-stack QR and,
-    if that misses the certificate too, the SVD; the result is then
-    described by the whole stack.  The consistency limit is
+    Every other stack goes through the whole-stack QR and, if that misses
+    the certificate too, the SVD; the result is then described by the whole
+    stack.  Rows or stacks of adjacent blocks are taken by _stacked as a
+    view of the blocks' parent array, not copied.  The consistency limit is
     CONSISTENCY_RTOL * (1 + ||b||), with b the whole stacked rhs.
 
     Raises EmptyIntersection when the stacked system is inconsistent.
@@ -437,7 +461,7 @@ def intersection_subspace(subspaces):
     try:
         found = _factor_prefix(matrices, rhs, limit)
         if found is None:
-            A, b = np.vstack(matrices), np.concatenate(rhs)
+            A, b = _stacked(matrices), _stacked(rhs)
             found = A, b, _factor_whole(A, b, limit)
         return AffineSubspace._from_factors(*found, label=-1)
     except InconsistentSystem as exc:

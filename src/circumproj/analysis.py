@@ -83,7 +83,8 @@ def _sample_points(stacked, samples, seed):
     """The intersection's anchor plus `samples` standard-normal offsets."""
     samples = _check_integer("samples", samples, 1)
     rng = np.random.default_rng(seed)
-    return stacked.anchor + rng.standard_normal((samples, stacked.ambient_dim))
+    points = rng.standard_normal((samples, stacked.ambient_dim))
+    return np.add(stacked.anchor, points, out=points)
 
 
 def estimate_regularity(instance, samples, seed):
@@ -121,7 +122,8 @@ def _bound_holds(stacked, pair, constant, samples, seed):
     points = _sample_points(stacked, samples, seed)
     lhs = stacked.distance(points)
     rhs = constant * residual(pair, points)
-    return not np.any(lhs > rhs + 1e-9)
+    # A nan on either side fails the comparison, and so the bound.
+    return bool(np.all(lhs <= rhs + 1e-9))
 
 
 def angle_report_and_bound(u_subspace, v_subspace, samples, seed):

@@ -120,6 +120,16 @@ class TestGeqrf:
             assert h.tobytes() == np.ascontiguousarray(want_h).tobytes(), name
             assert tau.tobytes() == want_tau.tobytes(), name
 
+    def test_short_or_foreign_workspace_rejected(self):
+        if _lapack._dgeqrf() is None:
+            pytest.skip("numpy links no ILP64 dgeqrf")
+        h = np.zeros((3, 5))
+        lwork = _lapack._geqrf_lwork(5, 3)
+        for work in (np.empty(lwork - 1), np.empty(2 * lwork)[::2], np.empty(lwork, np.float32)):
+            with pytest.raises(ValueError, match="work"):
+                _lapack._RawQR(h, work)
+        assert _lapack._RawQR(h, np.empty(lwork + 4)).run()[0] is h
+
 
 class TestProject:
     def test_orthogonal_drop(self):
@@ -266,6 +276,75 @@ class TestIntersection:
         blocks = [AffineSubspace([[1.0, 0.0]], [1e200]), AffineSubspace([[1.0, 0.0]], [-1e200])]
         with pytest.raises(EmptyIntersection):
             intersection_subspace(blocks)
+
+
+class TestStackedView:
+    """The intersection of adjacent blocks views their parent's rows; any
+    other block list is copied.  Either way it has np.vstack's bytes."""
+
+    @staticmethod
+    def assert_vstack_prefix(stacked, blocks):
+        # Both routes describe the intersection by leading rows of the stack.
+        rows = stacked.constraint_matrix.shape[0]
+        want_A = np.vstack([U.constraint_matrix for U in blocks])[:rows]
+        want_b = np.concatenate([U.rhs for U in blocks])[:rows]
+        assert stacked.constraint_matrix.tobytes() == want_A.tobytes()
+        assert stacked.rhs.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("build, prefix", [
+        (lambda: build_instance(10000, 500, 0.1, 1), True),
+        (lambda: build_instance(12500, 100, 0.1, 1), True),
+        (lambda: build_instance(1000, 150, 0.1, 0), True),
+        (lambda: build_instance(1000, 150, 0.1, 1), True),
+        (lambda: build_underdetermined_instance(400, [20] * 12, 0.0, 12), False),
+    ], ids=["protocol-tall", "many-blocks", "1000x150-s0", "1000x150-s1", "slow-angles"])
+    def test_partitioned_blocks_are_viewed(self, build, prefix):
+        inst = build()
+        blocks = inst.subspaces
+        stacked = intersection_subspace(blocks)
+        n = inst.ambient_dim
+        total = sum(U.constraint_matrix.shape[0] for U in blocks)
+        assert stacked.constraint_matrix.shape == (2 * n if prefix else total, n)
+        assert np.shares_memory(stacked.constraint_matrix, blocks[0].constraint_matrix.base)
+        assert np.shares_memory(stacked.rhs, blocks[0].rhs.base)
+        assert not stacked.constraint_matrix.flags.writeable
+        self.assert_vstack_prefix(stacked, blocks)
+
+    @pytest.mark.parametrize("arrange", [
+        lambda blocks: blocks[::-1],
+        lambda blocks: blocks[:1] + blocks,
+        lambda blocks: [AffineSubspace(U.constraint_matrix.copy(), U.rhs.copy()) for U in blocks],
+    ], ids=["reversed", "duplicated", "copied"])
+    def test_other_block_lists_are_copied(self, arrange):
+        inst = build_instance(1000, 150, 0.1, 1)
+        blocks = arrange(list(inst.subspaces))
+        stacked = intersection_subspace(blocks)
+        parent = inst.subspaces[0].constraint_matrix.base
+        assert not np.shares_memory(stacked.constraint_matrix, parent)
+        assert not np.shares_memory(stacked.rhs, inst.subspaces[0].rhs.base)
+        self.assert_vstack_prefix(stacked, blocks)
+
+
+class TestZeroWidthDistances:
+    def test_point_blocks_take_the_formula_bitwise(self, rng):
+        # Blocks of full column rank store a zero-width null basis; their
+        # distance is ||x - (0 + z)||, whose zero's sign no norm can see.
+        n = 6
+        anchors = [rng.standard_normal(n), rng.standard_normal(n)]
+        anchors[0][2] = -0.0
+        anchors[1][4] = 0.0
+        blocks = [AffineSubspace._from_factors(np.eye(n), z, (n, z, np.zeros((n, 0))), i)
+                  for i, z in enumerate(anchors)]
+        X = rng.standard_normal((5, n))
+        X[0, 2] = -0.0
+        X[1, 4] = -0.0
+        kernel = affine._BlockKernel(blocks)
+        for x in (X, X[0]):
+            want = []
+            for z in anchors:
+                d = x - (np.zeros(n) + z)
+                want.append(np.sqrt(np.einsum("...i,...i->...", d, d)))
+            assert kernel.distances(x).tobytes() == np.stack(want, axis=-1).tobytes()
 
 
 class TestResidual:

@@ -14,6 +14,7 @@ from circumproj import (
     intersection_subspace,
     verify_error_bound,
 )
+from circumproj.analysis import _sample_points
 
 
 def x_axis():
@@ -200,6 +201,15 @@ class TestVerifyErrorBound:
     def test_nonpositive_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples"):
             verify_error_bound(x_axis(), y_axis(), np.sqrt(5.0), samples, seed=0)
+
+    def test_nan_constant_verifies_nothing(self):
+        assert verify_error_bound(x_axis(), y_axis(), float("nan"), 10, seed=0) is False
+
+
+def test_samples_are_the_anchor_plus_normal_draws():
+    U = AffineSubspace([[1.0, 2.0, -1.0]], [3.0])
+    want = U.anchor + np.random.default_rng(5).standard_normal((40, 3))
+    assert _sample_points(U, 40, 5).tobytes() == want.tobytes()
 
 
 class TestRegularityOnWorkloadFamilies:

@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,6 +360,29 @@ class TestPooledBuild:
         assert _lapack._factor_workers() == workers
         monkeypatch.setattr(_lapack, "_dgeqrf", lambda: None)
         assert _lapack._factor_workers() == 0
+
+    def test_pool_threads_free_no_buffer(self, monkeypatch):
+        # The calling thread frees every buffer of a pooled QR, its dgeqrf
+        # workspace too, so the traced peak of a build does not depend on
+        # when the pool thread lets go of its job: only small Python objects
+        # move it, by far less than one workspace.
+        if _lapack._dgeqrf() is None:
+            pytest.skip("numpy links no ILP64 dgeqrf")
+        monkeypatch.setattr(_lapack, "_factor_workers", lambda: 1)
+        A = gaussian_matrix(4000, 200, 0.1, 1)
+        b = A @ np.linspace(-1.0, 1.0, 200)
+        sizes = problems._partition_sizes(4000, 21)
+        problems._partitioned(A, b, sizes, None, None)  # fills the caches of _lapack
+        peaks = []
+        for _ in range(10):
+            tracemalloc.start()
+            try:
+                problems._partitioned(A, b, sizes, None, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        workspace = 8 * _lapack._geqrf_lwork(200, max(sizes))
+        assert max(peaks) - min(peaks) < workspace / 4
 
     def test_inconsistent_block_mid_build_raises_as_serial(self, monkeypatch):
         A = gaussian_matrix(1000, 150, 0.1, 3)
