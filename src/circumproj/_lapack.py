@@ -143,30 +143,22 @@ def _geqrf_lwork(m, k):
 class _RawQR:
     """One Householder QR of an m x k matrix X, as np.linalg.qr(X, mode="raw").
 
-    `h` is a C-order (k, m) array holding X^T, which is X in LAPACK's column
-    order.  dgeqrf's workspace is the leading entries of `work`, a 1-D
-    float64 array, or a new array when `work` is None.  Every buffer is
-    allocated in the calling thread, and run() only calls dgeqrf on them;
-    it overwrites h with the raw factor and fills tau.  Without a bound
-    dgeqrf, run() takes numpy's raw QR, which holds the GIL but gives the
-    same bytes.
+    `h` is a new C-order array of `shape` (k, m), for the caller to fill
+    with X^T, which is X in LAPACK's column order.  It and dgeqrf's
+    workspace are one buffer, allocated in the calling thread, so the thread
+    that keeps h frees both; run() only calls dgeqrf on them, which
+    overwrites h with the raw factor and fills tau.  Without a bound dgeqrf,
+    run() takes numpy's raw QR, which holds the GIL but gives the same bytes.
     """
 
-    def __init__(self, h, work=None):
-        # dgeqrf writes through raw pointers into h and the workspace.
-        if h.dtype != np.float64 or h.ndim != 2 or not (h.flags.c_contiguous and h.flags.writeable):
-            raise ValueError("h must be a writeable C-order 2-D float64 array")
-        self.h = h
-        k, m = h.shape
-        self.tau = np.empty(min(m, k))
+    def __init__(self, shape):
+        k, m = shape
         self._dgeqrf = _dgeqrf()
-        self._work = None
-        if self._dgeqrf is not None:
-            lwork = _geqrf_lwork(m, k)
-            self._work = np.empty(lwork) if work is None else work[:lwork]
-            if self._work.dtype != np.float64 or self._work.shape != (lwork,) or not (
-                    self._work.flags.c_contiguous and self._work.flags.writeable):
-                raise ValueError(f"work must be a writeable 1-D float64 array of {lwork} or more")
+        lwork = 0 if self._dgeqrf is None else _geqrf_lwork(m, k)
+        buf = np.empty(k * m + lwork)
+        self.h = buf[:k * m].reshape(k, m)
+        self._work = buf[k * m:] if lwork else None
+        self.tau = np.empty(min(m, k))
 
     def run(self):
         """(h, tau), the raw factor of X."""
@@ -186,14 +178,10 @@ class _RawQR:
 
 def _geqrf(X, pool=None):
     """(h, tau) of np.linalg.qr(X, mode="raw") for a 2-D X, bitwise, from a
-    copy of X whatever its layout; given a pool, a future of it run there.
-    h and dgeqrf's workspace share one buffer, so the thread that keeps h
-    frees both, even when a pool thread drops the _RawQR last."""
+    copy of X whatever its layout; given a pool, a future of it run there."""
     m, k = X.shape
-    buf = np.empty(k * m + (0 if _dgeqrf() is None else _geqrf_lwork(m, k)))
-    h = buf[:k * m].reshape(k, m)
-    np.copyto(h, X.T)
-    qr = _RawQR(h, buf[k * m:])
+    qr = _RawQR((k, m))
+    np.copyto(qr.h, X.T)
     return qr.run() if pool is None else pool.submit(qr.run)
 
 
@@ -304,15 +292,16 @@ def _certified_tall_solve(A, b):
     Q is never formed: geqrf overwrites the one copy of [A | b]^T.
     """
     rows, n = A.shape
-    h = np.empty((n + 1, rows))
+    qr = _RawQR((n + 1, rows))
+    h = qr.h
     h[:n] = A.T
     h[n] = b
-    _RawQR(h).run()
+    qr.run()
     # Only R and c are kept, so the QR buffer is freed before R is certified.
     # R is in C order: the certificate's bytes depend on its layout.
     R = np.ascontiguousarray(_triu(h[:n, :n].T))
     c = h[n, :n].copy()
-    del h
+    del qr, h
     R_inv = _certified_inverse(R)
     if R_inv is None:
         return None

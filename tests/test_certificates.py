@@ -271,11 +271,8 @@ def np_certified_cholesky_solve(gram, rhs):
 
 
 def np_certified_tall_solve(A, b):
-    rows, n = A.shape
-    h = np.empty((n + 1, rows))
-    h[:n] = A.T
-    h[n] = b
-    _lapack._RawQR(h).run()
+    n = A.shape[1]
+    h, _ = np.linalg.qr(np.column_stack([A, b]), mode="raw")
     R_inv = np_certified_inverse(np.ascontiguousarray(np.triu(h[:n, :n].T)))
     return None if R_inv is None else R_inv @ h[n, :n]
 
