@@ -10,7 +10,6 @@ from .affine import (
 from .analysis import (
     AngleReport,
     angle_report,
-    angle_report_and_bound,
     error_bound_constant,
     estimate_regularity,
     friedrichs_cosine,

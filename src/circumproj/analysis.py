@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import intersection_subspace, residual
+from .affine import _BlockKernel, intersection_subspace
 from .problems import _check_integer
 
 # Principal cosines >= 1 - INTERSECTION_CUTOFF mark shared directions.
@@ -87,6 +87,19 @@ def _sample_points(stacked, samples, seed):
     return np.add(stacked.anchor, points, out=points)
 
 
+def _sampled_distances(subspaces, kernel, samples, seed):
+    """(points, dist(x, S), max_i dist(x, U_i)) for `samples` points drawn
+    around the anchor of S, the intersection of `subspaces`.
+
+    `kernel` is a _BlockKernel of the same blocks and gives the per-block
+    maximum; the distance to S comes from a one-block kernel of the stacked
+    subspace, so both run the same code.
+    """
+    stacked = intersection_subspace(subspaces)
+    points = _sample_points(stacked, samples, seed)
+    return points, stacked.distance(points), kernel.residual(points)
+
+
 def estimate_regularity(instance, samples, seed):
     """Empirical regularity constant max dist(x, S) / max_i dist(x, U_i).
 
@@ -94,14 +107,11 @@ def estimate_regularity(instance, samples, seed):
     in the intersection (to tolerance) are skipped.  The true constant is an
     upper bound over all of space, so the sampled value only bounds it from
     below.  Always >= 1; exactly 1 for a single block.  The per-block
-    distances come from the instance's kernel and the distance to S from a
-    one-block kernel of the stacked subspace, so both run the same code.
+    distances come from the instance's kernel.
     Raises ValueError when samples is not an integer >= 1.
     """
-    stacked = intersection_subspace(instance.subspaces)
-    points = _sample_points(stacked, samples, seed)
-    per_block_max = instance._kernel.residual(points)
-    to_intersection = stacked.distance(points)
+    points, to_intersection, per_block_max = _sampled_distances(
+        instance.subspaces, instance._kernel, samples, seed)
     keep = per_block_max > 1e-12 * (1.0 + np.linalg.norm(points, axis=-1))
     if not np.any(keep):
         return 1.0
@@ -114,22 +124,7 @@ def verify_error_bound(u_subspace, v_subspace, constant, samples, seed):
 
     Raises ValueError when samples < 1.
     """
-    stacked = intersection_subspace([u_subspace, v_subspace])
-    return _bound_holds(stacked, [u_subspace, v_subspace], constant, samples, seed)
-
-
-def _bound_holds(stacked, pair, constant, samples, seed):
-    points = _sample_points(stacked, samples, seed)
-    lhs = stacked.distance(points)
-    rhs = constant * residual(pair, points)
-    # A nan on either side fails the comparison, and so the bound.
-    return bool(np.all(lhs <= rhs + 1e-9))
-
-
-def angle_report_and_bound(u_subspace, v_subspace, samples, seed):
-    """(angle_report(u, v), verify_error_bound at its constant), with the
-    pair's stack factored once for both."""
     pair = [u_subspace, v_subspace]
-    stacked = intersection_subspace(pair)
-    report = _report(principal_cosines(u_subspace, v_subspace))
-    return report, _bound_holds(stacked, pair, report.error_bound_constant, samples, seed)
+    _, lhs, rhs = _sampled_distances(pair, _BlockKernel(pair), samples, seed)
+    # A nan on either side fails the comparison, and so the bound.
+    return bool(np.all(lhs <= constant * rhs + 1e-9))

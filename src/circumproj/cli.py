@@ -12,11 +12,11 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import angle_report_and_bound, estimate_regularity
+from .analysis import _report, estimate_regularity, principal_cosines, verify_error_bound
 from .errors import CircumprojError, NumericalBreakdown
 from .problems import (
     GenerationDescriptor,
@@ -79,9 +79,10 @@ def _fail(message, code=2):
     return code
 
 
-def _load_descriptor(path):
+def _load_instance(path):
+    """The instance that the descriptor file at `path` regenerates."""
     with open(path, "r", encoding="utf-8") as fh:
-        return GenerationDescriptor.from_dict(json.load(fh))
+        return instance_from_descriptor(GenerationDescriptor.from_dict(json.load(fh)))
 
 
 def _stop_rule(name, instance):
@@ -139,8 +140,8 @@ def _parse_weights(spec, blocks):
 
 def cmd_solve(args):
     try:
-        instance = instance_from_descriptor(_load_descriptor(args.inst))
-    except (OSError, ValueError, KeyError, CircumprojError) as exc:
+        instance = _load_instance(args.inst)
+    except (ValueError, KeyError, CircumprojError) as exc:
         return _fail(f"cannot load instance: {exc}")
 
     method = Method(args.method)
@@ -190,6 +191,11 @@ def _append_records(path, records):
 
 
 def _load_bench_config(path):
+    """(cfg, configs): the grid, and the SolverConfig of each solve in a cell.
+
+    P-CRM solves once per worker count, every other method once.  Building
+    the configs checks the solver settings; each cell sets its stop rule.
+    """
     cfg = dict(DEFAULT_BENCH)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -199,26 +205,27 @@ def _load_bench_config(path):
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(overrides)
     for key in ("m_values", "n_values", "coherence_values", "methods", "seeds", "workers"):
-        if not cfg[key]:
+        if not isinstance(cfg[key], list) or not cfg[key]:
             raise ValueError(f"config key {key!r} must be a nonempty list")
-    cfg["methods"] = [Method(m).value for m in cfg["methods"]]
-    for workers in cfg["workers"]:
-        # SolverConfig owns the solver settings' validity rules.
-        SolverConfig(method=cfg["methods"][0], tolerance=cfg["tolerance"],
-                     max_iterations=cfg["max_iterations"], workers=workers)
-    return cfg
+    if not isinstance(cfg["out"], str) or not cfg["out"]:
+        raise ValueError("config key 'out' must be a nonempty string")
+    settings = dict(tolerance=cfg["tolerance"], max_iterations=cfg["max_iterations"],
+                    record_residuals=False)
+    # Built even without P-CRM, so that every worker count is checked.
+    pcrm = [SolverConfig(method=Method.PCRM, workers=w, **settings) for w in cfg["workers"]]
+    configs = []
+    for method in map(Method, cfg["methods"]):
+        configs += pcrm if method is Method.PCRM else [SolverConfig(method=method, **settings)]
+    return cfg, configs
 
 
 def cmd_bench(args):
     try:
-        cfg = _load_bench_config(args.config)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        cfg, configs = _load_bench_config(args.config)
+    except (ValueError, TypeError) as exc:
         return _fail(f"bad config: {exc}")
     out_path = args.out or cfg["out"]
 
-    # Only P-CRM records its worker counts; the other methods run once.
-    solves = [(method, workers) for method in cfg["methods"]
-              for workers in (cfg["workers"] if method == Method.PCRM.value else [1])]
     records = []
     any_failed = False
     try:
@@ -237,16 +244,12 @@ def cmd_bench(args):
                           file=sys.stderr)
                     any_failed = True
                     continue
-                for method, workers in solves:
-                    config = SolverConfig(
-                        method=method, tolerance=cfg["tolerance"],
-                        max_iterations=cfg["max_iterations"], workers=workers,
-                        stop_rule=_stop_rule("auto", instance), record_residuals=False,
-                    )
+                for config in configs:
                     try:
-                        record = _run_cell(instance, config)
+                        record = _run_cell(
+                            instance, replace(config, stop_rule=_stop_rule("auto", instance)))
                     except CircumprojError as exc:
-                        print(f"solve ({method}, m={m}, n={n}, c={c}, seed={seed}) "
+                        print(f"solve ({config.method.value}, m={m}, n={n}, c={c}, seed={seed}) "
                               f"failed: {exc}", file=sys.stderr)
                         any_failed = True
                         continue
@@ -290,21 +293,20 @@ def _write_aggregate(path, records):
 
 def cmd_analyze(args):
     try:
-        instance = instance_from_descriptor(_load_descriptor(args.inst))
-    except (OSError, ValueError, KeyError, CircumprojError) as exc:
+        instance = _load_instance(args.inst)
+    except (ValueError, KeyError, CircumprojError) as exc:
         return _fail(f"cannot load instance: {exc}")
 
     if args.mode == "angles" and instance.block_count > 2:
         return _fail("angle mode needs an instance with at most 2 blocks")
     try:
         if args.mode == "angles":
-            if instance.block_count == 2:
-                u_sub, v_sub = instance.subspaces
-            else:
-                u_sub = v_sub = instance.subspaces[0]
-            report, verified = angle_report_and_bound(u_sub, v_sub, args.samples, args.seed)
+            # One block is read as the pair (U, U).
+            u, v = instance.subspaces[0], instance.subspaces[-1]
+            report = _report(principal_cosines(u, v))
             payload = report.to_dict()
-            payload["bound_verified"] = verified
+            payload["bound_verified"] = verify_error_bound(
+                u, v, report.error_bound_constant, args.samples, args.seed)
         else:
             payload = {
                 "regularity_estimate": estimate_regularity(instance, args.samples, args.seed)
@@ -371,7 +373,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

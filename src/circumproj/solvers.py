@@ -41,7 +41,7 @@ from .errors import (
     MissingReference,
     NumericalBreakdown,
 )
-from .problems import _check_integer
+from .problems import _check_integer, _check_number
 
 
 class Method(str, Enum):
@@ -104,7 +104,7 @@ class SolverConfig:
     def __post_init__(self):
         self.method = Method(self.method)
         self.stop_rule = StopRule(self.stop_rule)
-        if not 0.0 < self.tolerance < math.inf:
+        if not 0.0 < _check_number("tolerance", self.tolerance) < math.inf:
             raise ValueError("tolerance must be positive and finite")
         for name in ("max_iterations", "workers"):
             _check_integer(name, getattr(self, name), 1)

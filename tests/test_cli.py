@@ -225,6 +225,13 @@ class TestBench:
         {"tolerance": -1e-5},
         {"max_iterations": 0},
         {"workers": ["2"]},
+        {"tolerance": True},
+        {"methods": ["crm"], "workers": [0]},
+        {"m_values": "30"},
+        # Checked with --out given too: a config is read whole or refused.
+        {"out": None},
+        {"out": 1},
+        {"out": ""},
     ])
     def test_invalid_solver_setting_exits_2(self, tmp_path, capsys, override):
         cfg = tmp_path / "cfg.json"
@@ -354,6 +361,34 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "samples" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--m", "40", "--n", "8", "--coherence", "0.1", "--seed", "42", "--out", "{missing}"],
+    ["solve", "--inst", "{inst}", "--method", "pcrm", "--csv", "{missing}"],
+    ["bench", "--config", "{cfg}", "--out", "{missing}"],
+    ["bench", "--config", "{cfg}", "--out", "{tmp}/bench.csv", "--aggregate", "{missing}"],
+    ["analyze", "--inst", "{inst}", "--mode", "regularity", "--samples", "20",
+     "--out", "{missing}"],
+], ids=["gen-out", "solve-csv", "bench-out", "bench-aggregate", "analyze-out"])
+def test_output_path_that_cannot_be_opened_exits_2(descriptor_file, tmp_path, capsys,
+                                                   command):
+    # A missing directory, since permission bits do not stop root.
+    missing = tmp_path / "missing" / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m_values": [30], "n_values": [5], "coherence_values": [0.0],
+        "methods": ["pcrm"], "seeds": [1],
+    }))
+    argv = [arg.format(missing=missing, inst=descriptor_file, cfg=cfg, tmp=tmp_path)
+            for arg in command]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith("error: [Errno 2]")
+    assert "Traceback" not in captured.err
+    assert not missing.parent.exists()
+    if command[0] == "gen":
+        assert captured.out == ""
 
 
 def masked_time(text):

@@ -70,7 +70,7 @@ class TestWeights:
         with pytest.raises(ValueError, match="block_count"):
             preset(count)
 
-    @pytest.mark.parametrize("tolerance", [np.inf, np.nan, -np.inf])
+    @pytest.mark.parametrize("tolerance", [np.inf, np.nan, -np.inf, True, "1e-5"])
     def test_config_rejects_non_finite_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             SolverConfig(method="pcrm", tolerance=tolerance)

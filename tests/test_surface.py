@@ -16,8 +16,8 @@ PUBLIC_NAMES = {
     # affine
     "AffineSubspace", "intersection_subspace", "project_intersection", "residual",
     # analysis
-    "AngleReport", "angle_report", "angle_report_and_bound", "error_bound_constant",
-    "estimate_regularity", "friedrichs_cosine", "principal_cosines", "verify_error_bound",
+    "AngleReport", "angle_report", "error_bound_constant", "estimate_regularity",
+    "friedrichs_cosine", "principal_cosines", "verify_error_bound",
     # circumcenters
     "circumcenter",
     # errors
@@ -43,9 +43,11 @@ def test_public_names_are_pinned():
 
 
 def test_retired_names_stay_retired():
-    for name in ("direction_basis", "gram_system", "CircumcenterSystem"):
+    for name in ("direction_basis", "gram_system", "CircumcenterSystem",
+                 "angle_report_and_bound"):
         assert not hasattr(circumproj, name)
-    assert not hasattr(analysis, "direction_basis")
+    for name in ("direction_basis", "angle_report_and_bound", "_bound_holds"):
+        assert not hasattr(analysis, name)
     assert not hasattr(circumcenters, "gram_system")
     assert not hasattr(circumproj.AngleReport, "to_json")
     assert "elapsed_s" not in vars(circumproj.IterationTrace())
