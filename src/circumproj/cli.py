@@ -7,10 +7,10 @@ benchmark cell failed.
 """
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -20,6 +20,8 @@ from .analysis import _report, estimate_regularity, principal_cosines, verify_er
 from .errors import CircumprojError, NumericalBreakdown
 from .problems import (
     GenerationDescriptor,
+    _check_coherence,
+    _check_integer,
     _protocol_descriptor,
     build_instance,
     instance_from_descriptor,
@@ -74,15 +76,18 @@ class BenchRecord:
 CSV_HEADER = [f.name for f in fields(BenchRecord)]
 
 
-def _fail(message, code=2):
+def _fail(message):
     print(f"error: {message}", file=sys.stderr)
-    return code
+    return 2
 
 
 def _load_instance(path):
     """The instance that the descriptor file at `path` regenerates."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_descriptor(GenerationDescriptor.from_dict(json.load(fh)))
+        try:
+            return instance_from_descriptor(GenerationDescriptor.from_dict(json.load(fh)))
+        except (ValueError, KeyError, CircumprojError) as exc:
+            raise ValueError(f"cannot load instance: {exc}") from exc
 
 
 def _stop_rule(name, instance):
@@ -117,10 +122,7 @@ def _run_cell(instance, config):
 
 
 def cmd_gen(args):
-    try:
-        descriptor = _protocol_descriptor(args.m, args.n, args.coherence, args.seed)
-    except (ValueError, CircumprojError) as exc:
-        return _fail(str(exc))
+    descriptor = _protocol_descriptor(args.m, args.n, args.coherence, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(descriptor.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -135,59 +137,43 @@ def _parse_weights(spec, blocks):
         return uniform_weights(blocks)
     if spec == "cimmino":
         return cimmino_weights(blocks)
-    return np.array([float(t) for t in spec.split(",")])
+    try:
+        return np.array([float(t) for t in spec.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"bad --weights: {exc}") from exc
 
 
 def cmd_solve(args):
-    try:
-        instance = _load_instance(args.inst)
-    except (ValueError, KeyError, CircumprojError) as exc:
-        return _fail(f"cannot load instance: {exc}")
-
+    instance = _load_instance(args.inst)
     method = Method(args.method)
     if args.weights is not None and method in (Method.CRM, Method.PCRM):
         return _fail(f"--weights applies to fspm and cimmino only, not {method.value}")
-    try:
-        weights = _parse_weights(args.weights, instance.block_count)
-    except ValueError as exc:
-        return _fail(f"bad --weights: {exc}")
+    config = SolverConfig(
+        method=method,
+        weights=_parse_weights(args.weights, instance.block_count),
+        tolerance=args.tolerance,
+        max_iterations=args.max_iterations,
+        stop_rule=_stop_rule(args.stop_rule, instance),
+        workers=args.workers,
+        record_residuals=False,
+    )
+    record = _run_cell(instance, config)
 
-    try:
-        config = SolverConfig(
-            method=method,
-            weights=weights,
-            tolerance=args.tolerance,
-            max_iterations=args.max_iterations,
-            stop_rule=_stop_rule(args.stop_rule, instance),
-            workers=args.workers,
-            record_residuals=False,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        record = _run_cell(instance, config)
-    except NumericalBreakdown as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return 4
-    except CircumprojError as exc:
-        return _fail(str(exc))
-
+    # The file first: a path that cannot be opened leaves stdout empty.
+    if args.csv:
+        _append_record(args.csv, record)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerow(record.to_row())
-    if args.csv:
-        _append_records(args.csv, [record])
     return 0 if record.converged else 3
 
 
-def _append_records(path, records):
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+def _append_record(path, record):
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if fresh:
+        if fh.tell() == 0:  # a new or empty file takes the header first
             writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(rec.to_row())
+        writer.writerow(record.to_row())
 
 
 def _load_bench_config(path):
@@ -200,6 +186,8 @@ def _load_bench_config(path):
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ValueError("config must be a JSON object")
         unknown = set(overrides) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -207,6 +195,12 @@ def _load_bench_config(path):
     for key in ("m_values", "n_values", "coherence_values", "methods", "seeds", "workers"):
         if not isinstance(cfg[key], list) or not cfg[key]:
             raise ValueError(f"config key {key!r} must be a nonempty list")
+    # Malformed entries are refused here, not cell by cell.
+    for key, low in (("m_values", None), ("n_values", None), ("seeds", 0)):
+        for value in cfg[key]:
+            _check_integer(f"{key} entry", value, low)
+    for c in cfg["coherence_values"]:
+        _check_coherence(c)
     if not isinstance(cfg["out"], str) or not cfg["out"]:
         raise ValueError("config key 'out' must be a nonempty string")
     settings = dict(tolerance=cfg["tolerance"], max_iterations=cfg["max_iterations"],
@@ -222,14 +216,18 @@ def _load_bench_config(path):
 def cmd_bench(args):
     try:
         cfg, configs = _load_bench_config(args.config)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, CircumprojError) as exc:
         return _fail(f"bad config: {exc}")
     out_path = args.out or cfg["out"]
 
     records = []
     any_failed = False
     try:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        # Every output is opened before the first cell runs.
+        with contextlib.ExitStack() as outputs:
+            fh = outputs.enter_context(open(out_path, "w", newline="", encoding="utf-8"))
+            agg = args.aggregate and outputs.enter_context(
+                open(args.aggregate, "w", newline="", encoding="utf-8"))
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             fh.flush()
@@ -258,68 +256,61 @@ def cmd_bench(args):
                     records.append(record)
                     writer.writerow(record.to_row())
                     fh.flush()
+            if agg:
+                _write_aggregate(agg, records)
     except KeyboardInterrupt:
         print("interrupted; partial results flushed", file=sys.stderr)
         return 130
 
-    if args.aggregate:
-        _write_aggregate(args.aggregate, records)
     print(f"wrote {len(records)} records to {out_path}", file=sys.stderr)
     return 5 if any_failed else 0
 
 
-def _write_aggregate(path, records):
+def _write_aggregate(fh, records):
     groups = {}
     for rec in records:
         groups.setdefault((rec.method, rec.blocks, rec.m, rec.n, rec.workers), []).append(rec)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow([
+        "method", "blocks", "m", "n", "workers", "runs",
+        "iterations", "projections", "time_s", "rel_err", "converged",
+    ])
+    for key in sorted(groups):
+        recs = groups[key]
         writer.writerow([
-            "method", "blocks", "m", "n", "workers", "runs",
-            "iterations", "projections", "time_s", "rel_err", "converged",
+            key[0], str(key[1]), str(key[2]), str(key[3]), str(key[4]),
+            str(len(recs)),
+            f"{np.mean([r.iterations for r in recs]):.6g}",
+            f"{np.mean([r.projections for r in recs]):.6g}",
+            f"{np.mean([r.time_s for r in recs]):.6f}",
+            f"{np.mean([r.rel_err for r in recs]):.12e}",
+            "true" if all(r.converged for r in recs) else "false",
         ])
-        for key in sorted(groups):
-            recs = groups[key]
-            writer.writerow([
-                key[0], str(key[1]), str(key[2]), str(key[3]), str(key[4]),
-                str(len(recs)),
-                f"{np.mean([r.iterations for r in recs]):.6g}",
-                f"{np.mean([r.projections for r in recs]):.6g}",
-                f"{np.mean([r.time_s for r in recs]):.6f}",
-                f"{np.mean([r.rel_err for r in recs]):.12e}",
-                "true" if all(r.converged for r in recs) else "false",
-            ])
 
 
 def cmd_analyze(args):
-    try:
-        instance = _load_instance(args.inst)
-    except (ValueError, KeyError, CircumprojError) as exc:
-        return _fail(f"cannot load instance: {exc}")
-
+    instance = _load_instance(args.inst)
     if args.mode == "angles" and instance.block_count > 2:
         return _fail("angle mode needs an instance with at most 2 blocks")
-    try:
-        if args.mode == "angles":
-            # One block is read as the pair (U, U).
-            u, v = instance.subspaces[0], instance.subspaces[-1]
-            report = _report(principal_cosines(u, v))
-            payload = report.to_dict()
-            payload["bound_verified"] = verify_error_bound(
-                u, v, report.error_bound_constant, args.samples, args.seed)
-        else:
-            payload = {
-                "regularity_estimate": estimate_regularity(instance, args.samples, args.seed)
-            }
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.mode == "angles":
+        # One block is read as the pair (U, U).
+        u, v = instance.subspaces[0], instance.subspaces[-1]
+        report = _report(principal_cosines(u, v))
+        payload = report.to_dict()
+        payload["bound_verified"] = verify_error_bound(
+            u, v, report.error_bound_constant, args.samples, args.seed)
+    else:
+        payload = {
+            "regularity_estimate": estimate_regularity(instance, args.samples, args.seed)
+        }
     payload.update(samples=args.samples, seed=args.seed)
 
     text = json.dumps(payload, indent=2)
-    print(text)
+    # The file first: a path that cannot be opened leaves stdout empty.
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
     return 0
 
 
@@ -371,11 +362,19 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; the one place where a failure becomes an exit code.
+
+    KeyError and TypeError are left out, so such programming errors still
+    end in a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except NumericalBreakdown as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return 4
+    except (OSError, ValueError, CircumprojError) as exc:
         return _fail(str(exc))
 
 

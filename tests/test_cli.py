@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from circumproj import (
     instance_from_descriptor,
     verify_error_bound,
 )
+from circumproj import cli
 from circumproj.cli import CSV_HEADER, main
+from circumproj.errors import NumericalBreakdown
 
 
 def run_cli(*argv):
@@ -232,6 +237,11 @@ class TestBench:
         {"out": None},
         {"out": 1},
         {"out": ""},
+        # Grid entries are checked before the first cell, not cell by cell.
+        {"seeds": [1.5, True]},
+        {"seeds": [-1]},
+        {"n_values": ["5"]},
+        {"coherence_values": [1.5]},
     ])
     def test_invalid_solver_setting_exits_2(self, tmp_path, capsys, override):
         cfg = tmp_path / "cfg.json"
@@ -242,6 +252,15 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
         assert "bad config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["5", "null", '["m_values"]'])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+        assert "bad config: config must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("override", [
@@ -387,8 +406,49 @@ def test_output_path_that_cannot_be_opened_exits_2(descriptor_file, tmp_path, ca
     assert captured.err.splitlines()[-1].startswith("error: [Errno 2]")
     assert "Traceback" not in captured.err
     assert not missing.parent.exists()
-    if command[0] == "gen":
-        assert captured.out == ""
+    # Every output is opened before any data goes out.
+    assert captured.out == ""
+    assert "bench: m=" not in captured.err
+
+
+def test_numerical_breakdown_exits_4_and_fails_a_bench_cell(descriptor_file, tmp_path,
+                                                            capsys, monkeypatch):
+    def breakdown(instance, config):
+        raise NumericalBreakdown("iterate is not finite")
+
+    monkeypatch.setattr(cli, "solve", breakdown)
+    assert run_cli("solve", "--inst", str(descriptor_file), "--method", "pcrm") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical breakdown: iterate is not finite\n"
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "m_values": [30], "n_values": [5], "coherence_values": [0.0],
+        "methods": ["pcrm"], "seeds": [1],
+    }))
+    out = tmp_path / "bench.csv"
+    assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 5
+    assert read_csv(out) == [CSV_HEADER]
+    assert "failed: iterate is not finite" in capsys.readouterr().err
+
+
+def test_module_entry_point(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "circumproj", *argv], env=env,
+                              capture_output=True, text=True)
+
+    missing = run("solve", "--inst", str(tmp_path / "nope.json"), "--method", "pcrm")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error: ")
+    assert "Traceback" not in missing.stderr
+    gen = run("gen", "--m", "40", "--n", "8", "--coherence", "0.1", "--seed", "42",
+              "--out", str(tmp_path / "inst.json"))
+    assert gen.returncode == 0
+    assert gen.stdout == "6\n"
 
 
 def masked_time(text):
