@@ -157,23 +157,29 @@ def cmd_solve(args):
         workers=args.workers,
         record_residuals=False,
     )
-    record = _run_cell(instance, config)
-
-    # The file first: a path that cannot be opened leaves stdout empty.
-    if args.csv:
-        _append_record(args.csv, record)
+    with _output(args.csv, "a") as fh:
+        record = _run_cell(instance, config)
+        # The file first: a path that cannot be opened leaves stdout empty.
+        if fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            if fh.tell() == 0:  # a new or empty file takes the header first
+                writer.writerow(CSV_HEADER)
+            writer.writerow(record.to_row())
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerow(record.to_row())
     return 0 if record.converged else 3
 
 
-def _append_record(path, record):
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if fh.tell() == 0:  # a new or empty file takes the header first
-            writer.writerow(CSV_HEADER)
-        writer.writerow(record.to_row())
+def _output(path, mode):
+    """The file at `path` opened to write, or a null context for no path.
+
+    Commands open their outputs before their work, so that a path that
+    cannot be opened costs no computation.
+    """
+    if not path:
+        return contextlib.nullcontext()
+    return open(path, mode, newline="", encoding="utf-8")
 
 
 def _load_bench_config(path):
@@ -225,9 +231,8 @@ def cmd_bench(args):
     try:
         # Every output is opened before the first cell runs.
         with contextlib.ExitStack() as outputs:
-            fh = outputs.enter_context(open(out_path, "w", newline="", encoding="utf-8"))
-            agg = args.aggregate and outputs.enter_context(
-                open(args.aggregate, "w", newline="", encoding="utf-8"))
+            fh = outputs.enter_context(_output(out_path, "w"))
+            agg = outputs.enter_context(_output(args.aggregate, "w"))
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             fh.flush()
@@ -292,23 +297,22 @@ def cmd_analyze(args):
     instance = _load_instance(args.inst)
     if args.mode == "angles" and instance.block_count > 2:
         return _fail("angle mode needs an instance with at most 2 blocks")
-    if args.mode == "angles":
-        # One block is read as the pair (U, U).
-        u, v = instance.subspaces[0], instance.subspaces[-1]
-        report = _report(principal_cosines(u, v))
-        payload = report.to_dict()
-        payload["bound_verified"] = verify_error_bound(
-            u, v, report.error_bound_constant, args.samples, args.seed)
-    else:
-        payload = {
-            "regularity_estimate": estimate_regularity(instance, args.samples, args.seed)
-        }
-    payload.update(samples=args.samples, seed=args.seed)
-
-    text = json.dumps(payload, indent=2)
-    # The file first: a path that cannot be opened leaves stdout empty.
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out, "w") as fh:
+        if args.mode == "angles":
+            # One block is read as the pair (U, U).
+            u, v = instance.subspaces[0], instance.subspaces[-1]
+            report = _report(principal_cosines(u, v))
+            payload = report.to_dict()
+            payload["bound_verified"] = verify_error_bound(
+                u, v, report.error_bound_constant, args.samples, args.seed)
+        else:
+            payload = {
+                "regularity_estimate": estimate_regularity(instance, args.samples, args.seed)
+            }
+        payload.update(samples=args.samples, seed=args.seed)
+        text = json.dumps(payload, indent=2)
+        # The file first: a path that cannot be opened leaves stdout empty.
+        if fh:
             fh.write(text + "\n")
     print(text)
     return 0

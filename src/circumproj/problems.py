@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import _block_qrs, _cpu_count
-from .affine import AffineSubspace, _BlockKernel, _block_list
+from .affine import AffineSubspace, _BlockKernel, _block_list, _norm
 from .errors import DimensionMismatch, InconsistentSystem, InvalidCoherence
 
 GENERATOR_ID = "pcg64-boxmuller"
@@ -220,7 +220,7 @@ class ProblemInstance:
                 raise DimensionMismatch("known solution has the wrong length")
             # A non-finite known solution reads as a nan misfit, which fails the test.
             misfit = float(self._kernel.residual(xs)) if np.isfinite(xs).all() else np.nan
-            if not misfit <= 1e-8 * (1.0 + float(np.linalg.norm(xs))):
+            if not misfit <= 1e-8 * (1.0 + _norm([xs])):
                 raise InconsistentSystem(
                     f"known solution violates the blocks (residual {misfit:.3e})"
                 )

@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .affine import _BlockKernel, _block_list, _check_point
+from .affine import _BlockKernel, _block_list, _check_point, _norm
 from .circumcenters import _solve_differences, circumcenter
 from .errors import (
     DimensionMismatch,
@@ -299,13 +299,22 @@ def solve(instance, config, x0=None):
 
     Stops when the configured rule fires (status CONVERGED) or after
     config.max_iterations steps (status MAX_ITER).  Wall time is measured
-    around the iteration loop only; the trace records every iterate.  The
-    operator is built on the instance's stacked kernel, built once per
-    instance, and answers residual(x_k) and step(x_k); the step does not
-    depend on whether the residual was asked for.  An iteration that stops
-    without recording a residual projects nothing.  An iterate is checked
-    for finiteness only when its distance to the reference is not finite
-    or there is no reference.
+    around the iteration loop only, every recorded residual included; the
+    trace records every iterate.  The operator is built on the instance's
+    stacked kernel, built once per instance, and answers residual(x_k) and
+    step(x_k); the step does not depend on whether the residual was asked
+    for.  An iteration that stops without recording a residual projects
+    nothing.  An iterate is checked for finiteness only when its distance
+    to the reference is not finite or there is no reference.
+
+    CRM's step reads the blocks' own bases and its residual the kernel's
+    stacks, so, run in turn, each evicts the other from the cache.  Under a
+    stop rule that reads no residual (rel_err, step_norm), CRM's recorded
+    residuals are therefore taken in batches: the loop keeps each iterate
+    x_k and records residual(x_k), the same call on the same array, once
+    the kept iterates fill as many bytes as the kernel's stacks (one
+    iterate per stacked row), and before every exit.  Every recorded value
+    is the one an inline call gives.
 
     Raises MissingReference when stop_rule is REL_ERR_TO_KNOWN but the
     instance has no known solution, and NumericalBreakdown (with the partial
@@ -326,7 +335,7 @@ def solve(instance, config, x0=None):
     rule = config.stop_rule
     if rule is StopRule.REL_ERR_TO_KNOWN and reference is None:
         raise MissingReference("stop rule rel_err needs an instance with a known solution")
-    ref_norm = float(np.linalg.norm(reference)) if reference is not None else 0.0
+    ref_norm = _norm([reference]) if reference is not None else 0.0
 
     method = config.method
     if method in (Method.FSPM, Method.CIMMINO):
@@ -342,9 +351,21 @@ def solve(instance, config, x0=None):
     else:
         operator = _Pcrm(kernel)
 
-    need_resid = config.record_residuals or rule is StopRule.FEASIBILITY_RESIDUAL
+    # CRM records the residuals that no stop test reads in batches (see above).
+    batched = (method is Method.CRM and config.record_residuals
+               and rule is not StopRule.FEASIBILITY_RESIDUAL)
+    inline = not batched and (config.record_residuals or rule is StopRule.FEASIBILITY_RESIDUAL)
+    # The stacked rows: that many kept iterates hold as many bytes as the stacks.
+    batch = sum(basis_t.shape[0] * basis_t.shape[1] for _, _, basis_t, _ in kernel.groups)
+    pending = []  # (k, x_k) of the iterates whose residual is still to be recorded
     tol = config.tolerance
     trace = IterationTrace()
+
+    def record_pending():
+        for j, y in pending:
+            trace.residuals[j] = operator.residual(y)
+        pending.clear()
+
     k = 0
     nproj = 0
     prev = None
@@ -352,19 +373,27 @@ def solve(instance, config, x0=None):
     while True:
         if reference is not None:
             e = x - reference
-            dist = math.sqrt(e @ e)
+            # np.vdot gives the bytes of e @ e without an overflow warning.
+            dist = math.sqrt(np.vdot(e, e))
+            if not math.isfinite(dist) and np.all(np.isfinite(x)):
+                dist = _norm([e])  # e @ e overflowed
         else:
             dist = float("nan")
         # A finite distance to the reference already shows that x is finite.
         if not math.isfinite(dist) and not np.all(np.isfinite(x)):
+            record_pending()
             trace.append(k, float("nan"), float("nan"), nproj)
             trace.status = Status.DIVERGED_NUMERICALLY
             trace.wall_time_s = time.perf_counter() - start
             raise NumericalBreakdown(
                 f"non-finite iterate at iteration {k}", trace=trace, point=x
             )
-        resid = operator.residual(x) if need_resid else float("nan")
+        resid = operator.residual(x) if inline else float("nan")
         trace.append(k, resid, dist, nproj)
+        if batched:
+            pending.append((k, x))
+            if len(pending) >= batch:
+                record_pending()
 
         if rule is StopRule.REL_ERR_TO_KNOWN:
             stop = dist <= tol * ref_norm if ref_norm > 0 else dist <= tol
@@ -383,6 +412,7 @@ def solve(instance, config, x0=None):
         x = operator.step(x)
         nproj += m
         k += 1
+    record_pending()
     trace.wall_time_s = time.perf_counter() - start
     return SolveResult(point=x, trace=trace)
 

@@ -411,6 +411,23 @@ def test_output_path_that_cannot_be_opened_exits_2(descriptor_file, tmp_path, ca
     assert "bench: m=" not in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--inst", "{inst}", "--method", "pcrm", "--csv", "{missing}"],
+    ["analyze", "--inst", "{inst}", "--mode", "regularity", "--samples", "20",
+     "--out", "{missing}"],
+], ids=["solve-csv", "analyze-out"])
+def test_output_that_cannot_be_opened_costs_no_work(descriptor_file, tmp_path, capsys,
+                                                     monkeypatch, command):
+    calls = []
+    for name in ("solve", "estimate_regularity"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    missing = tmp_path / "missing" / "out"
+    argv = [arg.format(missing=missing, inst=descriptor_file) for arg in command]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert calls == []
+
+
 def test_numerical_breakdown_exits_4_and_fails_a_bench_cell(descriptor_file, tmp_path,
                                                             capsys, monkeypatch):
     def breakdown(instance, config):

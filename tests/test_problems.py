@@ -449,6 +449,15 @@ class TestArgumentChecks:
             ProblemInstance(subspaces=blocks, ambient_dim=2, known_solution=known)
 
 
+    def test_known_solution_with_an_overflowing_norm_is_checked(self):
+        # ||x*||^2 overflows, so the limit 1e-8 (1 + ||x*||) must be taken scaled.
+        blocks = (AffineSubspace([[1.0, 0.0]], [0.0]),)  # x_1 = 0
+        with pytest.raises(InconsistentSystem, match="known solution"):
+            ProblemInstance(subspaces=blocks, ambient_dim=2, known_solution=[1e200, 1e200])
+        inst = ProblemInstance(subspaces=blocks, ambient_dim=2, known_solution=[0.0, 1e200])
+        assert inst.known_solution[1] == 1e200
+
+
 class TestDescriptorChecks:
     @pytest.fixture
     def under(self):

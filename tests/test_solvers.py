@@ -513,6 +513,17 @@ class TestSolve:
             solve(inst, SolverConfig(method=Method.PCRM), x0=np.full(4, np.inf))
         assert excinfo.value.trace.status is Status.DIVERGED_NUMERICALLY
 
+    def test_overflowing_reference_norm_stays_finite(self):
+        # The block x_1 = 0 holds [0, 1e200], whose squared norm overflows.
+        block = AffineSubspace([[1.0, 0.0]], [0.0])
+        inst = ProblemInstance(subspaces=(block,), ambient_dim=2,
+                               known_solution=[0.0, 1e200])
+        for method in Method:
+            res = solve(inst, SolverConfig(method=method, max_iterations=3), x0=[5.0, 0.0])
+            assert res.trace.status is Status.MAX_ITER
+            assert res.trace.distances[0] == np.hypot(5.0, 1e200) == 1e200
+            assert res.trace.residuals[0] == 5.0
+
     def test_max_iterations_status(self):
         inst = build_instance(30, 6, 0.2, 2)
         cfg = SolverConfig(method=Method.CIMMINO, tolerance=1e-14, max_iterations=3)
@@ -725,6 +736,110 @@ class TestPcrmDifferences:
         assert trace.status is Status.DIVERGED_NUMERICALLY
         assert trace.iterations == [0]
         assert np.isnan(trace.distances[0]) and np.isnan(trace.residuals[0])
+
+
+class TestCrmResidualBatches:
+    """CRM records the residuals that no stop test reads in batches of iterates."""
+
+    # 12 blocks of 2 rows in R^40: 24 stacked rows, so at most 24 iterates wait.
+    BATCH = 24
+
+    @staticmethod
+    def slow_instance():
+        return TestPcrmDifferences.slow_instance()
+
+    @staticmethod
+    def replay(inst, count):
+        """x_0 = 0 and the next count - 1 iterates of crm_step."""
+        xs = [np.zeros(inst.ambient_dim)]
+        while len(xs) < count:
+            xs.append(crm_step(xs[-1], inst.subspaces))
+        return xs
+
+    def test_the_batch_is_the_stacked_row_count(self):
+        kernel = self.slow_instance()._kernel
+        rows = sum(basis_t.shape[0] * basis_t.shape[1] for _, _, basis_t, _ in kernel.groups)
+        assert rows == self.BATCH
+
+    @pytest.mark.parametrize("rule", [StopRule.REL_ERR_TO_KNOWN, StopRule.STEP_NORM])
+    def test_recorded_residuals_are_the_kernel_residuals_of_the_iterates(self, rule):
+        inst = self.slow_instance()
+        res = solve(inst, SolverConfig(method=Method.CRM, tolerance=1e-10, stop_rule=rule))
+        trace = res.trace
+        assert trace.status is Status.CONVERGED
+        # More iterates than two batches: the residuals are taken at least three times.
+        assert len(trace.iterations) > 2 * self.BATCH
+        xs = self.replay(inst, len(trace.iterations))
+        np.testing.assert_array_equal(xs[-1], res.point)
+        for recorded, dist, x in zip(trace.residuals, trace.distances, xs, strict=True):
+            assert recorded == inst._kernel.residual(x)
+            assert dist == np.linalg.norm(x - inst.known_solution)
+
+    def test_breakdown_keeps_the_residual_of_every_finite_iterate(self, monkeypatch):
+        inst = self.slow_instance()
+        real, steps = solvers._Crm.step, []
+
+        def step(operator, x):
+            steps.append(x)
+            return np.full_like(x, np.nan) if len(steps) == 30 else real(operator, x)
+
+        monkeypatch.setattr(solvers._Crm, "step", step)
+        with pytest.raises(NumericalBreakdown) as excinfo:
+            solve(inst, SolverConfig(method=Method.CRM, tolerance=1e-12))
+        trace = excinfo.value.trace
+        assert trace.status is Status.DIVERGED_NUMERICALLY
+        assert trace.iterations == list(range(31))
+        assert np.isnan(trace.residuals[-1])
+        xs = self.replay(inst, 30)
+        for recorded, x in zip(trace.residuals[:-1], xs, strict=True):
+            assert recorded == inst._kernel.residual(x)
+
+    @pytest.mark.parametrize("rule, most", [(StopRule.REL_ERR_TO_KNOWN, BATCH),
+                                            (StopRule.STEP_NORM, BATCH),
+                                            (StopRule.FEASIBILITY_RESIDUAL, 1)])
+    def test_waiting_iterates_never_exceed_the_batch(self, monkeypatch, rule, most):
+        inst = self.slow_instance()
+        events = []
+        real_step, real_residual = solvers._Crm.step, solvers._Operator.residual
+
+        def step(operator, x):
+            y = real_step(operator, x)
+            events.append(("step", x, y))
+            return y
+
+        def residual(operator, x):
+            events.append(("residual", x, None))
+            return real_residual(operator, x)
+
+        monkeypatch.setattr(solvers._Crm, "step", step)
+        monkeypatch.setattr(solvers._Operator, "residual", residual)
+        res = solve(inst, SolverConfig(method=Method.CRM, tolerance=1e-12, stop_rule=rule))
+        assert res.trace.status is Status.CONVERGED
+        iterates, measured, waiting = [], [], []
+        for kind, x, y in events:
+            if not iterates:
+                iterates.append(x)  # x_0
+            if kind == "step":
+                assert x is iterates[-1]
+                iterates.append(y)
+            else:
+                waiting.append(len(iterates) - len(measured))
+                measured.append(x)
+        # Every iterate is measured once, in order, with at most `most` unmeasured.
+        assert len(measured) == len(iterates) == len(res.trace.iterations) > 2 * self.BATCH
+        assert all(x is y for x, y in zip(measured, iterates))
+        assert max(waiting) == most
+
+    def test_unrecorded_crm_residuals_are_never_taken(self, monkeypatch):
+        inst = self.slow_instance()
+        calls = []
+        monkeypatch.setattr(solvers._Operator, "residual", lambda operator, x: calls.append(x))
+        for rule in (StopRule.REL_ERR_TO_KNOWN, StopRule.STEP_NORM):
+            res = solve(inst, SolverConfig(method=Method.CRM, stop_rule=rule,
+                                           record_residuals=False))
+            assert res.trace.status is Status.CONVERGED
+            assert np.all(np.isnan(res.trace.residuals))
+        assert calls == []
 
 
 class TestNoThreadPool:
