@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import _BlockKernel, intersection_subspace
-from .problems import _check_integer
+from .problems import _check_integer, _json_fields
 
 # Principal cosines >= 1 - INTERSECTION_CUTOFF mark shared directions.
 INTERSECTION_CUTOFF = 1e-10
@@ -52,12 +52,7 @@ class AngleReport:
     principal_cosines: tuple
 
     def to_dict(self):
-        return {
-            "friedrichs_cosine": self.friedrichs_cosine,
-            "error_bound_constant": self.error_bound_constant,
-            "intersection_dim": self.intersection_dim,
-            "principal_cosines": list(self.principal_cosines),
-        }
+        return _json_fields(self)
 
 
 def angle_report(u_subspace, v_subspace):

@@ -12,7 +12,7 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,11 +76,6 @@ class BenchRecord:
 CSV_HEADER = [f.name for f in fields(BenchRecord)]
 
 
-def _fail(message):
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _load_instance(path):
     """The instance that the descriptor file at `path` regenerates."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -90,20 +85,13 @@ def _load_instance(path):
             raise ValueError(f"cannot load instance: {exc}") from exc
 
 
-def _stop_rule(name, instance):
-    """The named stop rule; "auto" is rel_err with a known solution, else feasibility."""
-    if name == "auto":
-        name = "rel_err" if instance.known_solution is not None else "feasibility"
-    return StopRule(name)
-
-
 def _run_cell(instance, config):
     """Solve one cell and return its CSV record."""
     result = solve(instance, config)
-    known = instance.known_solution
-    rel_err = float("nan")
-    if known is not None:
-        rel_err = float(np.linalg.norm(result.point - known) / np.linalg.norm(known))
+    # The distance that `solve` took at the returned point, nan without x*.
+    rel_err = result.trace.distances[-1]
+    if instance.known_solution is not None:
+        rel_err = float(rel_err / np.linalg.norm(instance.known_solution))
     desc = instance.descriptor
     return BenchRecord(
         method=config.method.value,
@@ -147,13 +135,16 @@ def cmd_solve(args):
     instance = _load_instance(args.inst)
     method = Method(args.method)
     if args.weights is not None and method in (Method.CRM, Method.PCRM):
-        return _fail(f"--weights applies to fspm and cimmino only, not {method.value}")
+        raise ValueError(f"--weights applies to fspm and cimmino only, not {method.value}")
+    rule = args.stop_rule  # "auto" is rel_err with a known solution, else feasibility
+    if rule == "auto":
+        rule = "rel_err" if instance.known_solution is not None else "feasibility"
     config = SolverConfig(
         method=method,
         weights=_parse_weights(args.weights, instance.block_count),
         tolerance=args.tolerance,
         max_iterations=args.max_iterations,
-        stop_rule=_stop_rule(args.stop_rule, instance),
+        stop_rule=rule,
         workers=args.workers,
         record_residuals=False,
     )
@@ -186,7 +177,8 @@ def _load_bench_config(path):
     """(cfg, configs): the grid, and the SolverConfig of each solve in a cell.
 
     P-CRM solves once per worker count, every other method once.  Building
-    the configs checks the solver settings; each cell sets its stop rule.
+    the configs checks the solver settings.  Every config keeps the default
+    rel_err stop rule: each cell's `build_instance` plants its solution.
     """
     cfg = dict(DEFAULT_BENCH)
     if path is not None:
@@ -223,7 +215,7 @@ def cmd_bench(args):
     try:
         cfg, configs = _load_bench_config(args.config)
     except (ValueError, CircumprojError) as exc:
-        return _fail(f"bad config: {exc}")
+        raise ValueError(f"bad config: {exc}") from exc
     out_path = args.out or cfg["out"]
 
     records = []
@@ -249,8 +241,7 @@ def cmd_bench(args):
                     continue
                 for config in configs:
                     try:
-                        record = _run_cell(
-                            instance, replace(config, stop_rule=_stop_rule("auto", instance)))
+                        record = _run_cell(instance, config)
                     except CircumprojError as exc:
                         print(f"solve ({config.method.value}, m={m}, n={n}, c={c}, seed={seed}) "
                               f"failed: {exc}", file=sys.stderr)
@@ -296,7 +287,7 @@ def _write_aggregate(fh, records):
 def cmd_analyze(args):
     instance = _load_instance(args.inst)
     if args.mode == "angles" and instance.block_count > 2:
-        return _fail("angle mode needs an instance with at most 2 blocks")
+        raise ValueError("angle mode needs an instance with at most 2 blocks")
     with _output(args.out, "w") as fh:
         if args.mode == "angles":
             # One block is read as the pair (U, U).
@@ -379,7 +370,8 @@ def main(argv=None):
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 4
     except (OSError, ValueError, CircumprojError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import functools
 import itertools
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -149,6 +149,13 @@ def _partition_sizes(m, blocks):
     return [base + 1] * extra + [base] * (blocks - extra)
 
 
+def _json_fields(obj):
+    """The fields of dataclass `obj` in their order, tuples as lists and
+    None fields left out: its JSON object."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(obj).items() if value is not None}
+
+
 @dataclass(frozen=True)
 class GenerationDescriptor:
     """Everything needed to regenerate an instance bit-exactly."""
@@ -162,17 +169,7 @@ class GenerationDescriptor:
     block_rows: tuple | None = None
 
     def to_dict(self):
-        d = {
-            "m": self.m,
-            "n": self.n,
-            "coherence": self.coherence,
-            "seed": self.seed,
-            "generator_id": self.generator_id,
-            "block_count": self.block_count,
-        }
-        if self.block_rows is not None:
-            d["block_rows"] = list(self.block_rows)
-        return d
+        return _json_fields(self)
 
     @classmethod
     def from_dict(cls, d):

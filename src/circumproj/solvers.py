@@ -35,6 +35,7 @@ import numpy as np
 from .affine import _BlockKernel, _block_list, _check_point, _norm
 from .circumcenters import _solve_differences, circumcenter
 from .errors import (
+    DegenerateSystem,
     DimensionMismatch,
     InsufficientData,
     InvalidWeights,
@@ -318,7 +319,8 @@ def solve(instance, config, x0=None):
 
     Raises MissingReference when stop_rule is REL_ERR_TO_KNOWN but the
     instance has no known solution, and NumericalBreakdown (with the partial
-    trace attached) when an iterate stops being finite.
+    trace and the last finite iterate attached) when an iterate stops being
+    finite or a CRM or P-CRM circumcenter cannot be formed.
     """
     subspaces = list(instance.subspaces)
     kernel = instance._kernel
@@ -366,8 +368,13 @@ def solve(instance, config, x0=None):
             trace.residuals[j] = operator.residual(y)
         pending.clear()
 
+    def breakdown(message, point):
+        record_pending()
+        trace.status = Status.DIVERGED_NUMERICALLY
+        trace.wall_time_s = time.perf_counter() - start
+        return NumericalBreakdown(message, trace=trace, point=point)
+
     k = 0
-    nproj = 0
     prev = None
     start = time.perf_counter()
     while True:
@@ -381,15 +388,10 @@ def solve(instance, config, x0=None):
             dist = float("nan")
         # A finite distance to the reference already shows that x is finite.
         if not math.isfinite(dist) and not np.all(np.isfinite(x)):
-            record_pending()
-            trace.append(k, float("nan"), float("nan"), nproj)
-            trace.status = Status.DIVERGED_NUMERICALLY
-            trace.wall_time_s = time.perf_counter() - start
-            raise NumericalBreakdown(
-                f"non-finite iterate at iteration {k}", trace=trace, point=x
-            )
+            trace.append(k, float("nan"), float("nan"), k * m)
+            raise breakdown(f"non-finite iterate at iteration {k}", x)
         resid = operator.residual(x) if inline else float("nan")
-        trace.append(k, resid, dist, nproj)
+        trace.append(k, resid, dist, k * m)
         if batched:
             pending.append((k, x))
             if len(pending) >= batch:
@@ -398,7 +400,7 @@ def solve(instance, config, x0=None):
         if rule is StopRule.REL_ERR_TO_KNOWN:
             stop = dist <= tol * ref_norm if ref_norm > 0 else dist <= tol
         elif rule is StopRule.FEASIBILITY_RESIDUAL:
-            stop = resid <= tol * (1.0 + math.sqrt(x @ x))
+            stop = resid <= tol * (1.0 + _norm([x]))  # x @ x may overflow
         else:
             stop = prev is not None and float(np.linalg.norm(x - prev)) <= tol
         if stop:
@@ -409,8 +411,11 @@ def solve(instance, config, x0=None):
             break
 
         prev = x
-        x = operator.step(x)
-        nproj += m
+        try:
+            x = operator.step(x)
+        except DegenerateSystem as exc:
+            # A consistent system's circumcenters exist: this one failed numerically.
+            raise breakdown(f"circumcenter failed at iteration {k}: {exc}", x) from exc
         k += 1
     record_pending()
     trace.wall_time_s = time.perf_counter() - start

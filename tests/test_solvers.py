@@ -10,6 +10,7 @@ import pytest
 
 from circumproj import (
     AffineSubspace,
+    DegenerateSystem,
     DimensionMismatch,
     InsufficientData,
     InvalidWeights,
@@ -840,6 +841,38 @@ class TestCrmResidualBatches:
             assert res.trace.status is Status.CONVERGED
             assert np.all(np.isnan(res.trace.residuals))
         assert calls == []
+
+
+class TestHugeStart:
+    """From x0 = 1e300 * ones, x @ x overflows and no circumcenter can be formed."""
+
+    X0 = np.full(40, 1e300)
+
+    @pytest.mark.parametrize("method", [Method.CRM, Method.PCRM, Method.CIMMINO])
+    def test_an_overflowing_scale_is_not_convergence(self, method):
+        inst = build_underdetermined_instance(40, [2] * 12, 0.0, 3)
+        cfg = SolverConfig(method=method, stop_rule=StopRule.FEASIBILITY_RESIDUAL,
+                           max_iterations=5)
+        try:
+            trace = solve(inst, cfg, x0=self.X0).trace
+        except NumericalBreakdown as exc:
+            trace = exc.trace
+        assert trace.status is not Status.CONVERGED
+
+    @pytest.mark.parametrize("rule", list(StopRule))
+    @pytest.mark.parametrize("method", [Method.CRM, Method.PCRM])
+    def test_a_failed_circumcenter_is_a_numerical_breakdown(self, method, rule):
+        inst = TestPcrmDifferences.slow_instance()
+        with pytest.raises(NumericalBreakdown) as excinfo:
+            solve(inst, SolverConfig(method=method, stop_rule=rule), x0=self.X0)
+        exc = excinfo.value
+        assert isinstance(exc.__cause__, DegenerateSystem)
+        # The partial trace, its pending residual recorded, and the last finite iterate.
+        assert exc.trace.status is Status.DIVERGED_NUMERICALLY
+        assert exc.trace.iterations == [0] and exc.trace.projections == [0]
+        assert exc.trace.residuals == [np.inf]
+        assert exc.trace.wall_time_s >= 0.0
+        np.testing.assert_array_equal(exc.point, self.X0)
 
 
 class TestNoThreadPool:

@@ -7,13 +7,17 @@ residual-recording flag, and prints `sha256  instance  method  rule  record`
 per solve.  The hash covers the final point, the residual and distance
 traces, the iteration and projection counts, the status and `solve`'s CSV
 record less `time_s`; a solve that breaks down hashes its partial trace and
-point instead.  Run it on two checkouts and diff the output.  The BLAS is
-pinned to one thread, so the bytes depend on the checkout and the machine
-only.
+point instead.  Before its solves, each instance prints `sha256  instance
+descriptor` and `sha256  instance  angles`, the hashes of the JSON text of
+its descriptor's `to_dict()` and of the `angle_report` of its first and
+last blocks, as `gen` and `analyze` write them.  Run it on two checkouts and
+diff the output.  The BLAS is pinned to one thread, so the bytes depend on
+the checkout and the machine only.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 
@@ -88,6 +92,10 @@ def digest(cp, cli, inst, config):
     return h.hexdigest()
 
 
+def json_digest(payload):
+    return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
@@ -95,6 +103,9 @@ def main(argv):
     args = parser.parse_args(argv)
     cp, cli = load(args.src)
     for name, inst in instances(cp):
+        print(f"{json_digest(inst.descriptor.to_dict())}  {name}  descriptor")
+        pair = inst.subspaces[0], inst.subspaces[-1]
+        print(f"{json_digest(cp.angle_report(*pair).to_dict())}  {name}  angles", flush=True)
         for method in cp.Method:
             for rule in cp.StopRule:
                 for record in (True, False):
