@@ -312,7 +312,7 @@ def _norm(vectors):
     overflows, for entries near the largest float, it is taken again scaled
     by max |v_i|, so that it stays finite.  np.vdot gives the bytes of
     v @ v, but raises no overflow warning, and costs no np.errstate."""
-    total = math.sqrt(sum(np.vdot(v, v) for v in vectors))
+    total = math.sqrt(sum(map(np.vdot, vectors, vectors)))
     if total < math.inf:
         return total
     scale = max(float(np.max(np.abs(v), initial=0.0)) for v in vectors)

@@ -11,10 +11,11 @@ m x m normal system
 whose matrix G = D D^T is the Gram matrix of the differences.
 
 `_solve_differences(D, r)` solves for y from the differences alone, so a
-caller that already holds them (the P-CRM step, whose differences are
-twice d_i = P_i(x) - x) never assembles the points.  It takes one of three
-routes; the two certified solves, and the certificate they share, live in
-`_lapack`:
+caller that already holds them never assembles the points.  The P-CRM
+step passes d_i = P_i(x) - x and ||d_i||^2: its points x + 2 d_i give
+the system (2 d) y = 2 ||d||^2, which has the same solutions.  It takes
+one of three routes; the two certified solves, and the certificate they
+share, live in `_lapack`:
 
 * A tall D (m > n: more points than dimensions plus one) is solved by
   _certified_tall_solve, one R-only Householder QR of
@@ -37,14 +38,16 @@ routes; the two certified solves, and the certificate they share, live in
   whenever one exists.
 
 Every route accepts y only when its misfit, ||D y - r|| or, on the wide
-route, ||G alpha - r||, is at most SOLVE_RTOL * (1 + ||r||).
+route, ||G alpha - r||, is at most SOLVE_RTOL * (1 + ||r||).  Both norms
+are taken by affine._norm, so a sum of squares that overflows is taken
+again scaled instead of reading inf, which would accept any y; a nan
+misfit fails the test.
 """
-
-import math
 
 import numpy as np
 
 from ._lapack import _certified_cholesky_solve, _certified_tall_solve
+from .affine import _norm
 from .errors import DegenerateSystem, DimensionMismatch
 
 # Accepted least-squares misfit of the normal system, relative to 1 + ||rhs||.
@@ -109,8 +112,9 @@ def _solve_differences(diffs, rhs):
             alpha, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
         misfit = gram @ alpha - rhs
         step = alpha @ diffs
-    misfit = math.sqrt(misfit @ misfit)
-    if misfit > SOLVE_RTOL * (1.0 + math.sqrt(rhs @ rhs)):
+    misfit = _norm([misfit])
+    # A nan misfit fails the test too.
+    if not misfit <= SOLVE_RTOL * (1.0 + _norm([rhs])):
         raise DegenerateSystem(
             f"no equidistant point in the affine hull (normal-system residual {misfit:.3e})"
         )

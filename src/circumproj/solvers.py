@@ -15,7 +15,11 @@ max_i d(x, U_i), and `step(x)`, the next iterate.  A CRM step reads only
 the blocks, so `crm_step` builds no kernel.  F-SPM has one step formula,
 the affine map x -> a x + c + sum_g B_g^T (q_g * (B_g x)) on the kernel's
 stacks.  P-CRM reads its residual and its step off one difference matrix
-d_i = P_i(x) - x; F-SPM, Cimmino and CRM read the kernel's residual.
+d_i = P_i(x) - x and its squared row norms sq_i: its step is x + y for the
+minimum-norm y with d y = sq.  F-SPM, Cimmino and CRM read the kernel's
+residual.  Every length that the loop compares with a bound (the distance
+to the reference, the step, the iterate in the feasibility test) is taken
+by affine._norm, which stays finite where a sum of squares overflows.
 Everything runs in the calling thread: the `workers` setting is accepted
 and recorded but does not change the computation, so P-CRM results are
 bitwise identical for every worker count.
@@ -212,9 +216,10 @@ class _Pcrm(_Operator):
     `residual(x)` has the kernel write d_i = P_i(x) - x and sq_i = ||d_i||^2
     into the operator's buffers and returns sqrt(max_i sq_i).  The
     reflections are x + 2 d_i, so the circumcenter is x + y for the
-    minimum-norm y with (2 d) y = 2 sq.  `step(x)` doubles the d and sq of
-    this x in place, forming them first if the last residual was of another
-    point, and solves for y; the doubled buffers then belong to no point.
+    minimum-norm y with (2 d) y = 2 sq, which is the system d y = sq.
+    `step(x)` solves d y = sq straight from the buffers, forming them first
+    if the last residual was of another point.  The buffers always hold the
+    d and sq of `_diffs_of`: nothing but `residual` writes them.
     """
 
     def __init__(self, kernel):
@@ -231,9 +236,6 @@ class _Pcrm(_Operator):
     def step(self, x):
         if self._diffs_of is not x:
             self.residual(x)
-        self._diffs_of = None
-        self._diffs *= 2.0
-        self._sq *= 2.0
         return x + _solve_differences(self._diffs, self._sq)
 
 
@@ -378,14 +380,7 @@ def solve(instance, config, x0=None):
     prev = None
     start = time.perf_counter()
     while True:
-        if reference is not None:
-            e = x - reference
-            # np.vdot gives the bytes of e @ e without an overflow warning.
-            dist = math.sqrt(np.vdot(e, e))
-            if not math.isfinite(dist) and np.all(np.isfinite(x)):
-                dist = _norm([e])  # e @ e overflowed
-        else:
-            dist = float("nan")
+        dist = _norm([x - reference]) if reference is not None else float("nan")
         # A finite distance to the reference already shows that x is finite.
         if not math.isfinite(dist) and not np.all(np.isfinite(x)):
             trace.append(k, float("nan"), float("nan"), k * m)
@@ -402,7 +397,7 @@ def solve(instance, config, x0=None):
         elif rule is StopRule.FEASIBILITY_RESIDUAL:
             stop = resid <= tol * (1.0 + _norm([x]))  # x @ x may overflow
         else:
-            stop = prev is not None and float(np.linalg.norm(x - prev)) <= tol
+            stop = prev is not None and _norm([x - prev]) <= tol
         if stop:
             trace.status = Status.CONVERGED
             break

@@ -121,6 +121,14 @@ class TestCircumcenter:
             circumcenter(points)
         assert capfd.readouterr() == ("", "")
 
+    def test_a_power_of_two_scale_commutes_bitwise(self, rng):
+        # Differences near 2^260 square to about 1e157, so ||r||^2 overflows:
+        # the misfit test must stay a test rather than read its limit as inf.
+        scale = 2.0 ** 260
+        for _ in range(20):
+            pts = rng.standard_normal((4, 6))
+            np.testing.assert_array_equal(circumcenter(scale * pts), scale * circumcenter(pts))
+
 
 class TestTallRoute:
     """More points than dimensions plus one: the certified R-only QR route."""

@@ -738,6 +738,34 @@ class TestPcrmDifferences:
         assert trace.iterations == [0]
         assert np.isnan(trace.distances[0]) and np.isnan(trace.residuals[0])
 
+    def test_buffers_hold_the_differences_of_their_point(self, rng):
+        kernel = self.slow_instance()._kernel
+        x = rng.standard_normal(40)
+        operator = solvers._Pcrm(kernel)
+        operator.residual(x)
+        operator.step(x)
+        diffs, sq = np.empty((kernel.block_count, 40)), np.empty(kernel.block_count)
+        kernel.differences(x, diffs, sq)
+        assert operator._diffs_of is x
+        np.testing.assert_array_equal(operator._diffs, diffs)
+        np.testing.assert_array_equal(operator._sq, sq)
+
+    @pytest.mark.parametrize("builder, args", [
+        (build_underdetermined_instance, (400, [20] * 12, 0.0, 12)),  # slow angles
+        (build_instance, (1250, 10, 0.1, 1)),  # 126 blocks in R^10: a tall D
+        (build_underdetermined_instance, (100, [60, 30, 8], 0.2, 2)),
+    ])
+    def test_step_is_the_circumcenter_of_the_reflections_bitwise(self, rng, builder, args):
+        # The reflections x + 2 d_i give the system (2 d) y = 2 sq; the step
+        # solves d y = sq, which has the same bytes on every route.
+        kernel = builder(*args)._kernel
+        x = rng.standard_normal(kernel.ambient_dim)
+        diffs = np.empty((kernel.block_count, kernel.ambient_dim))
+        sq = np.empty(kernel.block_count)
+        kernel.differences(x, diffs, sq)
+        expected = x + solvers._solve_differences(2.0 * diffs, 2.0 * sq)
+        np.testing.assert_array_equal(solvers._Pcrm(kernel).step(x), expected)
+
 
 class TestCrmResidualBatches:
     """CRM records the residuals that no stop test reads in batches of iterates."""
@@ -844,7 +872,8 @@ class TestCrmResidualBatches:
 
 
 class TestHugeStart:
-    """From x0 = 1e300 * ones, x @ x overflows and no circumcenter can be formed."""
+    """From x0 = 1e300 * ones, x @ x overflows and no circumcenter can be formed;
+    from 1e80 * ones, a circumcenter's ||r||^2 overflows and nothing else."""
 
     X0 = np.full(40, 1e300)
 
@@ -873,6 +902,24 @@ class TestHugeStart:
         assert exc.trace.residuals == [np.inf]
         assert exc.trace.wall_time_s >= 0.0
         np.testing.assert_array_equal(exc.point, self.X0)
+
+    @pytest.mark.parametrize("method", [Method.CIMMINO, Method.FSPM])
+    def test_the_step_norm_rule_does_not_overflow(self, method):
+        # ||x_k - x_{k-1}||^2 overflows; the suite turns its warning into an error.
+        inst = build_underdetermined_instance(40, [2] * 12, 0.0, 3)
+        cfg = SolverConfig(method=method, stop_rule=StopRule.STEP_NORM, max_iterations=50)
+        res = solve(inst, cfg, x0=self.X0)
+        assert res.trace.status is Status.MAX_ITER
+
+    @pytest.mark.parametrize("method", [Method.CRM, Method.PCRM])
+    def test_circumcenters_of_a_large_start_keep_their_misfit_test(self, method):
+        # From 1e80 * ones, ||r||^2 of the first circumcenter overflows.
+        inst = build_underdetermined_instance(40, [2] * 12, 0.0, 3)
+        cfg = SolverConfig(method=method, stop_rule=StopRule.FEASIBILITY_RESIDUAL)
+        res = solve(inst, cfg, x0=np.full(40, 1e80))
+        assert res.trace.status is Status.CONVERGED
+        final = float(residual(inst.subspaces, res.point))
+        assert final <= cfg.tolerance * (1.0 + np.linalg.norm(res.point))
 
 
 class TestNoThreadPool:

@@ -10,9 +10,12 @@ record less `time_s`; a solve that breaks down hashes its partial trace and
 point instead.  Before its solves, each instance prints `sha256  instance
 descriptor` and `sha256  instance  angles`, the hashes of the JSON text of
 its descriptor's `to_dict()` and of the `angle_report` of its first and
-last blocks, as `gen` and `analyze` write them.  Run it on two checkouts and
-diff the output.  The BLAS is pinned to one thread, so the bytes depend on
-the checkout and the machine only.
+last blocks, as `gen` and `analyze` write them, then `sha256  instance
+regularity` and `sha256  instance  bound`, the hashes of
+`estimate_regularity(instance, 200, 0)` and of `verify_error_bound(first,
+last, constant, 200, 0)` with the report's constant.  Run it on two
+checkouts and diff the output.  The BLAS is pinned to one thread, so the
+bytes depend on the checkout and the machine only.
 """
 
 import argparse
@@ -49,6 +52,7 @@ INSTANCES = [
 ]
 TOLERANCE = 1e-6
 MAX_ITERATIONS = 20_000
+SAMPLES = 200  # points sampled by estimate_regularity and verify_error_bound
 
 
 def load(src):
@@ -105,7 +109,12 @@ def main(argv):
     for name, inst in instances(cp):
         print(f"{json_digest(inst.descriptor.to_dict())}  {name}  descriptor")
         pair = inst.subspaces[0], inst.subspaces[-1]
-        print(f"{json_digest(cp.angle_report(*pair).to_dict())}  {name}  angles", flush=True)
+        report = cp.angle_report(*pair)
+        print(f"{json_digest(report.to_dict())}  {name}  angles")
+        regularity = cp.estimate_regularity(inst, SAMPLES, 0)
+        print(f"{json_digest(regularity.hex())}  {name}  regularity")
+        bound = cp.verify_error_bound(*pair, report.error_bound_constant, SAMPLES, 0)
+        print(f"{json_digest(bound)}  {name}  bound", flush=True)
         for method in cp.Method:
             for rule in cp.StopRule:
                 for record in (True, False):
