@@ -26,9 +26,10 @@ class AffineSubspace:
     is factored by one R-only Householder QR of [A | b], whose leading
     n x n triangle R and last column c = Q^T b give z0 = R^-1 c without
     forming Q; when R passes the same certificate it is kept at rank = n,
-    with an empty null basis, so its projection is the point z0.  A tall
-    block first tries the prefix route of _factor_prefix, and keeps all of
-    its rows either way.  Blocks that miss the certificate fall back to a
+    with an empty null basis, so its projection is the point z0.  The route
+    is _factor's, the one that the intersection takes too: a block of at
+    least 4n rows first tries its first 2n rows, and keeps all of its rows
+    either way.  Blocks that miss the certificate fall back to a
     rank-revealing SVD with the numerical rank threshold
     max(rows, n) * eps * sigma_max.  All routes give the same rank on every
     block whose singular values clear the threshold by more than rounding.
@@ -68,10 +69,7 @@ class AffineSubspace:
         if not np.isfinite(b).all():
             raise InconsistentSystem("rhs is not finite")
 
-        limit = CONSISTENCY_RTOL * (1.0 + _norm([b]))
-        found = _factor_prefix([A], [b], limit)
-        factors = found[2] if found else _factor_whole(A, b, limit, raw_qr)
-        self._keep(A, b, factors, label)
+        self._keep(A, b, _factor(A, b, raw_qr)[2], label)
 
     @classmethod
     def _from_factors(cls, A, b, factors, label):
@@ -307,18 +305,18 @@ def _aligned_empty(shape):
     return buf[start:start + size].reshape(shape)
 
 
-def _norm(vectors):
-    """||v|| of the concatenation v of `vectors`.  Where the sum of squares
-    overflows, for entries near the largest float, it is taken again scaled
-    by max |v_i|, so that it stays finite.  np.vdot gives the bytes of
-    v @ v, but raises no overflow warning, and costs no np.errstate."""
-    total = math.sqrt(sum(map(np.vdot, vectors, vectors)))
+def _norm(v):
+    """||v||.  Where the sum of squares overflows, for entries near the
+    largest float, it is taken again of v scaled by max |v_i|, whose sum
+    cannot overflow, so that it stays finite.  np.vdot gives the bytes of v @ v, but raises no overflow
+    warning, and costs no np.errstate."""
+    total = math.sqrt(np.vdot(v, v))
     if total < math.inf:
         return total
-    scale = max(float(np.max(np.abs(v), initial=0.0)) for v in vectors)
+    scale = float(np.max(np.abs(v), initial=0.0))
     if not 0.0 < scale < np.inf:
         return scale
-    return scale * math.sqrt(sum(u @ u for u in (v / scale for v in vectors)))
+    return scale * _norm(v / scale)
 
 
 def _factor_qr(A, b, raw_qr=None):
@@ -343,7 +341,7 @@ def _factor_whole(A, b, limit, raw_qr=None):
         if not np.isfinite(A).all():
             raise InconsistentSystem("constraint matrix is not finite")
         factors = _factor_svd(A, b)
-    misfit = _norm([A @ factors[1] - b])
+    misfit = _norm(A @ factors[1] - b)
     # False for a nan misfit too, as from a non-finite A.
     if not misfit <= limit:
         raise InconsistentSystem(
@@ -384,41 +382,31 @@ def _factor_svd(A, b):
     return rank, z0, (Vh[rank:] if _uses_null(rank, n) else Vh[:rank]).T
 
 
-def _factor_prefix(matrices, rhs, limit):
-    """(A_prefix, b_prefix, factors) of the stack of `matrices`, or None.
+def _factor(A, b, raw_qr=None):
+    """(A', b', factors): the factors of {x : A x = b} and the rows A' x = b'
+    that they describe it by.
 
-    The prefix route for a stack of at least 4n rows: only its first 2n
-    rows, gathered from the leading blocks, are factored, by one R-only QR
-    (_factor_tall_qr).  A certified prefix has full column rank, so the
-    stack does too, and the prefix's least-squares solution is the only
-    candidate for a point of {x : A x = b}.  It is kept when the whole
-    stack's misfit, summed one block at a time, is within `limit`.  The
-    stack's own least-squares solution has the least misfit, so every stack
-    the whole-stack route accepts is still accepted, and up to rounding
-    none that it rejects is.  None, for a shorter stack, a prefix that is
-    not certified or a point that fits only the prefix, sends the caller to
-    the whole stack; a prefix that fails costs at most half of that QR.
-    The prefix rows pin the same point as the stack, so they describe the
-    same set.
+    The limit on the anchor's misfit is CONSISTENCY_RTOL * (1 + ||b||).  A
+    stack of at least 4n rows first tries its first 2n rows, by one R-only
+    QR (_factor_tall_qr).  A certified prefix has full column rank, so A
+    does too, and the prefix's least-squares solution is the only candidate
+    for a point of the set.  It is kept, with A' = A[:2n], when the misfit
+    of all of A, one product over the stack, is within the limit: the
+    prefix rows pin the same point as the stack, so they describe the same
+    set.  The stack's own least-squares solution has the least misfit, so
+    every stack the whole-stack route accepts is still accepted, and up to
+    rounding none that it rejects is.  A shorter stack, a prefix that is
+    not certified or a point that fits only the prefix takes
+    _factor_whole(A, b, limit, raw_qr) with A' = A; a prefix that fails
+    costs at most half of that QR.
     """
-    n = matrices[0].shape[1]
-    if sum(A.shape[0] for A in matrices) < 4 * n:
-        return None
-    heads, tails, need = [], [], 2 * n
-    for A, b in zip(matrices, rhs):
-        heads.append(A[:need])
-        tails.append(b[:need])
-        need -= heads[-1].shape[0]
-        if need == 0:
-            break
-    A_prefix, b_prefix = _stacked(heads), _stacked(tails)
-    factors = _factor_tall_qr(A_prefix, b_prefix)
-    if factors is None:
-        return None
-    misfit = _norm([A @ factors[1] - b for A, b in zip(matrices, rhs)])
-    if not misfit <= limit:
-        return None
-    return A_prefix, b_prefix, factors
+    n = A.shape[1]
+    limit = CONSISTENCY_RTOL * (1.0 + _norm(b))
+    if A.shape[0] >= 4 * n:
+        factors = _factor_tall_qr(A[:2 * n], b[:2 * n])
+        if factors is not None and _norm(A @ factors[1] - b) <= limit:
+            return A[:2 * n], b[:2 * n], factors
+    return A, b, _factor_whole(A, b, limit, raw_qr)
 
 
 def _stacked(arrays):
@@ -444,26 +432,23 @@ def intersection_subspace(subspaces):
     """One subspace representing the intersection of the blocks.
 
     Its `project` is the exact best-approximation oracle onto the
-    intersection.  A stack that the prefix route of _factor_prefix accepts
-    is described by its 2n prefix rows alone, without stacking the blocks.
-    Every other stack goes through the whole-stack QR and, if that misses
-    the certificate too, the SVD; the result is then described by the whole
-    stack.  Rows or stacks of adjacent blocks are taken by _stacked as a
-    view of the blocks' parent array, not copied.  The consistency limit is
-    CONSISTENCY_RTOL * (1 + ||b||), with b the whole stacked rhs.
+    intersection.  The blocks' rows and right-hand sides are stacked by
+    _stacked, a read-only view of their parent array when the blocks are
+    adjacent rows of one, as an instance's are.  A list that is not
+    adjacent is copied whole, even when the prefix route then needs only
+    its first 2n rows.  The stack is factored by _factor, as a block is, so
+    one that its prefix route accepts is described by its first 2n rows, a
+    view of the stack, and every other one by the whole stack.  The
+    consistency limit is CONSISTENCY_RTOL * (1 + ||b||), with b the whole
+    stacked rhs.
 
     Raises EmptyIntersection when the stacked system is inconsistent.
     """
     subspaces, _ = _block_list(subspaces)
-    matrices = [U.constraint_matrix for U in subspaces]
-    rhs = [U.rhs for U in subspaces]
-    limit = CONSISTENCY_RTOL * (1.0 + _norm(rhs))
+    A = _stacked([U.constraint_matrix for U in subspaces])
+    b = _stacked([U.rhs for U in subspaces])
     try:
-        found = _factor_prefix(matrices, rhs, limit)
-        if found is None:
-            A, b = _stacked(matrices), _stacked(rhs)
-            found = A, b, _factor_whole(A, b, limit)
-        return AffineSubspace._from_factors(*found, label=-1)
+        return AffineSubspace._from_factors(*_factor(A, b), label=-1)
     except InconsistentSystem as exc:
         raise EmptyIntersection(f"blocks have no common point: {exc}") from exc
 

@@ -112,9 +112,9 @@ def _solve_differences(diffs, rhs):
             alpha, _, _, _ = np.linalg.lstsq(gram, rhs, rcond=None)
         misfit = gram @ alpha - rhs
         step = alpha @ diffs
-    misfit = _norm([misfit])
+    misfit = _norm(misfit)
     # A nan misfit fails the test too.
-    if not misfit <= SOLVE_RTOL * (1.0 + _norm([rhs])):
+    if not misfit <= SOLVE_RTOL * (1.0 + _norm(rhs)):
         raise DegenerateSystem(
             f"no equidistant point in the affine hull (normal-system residual {misfit:.3e})"
         )

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._lapack import _block_qrs, _cpu_count
-from .affine import AffineSubspace, _BlockKernel, _block_list, _norm
+from .affine import CONSISTENCY_RTOL, AffineSubspace, _BlockKernel, _block_list, _check_point, _norm
 from .errors import DimensionMismatch, InconsistentSystem, InvalidCoherence
 
 GENERATOR_ID = "pcg64-boxmuller"
@@ -212,12 +212,10 @@ class ProblemInstance:
                 f"blocks have ambient dimension {n}, instance has {self.ambient_dim}"
             )
         if self.known_solution is not None:
-            xs = np.asarray(self.known_solution, dtype=float).ravel()
-            if xs.shape != (self.ambient_dim,):
-                raise DimensionMismatch("known solution has the wrong length")
+            xs = _check_point(self.known_solution, n, (1,))
             # A non-finite known solution reads as a nan misfit, which fails the test.
             misfit = float(self._kernel.residual(xs)) if np.isfinite(xs).all() else np.nan
-            if not misfit <= 1e-8 * (1.0 + _norm([xs])):
+            if not misfit <= CONSISTENCY_RTOL * (1.0 + _norm(xs)):
                 raise InconsistentSystem(
                     f"known solution violates the blocks (residual {misfit:.3e})"
                 )

@@ -40,7 +40,6 @@ from .affine import _BlockKernel, _block_list, _check_point, _norm
 from .circumcenters import _solve_differences, circumcenter
 from .errors import (
     DegenerateSystem,
-    DimensionMismatch,
     InsufficientData,
     InvalidWeights,
     MissingReference,
@@ -328,18 +327,14 @@ def solve(instance, config, x0=None):
     kernel = instance._kernel
     n = instance.ambient_dim
     m = len(subspaces)
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.array(x0, dtype=float).ravel()
-        if x.shape != (n,):
-            raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({n},)")
+    # A copy, so that result.point never aliases the caller's x0.
+    x = np.zeros(n) if x0 is None else np.array(_check_point(x0, n, (1,)))
 
     reference = instance.known_solution
     rule = config.stop_rule
     if rule is StopRule.REL_ERR_TO_KNOWN and reference is None:
         raise MissingReference("stop rule rel_err needs an instance with a known solution")
-    ref_norm = _norm([reference]) if reference is not None else 0.0
+    ref_norm = _norm(reference) if reference is not None else 0.0
 
     method = config.method
     if method in (Method.FSPM, Method.CIMMINO):
@@ -380,7 +375,7 @@ def solve(instance, config, x0=None):
     prev = None
     start = time.perf_counter()
     while True:
-        dist = _norm([x - reference]) if reference is not None else float("nan")
+        dist = _norm(x - reference) if reference is not None else float("nan")
         # A finite distance to the reference already shows that x is finite.
         if not math.isfinite(dist) and not np.all(np.isfinite(x)):
             trace.append(k, float("nan"), float("nan"), k * m)
@@ -395,9 +390,9 @@ def solve(instance, config, x0=None):
         if rule is StopRule.REL_ERR_TO_KNOWN:
             stop = dist <= tol * ref_norm if ref_norm > 0 else dist <= tol
         elif rule is StopRule.FEASIBILITY_RESIDUAL:
-            stop = resid <= tol * (1.0 + _norm([x]))  # x @ x may overflow
+            stop = resid <= tol * (1.0 + _norm(x))  # x @ x may overflow
         else:
-            stop = prev is not None and _norm([x - prev]) <= tol
+            stop = prev is not None and _norm(x - prev) <= tol
         if stop:
             trace.status = Status.CONVERGED
             break

@@ -31,6 +31,12 @@ def block_with_singular_values(rng, singular_values, n):
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("A, b", [(np.zeros((0, 3)), []), (np.zeros((2, 2, 3)), [0.0, 0.0])],
+                             ids=["no-rows", "3-D"])
+    def test_empty_or_3d_matrix_rejected(self, A, b):
+        with pytest.raises(DimensionMismatch, match="must be 2-D and nonempty"):
+            AffineSubspace(A, b)
+
     def test_coordinate_hyperplane(self):
         U = AffineSubspace([[1.0, 0.0]], [0.0])
         assert U.rank == 1

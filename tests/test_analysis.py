@@ -152,6 +152,11 @@ class TestEstimateRegularity:
         )
         assert estimate_regularity(inst, 50, seed=0) == 1.0
 
+    def test_block_holding_every_point_is_exactly_one(self):
+        # 0 x = 0: every sampled point is in the block, so none is kept.
+        inst = ProblemInstance(subspaces=(AffineSubspace([[0.0, 0.0]], [0.0]),), ambient_dim=2)
+        assert estimate_regularity(inst, 50, seed=0) == 1.0
+
     def test_orthogonal_lines_within_bound(self):
         inst = ProblemInstance(subspaces=(x_axis(), y_axis()), ambient_dim=2)
         value = estimate_regularity(inst, 10_000, seed=1)

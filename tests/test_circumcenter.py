@@ -37,6 +37,10 @@ class TestCircumcenter:
         with pytest.raises(DimensionMismatch):
             circumcenter([[1.0, 2.0], [1.0, 2.0, 3.0]])
 
+    def test_no_points_rejected(self):
+        with pytest.raises(DimensionMismatch, match="expected a nonempty sequence of points"):
+            circumcenter([])
+
     def test_single_point(self):
         c = circumcenter([[5.0, -1.0]])
         np.testing.assert_array_equal(c, [5.0, -1.0])

@@ -161,6 +161,14 @@ class TestSolve:
         assert captured.err.startswith("error: ")
         assert "--weights" in captured.err
 
+    def test_unparsable_weights_exit_2(self, descriptor_file, capsys):
+        code = run_cli("solve", "--inst", str(descriptor_file), "--method", "fspm",
+                       "--weights", "0.5,x")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad --weights")
+
     def test_csv_append(self, descriptor_file, tmp_path):
         out = tmp_path / "records.csv"
         run_cli("solve", "--inst", str(descriptor_file), "--method", "pcrm",
@@ -252,6 +260,14 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
         assert "bad config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_exits_2_and_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m_values": [30], "n_value": [5]}))
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 2
+        assert "unknown config keys: ['n_value']" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["5", "null", '["m_values"]'])
@@ -354,6 +370,15 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["regularity_estimate"] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("mode", ["angles", "regularity"])
+    def test_out_file_holds_what_is_printed(self, two_block_descriptor, tmp_path, capsys, mode):
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--inst", str(two_block_descriptor), "--mode", mode,
+                       "--samples", "50", "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == printed
+        assert json.loads(printed)["samples"] == 50
 
     def test_angles_needs_at_most_two_blocks(self, tmp_path, capsys):
         inst = build_underdetermined_instance(9, [2, 2, 2], 0.0, 3)
@@ -537,6 +562,23 @@ class TestSolveGoldenCsv:
         assert uniform[0] == "cimmino"
         assert uniform[1:] == rows["fspm", ()][1:]
         assert uniform[1:] != rows["cimmino", ()][1:]
+
+    @pytest.mark.parametrize("descriptor, blocks", [("gen_descriptor", 16),
+                                                    ("underdetermined_descriptor", 3)])
+    def test_fspm_with_cimmino_weights_is_cimmino(self, request, capsys, descriptor, blocks):
+        # The preset by name and spelt out as p_0, ..., p_m, which parse to its bytes.
+        path = request.getfixturevalue(descriptor)
+        capsys.readouterr()
+        spelt = ",".join(["0"] + [repr(1.0 / blocks)] * blocks)
+        rows = []
+        for method, flags in (("cimmino", ()), ("fspm", ("--weights", "cimmino")),
+                              ("fspm", ("--weights", spelt))):
+            assert run_cli("solve", "--inst", str(path), "--method", method, *flags) == 0
+            rows.append(masked_time(capsys.readouterr().out)[1])
+        cimmino, *fspm = rows
+        for row in fspm:
+            assert row[0] == "fspm"
+            assert row[1:] == cimmino[1:]
 
 
 def test_solve_and_bench_agree(gen_descriptor, tmp_path, capsys):

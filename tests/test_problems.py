@@ -11,6 +11,7 @@ import pytest
 from circumproj import (
     GENERATOR_ID,
     AffineSubspace,
+    DimensionMismatch,
     GenerationDescriptor,
     InconsistentSystem,
     InvalidCoherence,
@@ -426,6 +427,20 @@ class TestArgumentChecks:
             build_instance(m, n, 0.1, 1)
         with pytest.raises(ValueError):
             gaussian_matrix(m, n, 0.1, 1)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+            gaussian_matrix(0, 3, 0.0, 1)
+
+    @pytest.mark.parametrize("rows", [[], [2, 0]])
+    def test_block_rows_must_be_positive(self, rows):
+        with pytest.raises(ValueError, match="nonempty list of positive counts"):
+            build_underdetermined_instance(5, rows, 0.0, 1)
+
+    def test_ambient_dim_must_match_the_blocks(self):
+        blocks = (AffineSubspace([[1.0, 0.0]], [0.0]),)
+        with pytest.raises(DimensionMismatch, match="blocks have ambient dimension 2, instance has 3"):
+            ProblemInstance(subspaces=blocks, ambient_dim=3)
 
     @pytest.mark.parametrize("n, rows", [(10, [2.5, 3]), (10, [2, True]), (10.5, [2, 3])])
     def test_non_integral_block_rows_rejected(self, n, rows):

@@ -1029,17 +1029,32 @@ class TestKernelDistances:
         with pytest.raises(DimensionMismatch):
             affine._BlockKernel(mixed_blocks()).distances(np.zeros(shape))
 
-    @pytest.mark.parametrize("shape", [(9,), (3, 11), (2, 2, 10), (3, 10)])
+    @pytest.mark.parametrize("shape", [(9,), (3, 11), (2, 2, 10), (3, 10), (10, 1)])
     def test_every_point_check_raises_one_message(self, shape):
         blocks = mixed_blocks()
         checks = [lambda x: pcrm_step(x, blocks), lambda x: crm_step(x, blocks)]
         if shape != (3, 10):  # a stack of points, which only these accept
             checks += [affine._BlockKernel(blocks).distances, blocks[0].project,
                        blocks[0].reflect, lambda x: fspm_step(x, blocks, uniform_weights(7))]
+        inst = ProblemInstance(subspaces=tuple(blocks), ambient_dim=10)
+        config = SolverConfig(method=Method.PCRM, stop_rule=StopRule.FEASIBILITY_RESIDUAL)
+        checks += [lambda x: solve(inst, config, x),
+                   lambda x: ProblemInstance(subspaces=inst.subspaces, ambient_dim=10,
+                                             known_solution=x)]
         message = re.escape(f"point has shape {shape}, ambient dimension is 10")
         for check in checks:
             with pytest.raises(DimensionMismatch, match=f"^{message}$"):
                 check(np.zeros(shape))
+
+    def test_a_start_that_stops_at_once_is_copied(self):
+        blocks = mixed_blocks()
+        x0 = intersection_subspace(blocks).anchor.copy()
+        inst = ProblemInstance(subspaces=tuple(blocks), ambient_dim=10)
+        config = SolverConfig(method=Method.PCRM, stop_rule=StopRule.FEASIBILITY_RESIDUAL)
+        result = solve(inst, config, x0)
+        assert result.trace.iterations == [0]
+        assert result.point.tobytes() == x0.tobytes()
+        assert not np.shares_memory(result.point, x0)
 
     def test_stacks_are_read_only(self):
         kernel = affine._BlockKernel(mixed_blocks() + mixed_blocks(seed=6))
