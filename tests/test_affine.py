@@ -63,6 +63,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             U.direction_basis()[0, 0] = 5.0
 
+    @pytest.mark.parametrize("arrange", [
+        lambda A, b: (A, b),
+        lambda A, b: (np.vstack([A, A])[2:], b[:, None]),
+    ], ids=["arrays", "views"])
+    def test_caller_arrays_stay_the_callers(self, arrange):
+        A, b = arrange(np.eye(3)[:2].copy(), np.array([1.0, 2.0]))
+        U = AffineSubspace(A, b)
+        assert A.flags.writeable and b.flags.writeable
+        A[...] = 5.0
+        b[...] = 5.0
+        np.testing.assert_array_equal(U.constraint_matrix, np.eye(3)[:2])
+        np.testing.assert_array_equal(U.rhs, [1.0, 2.0])
+
     def test_rank_matches_numpy(self, rng):
         A = rng.standard_normal((4, 9))
         A[3] = A[0] - A[1]
