@@ -76,6 +76,18 @@ class TestConstruction:
         np.testing.assert_array_equal(U.constraint_matrix, np.eye(3)[:2])
         np.testing.assert_array_equal(U.rhs, [1.0, 2.0])
 
+    @pytest.mark.parametrize("frozen", ["A", "b", "both"])
+    def test_read_only_inputs_are_kept_and_writable_ones_copied(self, frozen):
+        A, b = np.eye(3)[:2].copy(), np.array([1.0, 2.0])
+        for name, arr in (("A", A), ("b", b)):
+            if frozen in (name, "both"):
+                arr.setflags(write=False)
+        U = AffineSubspace(A, b)
+        for name, arr, held in (("A", A, U.constraint_matrix), ("b", b, U.rhs)):
+            kept = frozen in (name, "both")
+            assert np.shares_memory(held, arr) == kept, name
+            assert arr.flags.writeable != kept, name
+
     def test_rank_matches_numpy(self, rng):
         A = rng.standard_normal((4, 9))
         A[3] = A[0] - A[1]

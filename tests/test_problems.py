@@ -241,14 +241,20 @@ class TestSplitDraw:
     def test_golden_protocol_instance(self):
         assert instance_digests(build_instance(2000, 100, 0.1, 7)) == GOLDEN_2000_100_7
 
-    def test_stream_after_a_split_draw_is_unchanged(self):
-        count = 2 * 6 * self.CHUNK + 5
+    # One variate, one pair, one chunk less a half pair, one chunk, one chunk
+    # and a half pair, and six chunks and a partial pair.
+    @pytest.mark.parametrize("count", [1, 2, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1,
+                                       2 * 6 * CHUNK + 5])
+    @pytest.mark.parametrize("coherence", [None, 0.1])
+    def test_stream_after_a_split_draw_is_unchanged(self, count, coherence):
         want = ReferenceNormalStream(3)
         want_first = want.draw(count)
+        if coherence is not None:
+            want_first = (1.0 - coherence) * want_first + coherence
         want_state = want._rng.bit_generator.state
         want_next = want.draw(7)
         got = problems._NormalStream(3)
-        assert got.draw(count).tobytes() == want_first.tobytes()
+        assert got.draw(count, coherence=coherence).tobytes() == want_first.tobytes()
         assert got._rng.bit_generator.state == want_state
         assert got.draw(7).tobytes() == want_next.tobytes()
 
@@ -286,6 +292,25 @@ class TestBlockBuild:
         assert factor_digest(inst) == FACTORS_1000_150_3
         assert len(raw_qrs) == 7
 
+    @pytest.mark.parametrize("m, n, blocks", [(1000, 100, 11), (1000, 150, 7)])
+    def test_every_block_is_factored_in_the_calling_thread(self, raw_qrs, m, n, blocks):
+        inst = build_instance(m, n, 0.1, 3)
+        assert inst.block_count == blocks
+        assert [ident for _, ident in raw_qrs] == [threading.get_ident()] * blocks
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_instance(1000, 150, 0.1, 1),
+        lambda: build_underdetermined_instance(400, [20] * 12, 0.0, 12),
+    ], ids=["protocol", "underdetermined"])
+    def test_drawn_blocks_are_read_only_views(self, build):
+        # _draw marks the matrix and rhs read-only, so no block copies its rows.
+        blocks = build().subspaces
+        base_A, base_b = blocks[0].constraint_matrix.base, blocks[0].rhs.base
+        assert base_A is not None and base_b is not None
+        for U in blocks:
+            assert U.constraint_matrix.base is base_A and U.rhs.base is base_b
+            assert not U.constraint_matrix.flags.writeable and not U.rhs.flags.writeable
+
     def test_spare_cpus_start_no_thread(self, monkeypatch):
         def refuse(thread):
             raise AssertionError(f"set-up started a thread: {thread!r}")
@@ -296,7 +321,10 @@ class TestBlockBuild:
         assert instance_digests(build_instance(2000, 100, 0.1, 7)) == GOLDEN_2000_100_7
         assert factor_digest(build_instance(1000, 150, 0.1, 3)) == FACTORS_1000_150_3
 
-    def test_inconsistent_block_mid_build_raises_as_serial(self):
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_inconsistent_block_mid_build_raises_as_serial(self, monkeypatch, bound):
+        if not bound:
+            monkeypatch.setattr(_lapack, "_dgeqrf", lambda: None)
         A = gaussian_matrix(1000, 150, 0.1, 3)
         b = A @ np.linspace(-1.0, 1.0, 150)
         sizes = problems._partition_sizes(1000, 7)

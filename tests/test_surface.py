@@ -3,6 +3,7 @@ raising the code-line budget, is an explicit edit of this file."""
 
 import ctypes
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 from numpy.linalg import _umath_linalg
 
 import circumproj
@@ -59,6 +61,15 @@ def test_retired_names_stay_retired():
                  "_cpu_count"):
         assert not hasattr(_lapack, name), name
         assert not hasattr(problems, name), name
+
+
+def test_raw_qr_keyword_is_retired():
+    # Blocks are factored in the calling thread, so no caller hands in a QR.
+    for function in (circumproj.AffineSubspace.__init__, affine._factor, affine._factor_whole,
+                     affine._factor_qr, _lapack._certified_qr_basis):
+        assert "raw_qr" not in inspect.signature(function).parameters, function.__qualname__
+    with pytest.raises(TypeError):
+        circumproj.AffineSubspace([[1.0, 0.0]], [0.0], raw_qr=None)
 
 
 def test_benchmark_bindings_stay():
