@@ -18,17 +18,18 @@ R-only QR solve of a tall block, prefix or circumcenter step
   np.where on a cached mask and np.linalg.norm's dot in memory order, and
   so skip only the wrappers' per-call cost.
 * dgeqrf, bound by ctypes in the library numpy's linalg links, gives the
-  bytes of np.linalg.qr(X, mode="raw") in the caller's own buffer, so it
-  skips numpy's internal copy of X: about 4.3 against 4.9 ms for a
-  476 x 500 block, best of 7 with BLAS at one thread.  numpy's
-  _umath_linalg.qr_r_raw in place gives the same bytes but ran 9% slower.
-  Where dgeqrf is not bound, as with another BLAS build, numpy's raw QR
-  stands in for it.
+  bytes of np.linalg.qr(X, mode="raw").  It releases the GIL and allocates
+  nothing, so it may run on a pool thread (_block_qrs).
 """
 
+import collections
+import contextlib
 import ctypes
 import functools
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -49,9 +50,21 @@ _CACHED_MASK_ENTRIES = 1 << 14
 _ZERO = np.zeros(1)
 _ZERO.setflags(write=False)
 
+# Wide blocks with at least this many entries have their QR computed on a
+# pool thread when there is a spare CPU.  With BLAS at one thread on 2 CPUs,
+# 30 alternating in-process builds of the 41 blocks of a 40n x n protocol
+# matrix took, pooled over serial, a median 1.08x at n = 60, 0.63x at
+# n = 500 and 0.76-0.79x at n = 120-140 on a quiet host.  At n = 100 (98 x
+# 100 blocks) it was 0.84-0.92x (26-29 wins of 30) on a quiet host,
+# 0.89-0.98x (21-22 wins) beside other work, and 1.17-1.28x beside a busy
+# CPU.  Twelve 20 x 400 blocks took 1.2-1.35x.  A 99 x 100 block stays
+# serial: a spare CPU saves it less than a busy one costs.
+_POOLED_BLOCK_ENTRIES = 20_000
+
 # Symbols bound by ctypes in the LAPACK that numpy's linalg links: only the
 # ILP64 (64-bit integer) names, with or without scipy-openblas's prefix.
 _DGEQRF_NAMES = ("scipy_dgeqrf_64_", "dgeqrf_64_")
+_BLAS_THREADS_NAMES = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
 
 
 def _lapack_failed(err, flag):
@@ -62,6 +75,15 @@ def _lapack_failed(err, flag):
 # failed factorization as an invalid value: LinAlgError then, else no warning.
 _LAPACK_ERRORS = dict(call=_lapack_failed, invalid="call", over="ignore", divide="ignore",
                       under="ignore")
+
+
+def _cpu_count():
+    """CPUs this process may run on: the ceiling on a draw's threads and on
+    the threads that factor an instance's blocks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @functools.cache
@@ -87,6 +109,26 @@ def _dgeqrf():
     return func
 
 
+def _blas_threads():
+    """The thread count the BLAS that numpy links reports now, or None."""
+    func = _lapack_symbol(_BLAS_THREADS_NAMES)
+    if func is None:
+        return None
+    func.argtypes = []
+    func.restype = ctypes.c_int
+    return int(func())
+
+
+def _factor_workers():
+    """Pool threads for block QRs: one per spare CPU, counted in BLAS thread
+    counts, so 0 when the BLAS already uses every CPU; 0 as well when the
+    BLAS does not report its thread count or dgeqrf is not bound."""
+    threads = _blas_threads()
+    if not threads or _dgeqrf() is None:
+        return 0
+    return max(0, _cpu_count() // threads - 1)
+
+
 @functools.lru_cache(maxsize=64)
 def _geqrf_lwork(m, k):
     """The workspace length numpy's raw QR gives dgeqrf on an m x k matrix:
@@ -102,12 +144,11 @@ class _RawQR:
     """One Householder QR of an m x k matrix X, as np.linalg.qr(X, mode="raw").
 
     `h` is a new C-order array of `shape` (k, m), for the caller to fill
-    with X^T, which is X in LAPACK's column order, so that X is copied once,
-    by the caller, and not again inside numpy's QR.  It and dgeqrf's
-    workspace are one buffer, freed together when the caller drops h; run()
-    only calls dgeqrf on them, which overwrites h with the raw factor and
-    fills tau.  Without a bound dgeqrf, run() takes numpy's raw QR, which
-    gives the same bytes.
+    with X^T, which is X in LAPACK's column order.  It and dgeqrf's
+    workspace are one buffer, allocated in the calling thread, so the thread
+    that keeps h frees both; run() only calls dgeqrf on them, which
+    overwrites h with the raw factor and fills tau.  Without a bound dgeqrf,
+    run() takes numpy's raw QR, which holds the GIL but gives the same bytes.
     """
 
     def __init__(self, shape):
@@ -135,16 +176,44 @@ class _RawQR:
         return h, tau
 
 
-def _geqrf(X):
-    """(h, tau) of np.linalg.qr(X, mode="raw") for a 2-D X, bitwise, from one
-    copy of X whatever its layout."""
+def _geqrf(X, pool=None):
+    """(h, tau) of np.linalg.qr(X, mode="raw") for a 2-D X, bitwise, from a
+    copy of X whatever its layout; given a pool, a future of it run there."""
     m, k = X.shape
     qr = _RawQR((k, m))
     np.copyto(qr.h, X.T)
-    return qr.run()
+    return qr.run() if pool is None else pool.submit(qr.run)
 
 
-def _certified_qr_basis(A, b, width, null):
+@contextlib.contextmanager
+def _block_qrs(matrices):
+    """An iterator over _geqrf(M^T) of each wide M of `matrices`, in order.
+
+    The QR of each M of at least _POOLED_BLOCK_ENTRIES entries runs on a pool
+    of _factor_workers() threads, at most one M ahead per thread, on buffers
+    this thread allocates as it draws the items; every other item is None,
+    for the caller to factor itself.  The pool ends with the context.
+    """
+    pooled = [M.size >= _POOLED_BLOCK_ENTRIES for M in matrices]
+    workers = _factor_workers() if any(pooled) else 0
+    with ThreadPoolExecutor(max_workers=workers) if workers else contextlib.nullcontext() as pool:
+        jobs = (_geqrf(M.T, pool) if workers and use else None for M, use in zip(matrices, pooled))
+        ahead = collections.deque(itertools.islice(jobs, workers))
+
+        def in_order():
+            for _ in matrices:
+                ahead.extend(itertools.islice(jobs, 1))
+                # Bound to no name here: a QR must not outlive its block's build.
+                yield _result(ahead.popleft())
+
+        yield in_order()
+
+
+def _result(job):
+    return None if job is None else job.result()
+
+
+def _certified_qr_basis(A, b, width, null, raw_qr=None):
     """(z0, basis) of a wide block A x = b from a QR of A^T, or None.
 
     One geqrf, A^T = Q [T; 0], keeps Q = H_0 ... H_{rows-1} as reflectors.
@@ -152,9 +221,10 @@ def _certified_qr_basis(A, b, width, null):
     Q[:, rows:] the null space, and z0 = Q [T^-T b; 0].  One pass of
     _apply_q over [E | T^-T b; 0] gives the stored basis and z0 together,
     where E is the `width` unit columns that pick it out: the trailing ones
-    of the null space when `null`, else the leading ones.
+    of the null space when `null`, else the leading ones.  `raw_qr` is that
+    geqrf when already computed.
     """
-    h, tau = _geqrf(A.T)
+    h, tau = _geqrf(A.T) if raw_qr is None else raw_qr
     # Row j of h holds column j of LAPACK's factor, so T = tril(h)^T.
     rows, n = h.shape
     T_inv = _certified_inverse(_tril(h[:, :rows]).T)
@@ -240,15 +310,16 @@ def _certified_tall_solve(A, b):
 
 def _certified_inverse(T):
     """Inverse of an upper triangle T, or None unless
-    ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT."""
+    ||T||_F * ||T^-1||_F <= QR_CONDITION_LIMIT.  T is overwritten, with
+    the inverse above one LAPACK leaf (see _triangular_inverse)."""
+    norm = _frobenius(T)
     try:
         # A nearly singular T may overflow to inf or nan; both fail the test.
         with np.errstate(all="ignore"):
             T_inv = _triangular_inverse(T)
     except LinAlgError:
         return None
-    bound = _frobenius(T) * _frobenius(T_inv)
-    return T_inv if bound <= QR_CONDITION_LIMIT else None
+    return T_inv if norm * _frobenius(T_inv) <= QR_CONDITION_LIMIT else None
 
 
 def _frobenius(M):
@@ -299,26 +370,31 @@ def _certified_cholesky_solve(gram, rhs):
 
 
 def _triangular_inverse(T):
-    """Inverse of an upper-triangular matrix by recursive 2x2 blocking.
+    """Inverse of an upper-triangular matrix by recursive 2x2 blocking,
+    written over T.
 
     inv([[T11, T12], [0, T22]]) = [[X11, -X11 T12 X22], [0, X22]] with
     Xii = inv(Tii); about a quarter of the flops of a general inverse.  A
     leaf is np.linalg.inv's gufunc, and raises LinAlgError where it would.
+    Each block of T is overwritten by the same block of the inverse once it
+    is no longer read, so the zeros below the diagonal stay and no second
+    triangle is allocated.  A leaf returns the gufunc's new array, and a
+    larger T returns T itself: every product then sees the layout it had
+    when each level allocated its own result, so the bytes are those of
+    np.zeros_like(T) filled block by block.
     """
     k = T.shape[0]
     if k <= _TRIANGULAR_LEAF:
         with np.errstate(**_LAPACK_ERRORS):
-            return _umath_linalg.inv(T, signature="d->d")
+            X = _umath_linalg.inv(T, signature="d->d")
+        T[...] = X
+        return X
     h = k // 2
     X11 = _triangular_inverse(T[:h, :h])
     X22 = _triangular_inverse(T[h:, h:])
-    # np.zeros_like(T) less the zeroing that the three blocks overwrite.
-    X = np.empty_like(T)
-    X[:h, :h] = X11
-    X[h:, h:] = X22
-    X[h:, :h] = 0.0
-    X[:h, h:] = -(X11 @ T[:h, h:]) @ X22
-    return X
+    P = X11 @ T[:h, h:]
+    T[:h, h:] = np.negative(P, out=P) @ X22
+    return T
 
 
 def _triangular_solve(T, W):

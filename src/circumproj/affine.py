@@ -53,9 +53,12 @@ class AffineSubspace:
     InconsistentSystem
         b is not in range(A) at tolerance CONSISTENCY_RTOL * (1 + ||b||),
         or A or b is not finite.
+
+    `raw_qr`, for a wide block only, is the _lapack._geqrf(A^T) of an
+    instance's pooled build, when it has already been computed.
     """
 
-    def __init__(self, constraint_matrix, rhs, label=0):
+    def __init__(self, constraint_matrix, rhs, label=0, *, raw_qr=None):
         A = _held(np.atleast_2d(np.asarray(constraint_matrix, dtype=float)), constraint_matrix)
         b = _held(np.asarray(rhs, dtype=float).ravel(), rhs)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
@@ -66,7 +69,7 @@ class AffineSubspace:
         if not np.isfinite(b).all():
             raise InconsistentSystem("rhs is not finite")
 
-        self._keep(A, b, _factor(A, b)[2], label)
+        self._keep(A, b, _factor(A, b, raw_qr)[2], label)
 
     @classmethod
     def _from_factors(cls, A, b, factors, label):
@@ -84,9 +87,11 @@ class AffineSubspace:
         self.label = label
         self.anchor = z0
         # Whether _basis spans null(A) rather than range(A^T).  The copy
-        # keeps no larger factor alive through a view.
+        # keeps no larger factor alive through a view, and starts on a cache
+        # line, so that CRM's products with it run alike wherever the heap is.
         self._use_null = _uses_null(rank, n)
-        self._basis = np.array(basis, order="C")
+        self._basis = _aligned_empty(basis.shape)
+        self._basis[...] = basis
         for arr in (self.constraint_matrix, self.rhs, self.anchor, self._basis):
             arr.setflags(write=False)
 
@@ -137,12 +142,13 @@ class AffineSubspace:
 
 def _held(arr, given):
     """`arr`, the array read from the caller's `given`, or a copy of it where
-    it is writable memory of `given`: a subspace keeps arrays that no caller
-    can change, and sets no flag on a caller's own.  A read-only input, such
-    as a block of a drawn instance, is kept as it is."""
-    if arr.flags.writeable and np.may_share_memory(arr, given):
-        return arr.copy()
-    return arr
+    it is memory of the ndarray `given` that its owner lets be written: a
+    subspace keeps arrays that no caller can change, and sets no flag on a
+    caller's own.  Memory owned read-only, such as a block of a drawn
+    instance, is kept as it is."""
+    owner = arr.base if isinstance(arr.base, np.ndarray) else arr
+    shared = isinstance(given, np.ndarray) and np.may_share_memory(arr, given)
+    return arr.copy() if shared and (arr.flags.writeable or owner.flags.writeable) else arr
 
 
 def _check_point(x, n, ndims=(1, 2)):
@@ -306,9 +312,9 @@ def _aligned_empty(shape):
     The speed of the kernel's products depends on where the heap puts a
     stack; aligned to a cache line, identical kernels run alike.
     """
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     buf = np.empty(size + 8)
-    start = (-buf.ctypes.data % 64) // 8
+    start = (-buf.__array_interface__["data"][0] % 64) // 8
     return buf[start:start + size].reshape(shape)
 
 
@@ -326,22 +332,23 @@ def _norm(v):
     return scale * _norm(v / scale)
 
 
-def _factor_qr(A, b):
+def _factor_qr(A, b, raw_qr=None):
     """Factors of a wide block, storing the thinner basis, or None if its QR
-    is not certified."""
+    is not certified; `raw_qr` is _lapack._geqrf(A^T) if already computed."""
     rows, n = A.shape
     use_null = _uses_null(rows, n)
-    found = _lapack._certified_qr_basis(A, b, n - rows if use_null else rows, use_null)
+    found = _lapack._certified_qr_basis(A, b, n - rows if use_null else rows, use_null, raw_qr)
     return None if found is None else (rows, *found)
 
 
-def _factor_whole(A, b, limit):
+def _factor_whole(A, b, limit, raw_qr=None):
     """Factors of a whole block: its QR, or the SVD when that is not certified.
 
     Raises InconsistentSystem when the anchor's misfit exceeds `limit` or
-    is not finite, and when an uncertified A is not finite.
+    is not finite, and when an uncertified A is not finite.  `raw_qr` is
+    passed to _factor_qr.
     """
-    factors = _factor_qr(A, b) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
+    factors = _factor_qr(A, b, raw_qr) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
     if factors is None:
         # A non-finite A never passes a certificate, so only here is it checked.
         if not np.isfinite(A).all():
@@ -388,7 +395,7 @@ def _factor_svd(A, b):
     return rank, z0, (Vh[rank:] if _uses_null(rank, n) else Vh[:rank]).T
 
 
-def _factor(A, b):
+def _factor(A, b, raw_qr=None):
     """(A', b', factors): the factors of {x : A x = b} and the rows A' x = b'
     that they describe it by.
 
@@ -403,7 +410,7 @@ def _factor(A, b):
     every stack the whole-stack route accepts is still accepted, and up to
     rounding none that it rejects is.  A shorter stack, a prefix that is
     not certified or a point that fits only the prefix takes
-    _factor_whole(A, b, limit) with A' = A; a prefix that fails
+    _factor_whole(A, b, limit, raw_qr) with A' = A; a prefix that fails
     costs at most half of that QR.
     """
     n = A.shape[1]
@@ -412,7 +419,7 @@ def _factor(A, b):
         factors = _factor_tall_qr(A[:2 * n], b[:2 * n])
         if factors is not None and _norm(A @ factors[1] - b) <= limit:
             return A[:2 * n], b[:2 * n], factors
-    return A, b, _factor_whole(A, b, limit)
+    return A, b, _factor_whole(A, b, limit, raw_qr)
 
 
 def _stacked(arrays):

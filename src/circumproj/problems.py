@@ -15,10 +15,12 @@ promised across implementations.
 import functools
 import itertools
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._lapack import _block_qrs, _cpu_count
 from .affine import CONSISTENCY_RTOL, AffineSubspace, _BlockKernel, _block_list, _check_point, _norm
 from .errors import DimensionMismatch, InconsistentSystem, InvalidCoherence
 
@@ -34,8 +36,14 @@ class _NormalStream:
     A draw of `count` variates takes `pairs = ceil(count / 2)` uniforms u1,
     then `pairs` uniforms u2, and discards any leftover half, so the stream
     position after a draw depends only on the sequence of requested counts.
-    The u1 come from the stream itself and the u2 from one copy of it
-    advanced by `pairs`, so both are read in one pass over the pairs.
+
+    The pairs are cut into one contiguous range per thread at multiples of
+    _BOX_MULLER_CHUNK, and a draw splits only while every thread gets at
+    least two whole chunks, up to one thread per available CPU.  Each range
+    starts two copies of the stream, advanced to its first u1 and its first
+    u2, so the bytes do not depend on the number of threads.  The calling
+    thread makes those copies and every range's buffers, so the draw's
+    threads allocate nothing.
     """
 
     def __init__(self, seed):
@@ -44,28 +52,45 @@ class _NormalStream:
     def draw(self, count, coherence=None):
         """`count` variates z, or (1 - coherence) * z + coherence if given."""
         pairs = (count + 1) // 2
+        whole = pairs // _BOX_MULLER_CHUNK
+        threads = max(1, min(_cpu_count(), whole // 2))
+        edges = [whole * k // threads * _BOX_MULLER_CHUNK for k in range(threads)] + [pairs]
         z = np.empty(2 * pairs)
         bits = self._rng.bit_generator
-        second = np.random.PCG64()
-        second.state = bits.state
-        _box_muller(self._rng, np.random.Generator(second.advance(pairs)), z, coherence)
-        bits.advance(pairs)
+        state = bits.state
+        ranges = [(_uniforms_from(state, lo), _uniforms_from(state, pairs + lo), lo, hi, z,
+                   coherence, [np.empty(min(hi - lo, _BOX_MULLER_CHUNK)) for _ in range(3)])
+                  for lo, hi in zip(edges, edges[1:])]
+        if threads == 1:
+            _box_muller(*ranges[0])
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for future in [pool.submit(_box_muller, *r) for r in ranges]:
+                    future.result()
+        bits.advance(2 * pairs)
         return z[:count]
 
 
-def _box_muller(first, second, z, coherence):
-    """Write z from len(z) / 2 pairs of uniforms, u1 from `first` and u2 from `second`.
+def _uniforms_from(state, offset):
+    """A generator on a copy of the PCG64 `state`, advanced by `offset` draws."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits.advance(offset))
 
-    The transform runs in chunks through fixed buffers, with the same ufuncs
-    on contiguous inputs as whole-array code, so the bytes match it and no
-    temporary of the transform is as large as the draw.  The coherence map
-    multiplies and then adds, as `z *= 1 - c; z += c` on the whole draw would.
+
+def _box_muller(first, second, lo, hi, z, coherence, buffers):
+    """Write z[2 lo:2 hi] from pairs lo..hi-1 of a draw, whose u1 come from
+    the generator `first` and u2 from `second`.
+
+    The transform runs in chunks through the three equal `buffers`, with the
+    same ufuncs on contiguous inputs as whole-array code, so the bytes match
+    it and no temporary of the transform is as large as the draw.  The
+    coherence map multiplies and then adds, as `z *= 1 - c; z += c` on the
+    whole draw would.
     """
-    pairs = z.size // 2
-    chunk = min(pairs, _BOX_MULLER_CHUNK)
-    radius, angle, trig = np.empty(chunk), np.empty(chunk), np.empty(chunk)
-    for s in range(0, pairs, chunk):
-        e = min(s + chunk, pairs)
+    radius, angle, trig = buffers
+    for s in range(lo, hi, radius.size):
+        e = min(s + radius.size, hi)
         r, a, t, out = radius[:e - s], angle[:e - s], trig[:e - s], z[2 * s:2 * e]
         first.random(out=r)
         second.random(out=a)
@@ -260,23 +285,27 @@ def _draw(descriptor):
     d = descriptor
     stream = _NormalStream(d.seed)
     A = _coherent_matrix(stream, d.m, d.n, d.coherence)
-    if d.block_rows is not None:
-        x_star, b, sizes = None, A @ stream.draw(d.n), d.block_rows
-    else:
-        x_star = A.T @ stream.draw(d.m)
-        b, sizes = A @ x_star, _partition_sizes(d.m, d.block_count)
-    # Read-only, so that every block keeps a view of them and none a copy.
-    A.setflags(write=False)
-    b.setflags(write=False)
+    # A protocol instance plants x* = A^T w; an underdetermined one plants a
+    # drawn point that it does not keep.
+    x_star = None if d.block_rows else A.T @ stream.draw(d.m)
+    b = A @ (stream.draw(d.n) if x_star is None else x_star)
+    # Read-only, and so is the draw they view (A.base), so that every block
+    # keeps a view of them and none a copy.
+    for arr in (A, A.base, b):
+        arr.setflags(write=False)
+    sizes = d.block_rows or _partition_sizes(d.m, d.block_count)
     return _partitioned(A, b, sizes, x_star, d)
 
 
 def _partitioned(A, b, sizes, known_solution, descriptor):
     """The instance whose blocks are consecutive row ranges of A x = b with
-    `sizes` rows each, in order."""
+    `sizes` rows each, in order, built with the QRs of _block_qrs."""
     edges = list(itertools.accumulate(sizes, initial=0))
-    subspaces = tuple(AffineSubspace(A[lo:hi], b[lo:hi], label=i)
-                      for i, (lo, hi) in enumerate(zip(edges, edges[1:])))
+    blocks = [(A[lo:hi], b[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    with _block_qrs([A_i for A_i, _ in blocks]) as qrs:
+        # next(qrs) is bound to no name, so a QR does not outlive its block's build.
+        subspaces = tuple(AffineSubspace(A_i, b_i, label=i, raw_qr=next(qrs))
+                          for i, (A_i, b_i) in enumerate(blocks))
     return ProblemInstance(
         subspaces=subspaces,
         ambient_dim=A.shape[1],

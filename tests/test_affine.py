@@ -76,6 +76,26 @@ class TestConstruction:
         np.testing.assert_array_equal(U.constraint_matrix, np.eye(3)[:2])
         np.testing.assert_array_equal(U.rhs, [1.0, 2.0])
 
+    def test_stored_bases_start_on_a_cache_line(self):
+        # CRM's products read each block's own basis, whose speed would
+        # otherwise depend on where the heap puts it.
+        for U in build_underdetermined_instance(400, [20] * 12, 0.0, 12).subspaces:
+            assert U._basis.flags.c_contiguous
+            assert U._basis.__array_interface__["data"][0] % 64 == 0
+
+    def test_read_only_views_of_writable_memory_are_copied(self):
+        # The caller can still write through the owner of such a view.
+        A, b = np.eye(3)[:2].copy(), np.array([1.0, 2.0])
+        A_view, b_view = A[:], b[:]
+        for view in (A_view, b_view):
+            view.setflags(write=False)
+        U = AffineSubspace(A_view, b_view)
+        A[0, 0] = 5.0
+        b[0] = 5.0
+        np.testing.assert_array_equal(U.constraint_matrix, np.eye(3)[:2])
+        np.testing.assert_array_equal(U.rhs, [1.0, 2.0])
+        assert A.flags.writeable and b.flags.writeable
+
     @pytest.mark.parametrize("frozen", ["A", "b", "both"])
     def test_read_only_inputs_are_kept_and_writable_ones_copied(self, frozen):
         A, b = np.eye(3)[:2].copy(), np.array([1.0, 2.0])

@@ -21,6 +21,8 @@ one falls back to least squares on D itself, so a consistent system gives
 the planted step on both outcomes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -342,13 +344,32 @@ def test_certified_inverse_is_numpys_bitwise(k, order):
         for T in triangles:
             T = np.asarray(T, order=order)
             want = np_certified_inverse(T)
-            assert_same_outcome(_lapack._certified_inverse(T), want)
+            # A copy: the library writes the inverse over its argument.
+            assert_same_outcome(_lapack._certified_inverse(T.copy(order="K")), want)
             seen.add(want is None)
             if want is not None:
                 # The certificate's norms sum in memory order, as numpy's do.
                 assert _lapack._frobenius(T) == np.linalg.norm(T)
                 assert _lapack._frobenius(want) == np.linalg.norm(want)
         assert seen == {True, False}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_certified_inverse_allocates_no_second_triangle(order):
+    # Above one leaf the inverse is written over T: beside it only the top
+    # level's two off-diagonal products are live, half a T in all.  A new
+    # result per level, with the diagonal blocks' inverses, peaked at two T.
+    T = np.asarray(graded_triangle(np.random.default_rng(1), 400, 1e-3), order=order)
+    want = np_certified_inverse(T)
+    tracemalloc.start()
+    try:
+        got = _lapack._certified_inverse(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is T
+    assert_same_outcome(got, want)
+    assert peak < 1.5 * T.nbytes
 
 
 @pytest.mark.parametrize("k", [20, 99])
