@@ -53,12 +53,9 @@ class AffineSubspace:
     InconsistentSystem
         b is not in range(A) at tolerance CONSISTENCY_RTOL * (1 + ||b||),
         or A or b is not finite.
-
-    `raw_qr`, for a wide block only, is the _lapack._geqrf(A^T) of an
-    instance's pooled build, when it has already been computed.
     """
 
-    def __init__(self, constraint_matrix, rhs, label=0, *, raw_qr=None):
+    def __init__(self, constraint_matrix, rhs, label=0):
         A = _held(np.atleast_2d(np.asarray(constraint_matrix, dtype=float)), constraint_matrix)
         b = _held(np.asarray(rhs, dtype=float).ravel(), rhs)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
@@ -69,7 +66,7 @@ class AffineSubspace:
         if not np.isfinite(b).all():
             raise InconsistentSystem("rhs is not finite")
 
-        self._keep(A, b, _factor(A, b, raw_qr)[2], label)
+        self._keep(A, b, _factor(A, b)[2], label)
 
     @classmethod
     def _from_factors(cls, A, b, factors, label):
@@ -332,23 +329,22 @@ def _norm(v):
     return scale * _norm(v / scale)
 
 
-def _factor_qr(A, b, raw_qr=None):
+def _factor_qr(A, b):
     """Factors of a wide block, storing the thinner basis, or None if its QR
-    is not certified; `raw_qr` is _lapack._geqrf(A^T) if already computed."""
+    is not certified."""
     rows, n = A.shape
     use_null = _uses_null(rows, n)
-    found = _lapack._certified_qr_basis(A, b, n - rows if use_null else rows, use_null, raw_qr)
+    found = _lapack._certified_qr_basis(A, b, n - rows if use_null else rows, use_null)
     return None if found is None else (rows, *found)
 
 
-def _factor_whole(A, b, limit, raw_qr=None):
+def _factor_whole(A, b, limit):
     """Factors of a whole block: its QR, or the SVD when that is not certified.
 
     Raises InconsistentSystem when the anchor's misfit exceeds `limit` or
-    is not finite, and when an uncertified A is not finite.  `raw_qr` is
-    passed to _factor_qr.
+    is not finite, and when an uncertified A is not finite.
     """
-    factors = _factor_qr(A, b, raw_qr) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
+    factors = _factor_qr(A, b) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
     if factors is None:
         # A non-finite A never passes a certificate, so only here is it checked.
         if not np.isfinite(A).all():
@@ -395,7 +391,7 @@ def _factor_svd(A, b):
     return rank, z0, (Vh[rank:] if _uses_null(rank, n) else Vh[:rank]).T
 
 
-def _factor(A, b, raw_qr=None):
+def _factor(A, b):
     """(A', b', factors): the factors of {x : A x = b} and the rows A' x = b'
     that they describe it by.
 
@@ -410,7 +406,7 @@ def _factor(A, b, raw_qr=None):
     every stack the whole-stack route accepts is still accepted, and up to
     rounding none that it rejects is.  A shorter stack, a prefix that is
     not certified or a point that fits only the prefix takes
-    _factor_whole(A, b, limit, raw_qr) with A' = A; a prefix that fails
+    _factor_whole(A, b, limit) with A' = A; a prefix that fails
     costs at most half of that QR.
     """
     n = A.shape[1]
@@ -419,7 +415,7 @@ def _factor(A, b, raw_qr=None):
         factors = _factor_tall_qr(A[:2 * n], b[:2 * n])
         if factors is not None and _norm(A @ factors[1] - b) <= limit:
             return A[:2 * n], b[:2 * n], factors
-    return A, b, _factor_whole(A, b, limit, raw_qr)
+    return A, b, _factor_whole(A, b, limit)
 
 
 def _stacked(arrays):

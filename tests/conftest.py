@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -73,15 +71,15 @@ def tall_solves(monkeypatch):
 
 @pytest.fixture
 def raw_qrs(monkeypatch):
-    """(shape of h, thread) of every Householder QR run, in any thread."""
+    """Shapes of h, X^T, of every Householder QR run."""
     calls = []
-    run = _lapack._RawQR.run
+    geqrf = _lapack._geqrf_in_place
 
-    def spy(self):
-        calls.append((self.h.shape, threading.get_ident()))
-        return run(self)
+    def spy(h):
+        calls.append(h.shape)
+        return geqrf(h)
 
-    monkeypatch.setattr(_lapack._RawQR, "run", spy)
+    monkeypatch.setattr(_lapack, "_geqrf_in_place", spy)
     return calls
 
 

@@ -623,7 +623,7 @@ class TestTallPrefix:
         estimate_regularity(inst, 50, 0)
         # One QR, of [A | b] for the prefix rows: h holds its transpose.
         assert len(raw_qrs) == 1
-        (cols, rows), _ = raw_qrs[0]
+        cols, rows = raw_qrs[0]
         assert rows <= 2 * 100 and cols == 101
 
     def test_prefix_intersection_copies_no_stack(self):
@@ -900,7 +900,7 @@ class TestFactorGuards:
     def test_instances_factor_by_raw_qr_and_hold_one_basis(self, raw_qrs, build):
         inst = build()
         # One raw QR of A^T per block, whose h holds A: the wide route.
-        assert sorted(shape for shape, _ in raw_qrs) == sorted(
+        assert sorted(raw_qrs) == sorted(
             U.constraint_matrix.shape for U in inst.subspaces)
         n = inst.ambient_dim
         for U in inst.subspaces:
