@@ -1,7 +1,9 @@
 import hashlib
 import json
 import os
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +234,31 @@ GOLDEN_2000_100_7 = [
 ]
 
 
+def concurrently(count, task):
+    """[task(0), ..., task(count - 1)], run together: task(0) in the calling
+    thread and each other one in a thread of its own."""
+    results, errors = [None] * count, []
+    start = threading.Barrier(count)
+
+    def run(i):
+        try:
+            start.wait(timeout=60)
+            results[i] = task(i)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return results
+
+
 class TestSplitDraw:
     """A draw reads its u1 and its u2 from two positions of one stream: its
     bytes and the stream after it are the reference stream's."""
@@ -263,6 +290,60 @@ class TestSplitDraw:
         assert got.draw(count, coherence=coherence).tobytes() == want_first.tobytes()
         assert got._rng.bit_generator.state == want_state
         assert got.draw(7).tobytes() == want_next.tobytes()
+
+    # A draw after one of `before` variates: its u2 copy starts where the
+    # first draw left the stream, past a discarded half pair when `before`
+    # is odd.
+    @pytest.mark.parametrize("before", [1, 2, 3, 8])
+    def test_stream_after_a_split_draw_is_unchanged(self, before):
+        count = 2 * 6 * self.CHUNK + 5
+        want = ReferenceNormalStream(3)
+        want.draw(before)
+        want_first = want.draw(count)
+        want_state = want._rng.bit_generator.state
+        want_next = want.draw(7)
+        got = problems._NormalStream(3)
+        got.draw(before)
+        assert got.draw(count).tobytes() == want_first.tobytes()
+        assert got._rng.bit_generator.state == want_state
+        assert got.draw(7).tobytes() == want_next.tobytes()
+
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 3), (8, 3)])
+    def test_thread_count_changes_no_byte(self, monkeypatch, cpus, threads):
+        # `threads` callers build the golden instance at once, with `cpus`
+        # CPUs on offer: no build shares a stream or a buffer with another.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        digests = concurrently(threads, lambda i: instance_digests(build_instance(2000, 100, 0.1, 7)))
+        assert digests == [GOLDEN_2000_100_7] * threads
+
+    def test_many_threads_under_fast_switching(self):
+        """8 callers draw 16 whole chunks each, switching every microsecond."""
+        count = 2 * 16 * self.CHUNK + 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            draws = concurrently(8, lambda i: problems._NormalStream(9 + i).draw(count).tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert draws == [ReferenceNormalStream(9 + i).draw(count).tobytes() for i in range(8)]
+
+    def test_draw_allocates_its_output_and_three_chunks(self, monkeypatch):
+        # The transform's buffers are three chunks whatever the draw's size,
+        # so no temporary of a draw is as large as the draw.  (PCG64's state
+        # handling allocates a few entries of its own.)
+        count = 2 * 6 * self.CHUNK + 3
+        want = ReferenceNormalStream(5).draw(count)
+        empty, shapes = np.empty, []
+
+        def spy(shape, *args, **kwargs):
+            shapes.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", spy)
+        got = problems._NormalStream(5).draw(count)
+        large = sorted(int(np.prod(shape)) for shape in shapes if np.prod(shape) > 4)
+        assert large == [self.CHUNK] * 3 + [count + 1]
+        assert got.tobytes() == want.tobytes()
 
 
 def factor_digest(instance):
@@ -302,6 +383,73 @@ class TestSerialBuild:
         under = build_underdetermined_instance(1000, [150] * 6, 0.1, 3)
         assert [U.constraint_matrix.shape for U in under.subspaces] == [(150, 1000)] * 6
         assert started == []
+
+    @pytest.mark.parametrize("workers", [0, 1, 3])
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_worker_count_changes_no_byte(self, monkeypatch, workers, bound):
+        # The calling thread and `workers` threads build the instance at
+        # once, and each block's QR runs in the thread that builds it.
+        if not bound:
+            monkeypatch.setattr(_lapack, "_dgeqrf", lambda: None)
+        geqrf, qrs = _lapack._geqrf_in_place, []
+
+        def spy(h):
+            qrs.append(threading.get_ident())
+            return geqrf(h)
+
+        def build(i):
+            return threading.get_ident(), factor_digest(build_instance(1000, 150, 0.1, 3))
+
+        monkeypatch.setattr(_lapack, "_geqrf_in_place", spy)
+        before = threading.active_count()
+        builds = concurrently(workers + 1, build)
+        assert threading.active_count() == before
+        assert [digest for _, digest in builds] == [FACTORS_1000_150_3] * (workers + 1)
+        assert builds[0][0] == threading.get_ident()
+        assert sorted(qrs) == sorted(ident for ident, _ in builds for _ in range(7))
+
+    def test_small_blocks_stay_in_the_calling_thread(self, monkeypatch):
+        geqrf, qrs = _lapack._geqrf_in_place, []
+
+        def spy(h):
+            qrs.append(threading.get_ident())
+            return geqrf(h)
+
+        monkeypatch.setattr(_lapack, "_geqrf_in_place", spy)
+        caller, built = [], []
+
+        def build():
+            caller.append(threading.get_ident())
+            built.append(build_instance(1000, 100, 0.1, 3))  # 11 blocks of 91 x 100
+
+        worker = threading.Thread(target=build)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert built[0].block_count == 11
+        assert qrs == caller * 11
+
+    def test_repeated_builds_hold_a_steady_peak(self):
+        # Every buffer of a block's QR, its dgeqrf workspace too, is freed
+        # before the next block's, so the traced peak of a build does not
+        # grow from one build to the next: only small Python objects move
+        # it, by far less than one workspace.
+        if _lapack._dgeqrf() is None:
+            pytest.skip("numpy links no ILP64 dgeqrf")
+        A = gaussian_matrix(4000, 200, 0.1, 1)
+        b = A @ np.linspace(-1.0, 1.0, 200)
+        sizes = problems._partition_sizes(4000, 21)
+        problems._partitioned(A, b, sizes, None, None)  # fills the caches of _lapack
+        peaks = []
+        for _ in range(10):
+            tracemalloc.start()
+            try:
+                problems._partitioned(A, b, sizes, None, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        workspace = 8 * _lapack._geqrf_lwork(200, max(sizes))
+        assert max(peaks) - min(peaks) < workspace / 4
 
     def test_inconsistent_block_mid_build_raises_as_serial(self):
         A = gaussian_matrix(1000, 150, 0.1, 3)
