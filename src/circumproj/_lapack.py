@@ -18,20 +18,18 @@ R-only QR solve of a tall block, prefix or circumcenter step
   np.where on a cached mask and np.linalg.norm's dot in memory order, and
   so skip only the wrappers' per-call cost.
 * dgeqrf, bound by ctypes in the library numpy's linalg links, gives the
-  bytes of np.linalg.qr(X, mode="raw") in the caller's own buffer, so it
-  skips numpy's internal copy of X: best of 15, 4.6 against 5.7 ms for a
-  476 x 500 block with BLAS at one thread on a 2-vCPU host.  numpy's
-  _umath_linalg.qr_r_raw in place gives the same bytes but ran 9% slower.
-  Where dgeqrf is not bound, as with another BLAS build, numpy's raw QR
-  stands in for it.
-
-Every routine runs in the calling thread.  Its bytes depend on the BLAS
-kernels numpy runs, and so on the BLAS thread count.
+  bytes of np.linalg.qr(X, mode="raw").  It releases the GIL and allocates
+  nothing, so it may run on a pool thread (_block_qrs).
 """
 
+import collections
+import contextlib
 import ctypes
 import functools
+import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -52,9 +50,23 @@ _CACHED_MASK_ENTRIES = 1 << 14
 _ZERO = np.zeros(1)
 _ZERO.setflags(write=False)
 
+# Wide blocks with at least this many entries have their QR computed on a
+# pool thread when there is a spare CPU.  With BLAS at one thread on 2 CPUs,
+# 30 alternating in-process builds of the 41 blocks of a 40n x n protocol
+# matrix took, pooled over serial, a median 1.08x at n = 60, 0.63x at
+# n = 500 and 0.76-0.79x at n = 120-140 on a quiet host.  At n = 100 (98 x
+# 100 blocks) it was 0.84-0.92x (26-29 wins of 30) on a quiet host,
+# 0.89-0.98x (21-22 wins) beside other work, and 1.17-1.28x beside a busy
+# CPU.  Twelve 20 x 400 blocks took 1.2-1.35x.  A 99 x 100 block stays
+# serial: a spare CPU saves it less than a busy one costs.
+_POOLED_BLOCK_ENTRIES = 20_000
+
 # Symbols bound by ctypes in the LAPACK that numpy's linalg links: only the
 # ILP64 (64-bit integer) names, with or without scipy-openblas's prefix.
 _DGEQRF_NAMES = ("scipy_dgeqrf_64_", "dgeqrf_64_")
+_BLAS_THREADS_NAMES = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+# The C library's, which the linalg library links: None where it has none.
+_MALLOC_TRIM_NAMES = ("malloc_trim",)
 
 
 def _lapack_failed(err, flag):
@@ -65,6 +77,15 @@ def _lapack_failed(err, flag):
 # failed factorization as an invalid value: LinAlgError then, else no warning.
 _LAPACK_ERRORS = dict(call=_lapack_failed, invalid="call", over="ignore", divide="ignore",
                       under="ignore")
+
+
+def _cpu_count():
+    """CPUs this process may run on: the ceiling on a draw's threads and on
+    the threads that factor an instance's blocks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @functools.cache
@@ -90,6 +111,23 @@ def _dgeqrf():
     return func
 
 
+def _blas_threads():
+    """The thread count the BLAS that numpy links reports now, or None."""
+    func = _lapack_symbol(_BLAS_THREADS_NAMES)
+    # It takes no argument and returns a C int, ctypes' default return type.
+    return None if func is None else func()
+
+
+def _factor_workers():
+    """Pool threads for block QRs: one per spare CPU, counted in BLAS thread
+    counts, so 0 when the BLAS already uses every CPU; 0 as well when the
+    BLAS does not report its thread count or dgeqrf is not bound."""
+    threads = _blas_threads()
+    if not threads or _dgeqrf() is None:
+        return 0
+    return max(0, _cpu_count() // threads - 1)
+
+
 @functools.lru_cache(maxsize=64)
 def _geqrf_lwork(m, k):
     """The workspace length numpy's raw QR gives dgeqrf on an m x k matrix:
@@ -101,37 +139,88 @@ def _geqrf_lwork(m, k):
     return max(1, k, int(query[0]))
 
 
-def _geqrf_in_place(h):
-    """(h, tau) of np.linalg.qr(X, mode="raw"), bitwise, written over h.
+class _RawQR:
+    """One Householder QR of an m x k matrix X, as np.linalg.qr(X, mode="raw").
 
-    `h` is a C-order (k, m) array that the caller filled with X^T, which is
-    X in LAPACK's column order, so X is copied once, by the caller, and not
-    again inside numpy's QR.  Without a bound dgeqrf, numpy's raw QR gives
-    the same bytes.
+    `h` is a new C-order array of `shape` (k, m), for the caller to fill
+    with X^T, which is X in LAPACK's column order.  It and dgeqrf's
+    workspace are one buffer, allocated in the calling thread, so the thread
+    that keeps h frees both; run() only calls dgeqrf on them, which
+    overwrites h with the raw factor and fills tau.  Without a bound dgeqrf,
+    run() takes numpy's raw QR, which holds the GIL but gives the same bytes.
     """
-    k, m = h.shape
-    tau = np.empty(min(m, k))
-    dgeqrf = _dgeqrf()
-    if dgeqrf is None:
-        h[...], tau[...] = np.linalg.qr(h.T, mode="raw")
+
+    def __init__(self, shape):
+        k, m = shape
+        self._dgeqrf = _dgeqrf()
+        lwork = 0 if self._dgeqrf is None else _geqrf_lwork(m, k)
+        buf = np.empty(k * m + lwork)
+        self.h = buf[:k * m].reshape(k, m)
+        self._work = buf[k * m:] if lwork else None
+        self.tau = np.empty(min(m, k))
+
+    def run(self):
+        """(h, tau), the raw factor of X."""
+        h, tau, work = self.h, self.tau, self._work
+        k, m = h.shape
+        if work is None:
+            h[...], tau[...] = np.linalg.qr(h.T, mode="raw")
+            return h, tau
+        info = ctypes.c_int64()
+        self._dgeqrf(ctypes.c_int64(m), ctypes.c_int64(k), h.ctypes.data,
+                     ctypes.c_int64(max(1, m)), tau.ctypes.data, work.ctypes.data,
+                     ctypes.c_int64(work.size), info)
+        if info.value != 0:
+            raise LinAlgError(f"dgeqrf rejected argument {-info.value}")
         return h, tau
-    work, info = np.empty(_geqrf_lwork(m, k)), ctypes.c_int64()
-    dgeqrf(ctypes.c_int64(m), ctypes.c_int64(k), h.ctypes.data, ctypes.c_int64(max(1, m)),
-           tau.ctypes.data, work.ctypes.data, ctypes.c_int64(work.size), info)
-    if info.value != 0:
-        raise LinAlgError(f"dgeqrf rejected argument {-info.value}")
-    return h, tau
 
 
-def _geqrf(X):
-    """(h, tau) of np.linalg.qr(X, mode="raw") for a 2-D X, bitwise, from one
-    copy of X whatever its layout."""
-    h = np.empty(X.shape[::-1])
-    np.copyto(h, X.T)
-    return _geqrf_in_place(h)
+def _geqrf(X, pool=None):
+    """(h, tau) of np.linalg.qr(X, mode="raw") for a 2-D X, bitwise, from a
+    copy of X whatever its layout; given a pool, a future of it run there."""
+    m, k = X.shape
+    qr = _RawQR((k, m))
+    np.copyto(qr.h, X.T)
+    return qr.run() if pool is None else pool.submit(qr.run)
 
 
-def _certified_qr_basis(A, b, width, null):
+@contextlib.contextmanager
+def _block_qrs(matrices):
+    """An iterator over _geqrf(M^T) of each wide M of `matrices`, in order.
+
+    The QR of each M of at least _POOLED_BLOCK_ENTRIES entries runs on a pool
+    of _factor_workers() threads, at most one M ahead per thread, on buffers
+    this thread allocates as it draws the items; every other item is None,
+    for the caller to factor itself.  The pool ends with the context.
+    """
+    pooled = [M.size >= _POOLED_BLOCK_ENTRIES for M in matrices]
+    workers = _factor_workers() if any(pooled) else 0
+    # A pooled build frees its QR buffers among the blocks' kept arrays, where
+    # the heap cannot shrink past them.  glibc's malloc_trim returns the pages
+    # of the heap's free memory to the OS, before the QRs and after them.
+    trim = _lapack_symbol(_MALLOC_TRIM_NAMES) if workers else None
+    if trim is not None:
+        trim(ctypes.c_size_t(0))
+    with ThreadPoolExecutor(max_workers=workers) if workers else contextlib.nullcontext() as pool:
+        jobs = (_geqrf(M.T, pool) if workers and use else None for M, use in zip(matrices, pooled))
+        ahead = collections.deque(itertools.islice(jobs, workers))
+
+        def in_order():
+            for _ in matrices:
+                ahead.extend(itertools.islice(jobs, 1))
+                # Bound to no name here: a QR must not outlive its block's build.
+                yield _result(ahead.popleft())
+
+        yield in_order()
+    if trim is not None:
+        trim(ctypes.c_size_t(0))
+
+
+def _result(job):
+    return None if job is None else job.result()
+
+
+def _certified_qr_basis(A, b, width, null, raw_qr=None):
     """(z0, basis) of a wide block A x = b from a QR of A^T, or None.
 
     One geqrf, A^T = Q [T; 0], keeps Q = H_0 ... H_{rows-1} as reflectors.
@@ -139,9 +228,10 @@ def _certified_qr_basis(A, b, width, null):
     Q[:, rows:] the null space, and z0 = Q [T^-T b; 0].  One pass of
     _apply_q over [E | T^-T b; 0] gives the stored basis and z0 together,
     where E is the `width` unit columns that pick it out: the trailing ones
-    of the null space when `null`, else the leading ones.
+    of the null space when `null`, else the leading ones.  `raw_qr` is that
+    geqrf when already computed.
     """
-    h, tau = _geqrf(A.T)
+    h, tau = _geqrf(A.T) if raw_qr is None else raw_qr
     # Row j of h holds column j of LAPACK's factor, so T = tril(h)^T.
     rows, n = h.shape
     T_inv = _certified_inverse(_tril(h[:, :rows]).T)
@@ -209,15 +299,16 @@ def _certified_tall_solve(A, b):
     Q is never formed: geqrf overwrites the one copy of [A | b]^T.
     """
     rows, n = A.shape
-    h = np.empty((n + 1, rows))
+    qr = _RawQR((n + 1, rows))
+    h = qr.h
     h[:n] = A.T
     h[n] = b
-    _geqrf_in_place(h)
+    qr.run()
     # Only R and c are kept, so the QR buffer is freed before R is certified.
     # R is in C order: the certificate's bytes depend on its layout.
     R = np.ascontiguousarray(_triu(h[:n, :n].T))
     c = h[n, :n].copy()
-    del h
+    del qr, h
     R_inv = _certified_inverse(R)
     if R_inv is None:
         return None

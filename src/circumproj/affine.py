@@ -53,9 +53,12 @@ class AffineSubspace:
     InconsistentSystem
         b is not in range(A) at tolerance CONSISTENCY_RTOL * (1 + ||b||),
         or A or b is not finite.
+
+    `raw_qr`, for a wide block only, is the _lapack._geqrf(A^T) of an
+    instance's pooled build, when it has already been computed.
     """
 
-    def __init__(self, constraint_matrix, rhs, label=0):
+    def __init__(self, constraint_matrix, rhs, label=0, *, raw_qr=None):
         A = _held(np.atleast_2d(np.asarray(constraint_matrix, dtype=float)), constraint_matrix)
         b = _held(np.asarray(rhs, dtype=float).ravel(), rhs)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
@@ -66,7 +69,7 @@ class AffineSubspace:
         if not np.isfinite(b).all():
             raise InconsistentSystem("rhs is not finite")
 
-        self._keep(A, b, _factor(A, b)[2], label)
+        self._keep(A, b, _factor(A, b, raw_qr)[2], label)
 
     @classmethod
     def _from_factors(cls, A, b, factors, label):
@@ -264,7 +267,8 @@ class _BlockKernel:
         no length-n vector is formed.  On the null route it is
         ||x - (z_i + N_i (N_i^T x))||, formed for the group's blocks at once
         in chunks of rows whose one (g, rows, n) temporary holds no more
-        numbers than X or the group's stack (at least one row).
+        numbers than X or the group's stack (at least one row), and is
+        freed before the next chunk's is made.
         """
         n = self.ambient_dim
         x = _check_point(x, n)
@@ -291,6 +295,7 @@ class _BlockKernel:
                     diff += anchors[:, None]
                     np.subtract(X[s:s + rows], diff, out=diff)
                 out[s:s + rows, members] = _row_norms(diff).T
+                del diff
         return out[0] if x.ndim == 1 else out
 
     def residual(self, x):
@@ -329,22 +334,23 @@ def _norm(v):
     return scale * _norm(v / scale)
 
 
-def _factor_qr(A, b):
+def _factor_qr(A, b, raw_qr=None):
     """Factors of a wide block, storing the thinner basis, or None if its QR
-    is not certified."""
+    is not certified; `raw_qr` is _lapack._geqrf(A^T) if already computed."""
     rows, n = A.shape
     use_null = _uses_null(rows, n)
-    found = _lapack._certified_qr_basis(A, b, n - rows if use_null else rows, use_null)
+    found = _lapack._certified_qr_basis(A, b, n - rows if use_null else rows, use_null, raw_qr)
     return None if found is None else (rows, *found)
 
 
-def _factor_whole(A, b, limit):
+def _factor_whole(A, b, limit, raw_qr=None):
     """Factors of a whole block: its QR, or the SVD when that is not certified.
 
     Raises InconsistentSystem when the anchor's misfit exceeds `limit` or
-    is not finite, and when an uncertified A is not finite.
+    is not finite, and when an uncertified A is not finite.  `raw_qr` is
+    passed to _factor_qr.
     """
-    factors = _factor_qr(A, b) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
+    factors = _factor_qr(A, b, raw_qr) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
     if factors is None:
         # A non-finite A never passes a certificate, so only here is it checked.
         if not np.isfinite(A).all():
@@ -368,9 +374,7 @@ def _factor_tall_qr(A, b):
     """
     n = A.shape[1]
     z0 = _lapack._certified_tall_solve(A, b)
-    if z0 is None:
-        return None
-    return n, z0, np.zeros((n, 0))
+    return None if z0 is None else (n, z0, np.zeros((n, 0)))
 
 
 def _factor_svd(A, b):
@@ -384,14 +388,11 @@ def _factor_svd(A, b):
     rank = int(np.count_nonzero(s > cutoff))
 
     # Minimum-norm solution z0 = A^+ b; also serves as the anchor point.
-    if rank > 0:
-        z0 = Vh[:rank].T @ ((U[:, :rank].T @ b) / s[:rank])
-    else:
-        z0 = np.zeros(n)
+    z0 = Vh[:rank].T @ ((U[:, :rank].T @ b) / s[:rank]) if rank > 0 else np.zeros(n)
     return rank, z0, (Vh[rank:] if _uses_null(rank, n) else Vh[:rank]).T
 
 
-def _factor(A, b):
+def _factor(A, b, raw_qr=None):
     """(A', b', factors): the factors of {x : A x = b} and the rows A' x = b'
     that they describe it by.
 
@@ -406,7 +407,7 @@ def _factor(A, b):
     every stack the whole-stack route accepts is still accepted, and up to
     rounding none that it rejects is.  A shorter stack, a prefix that is
     not certified or a point that fits only the prefix takes
-    _factor_whole(A, b, limit) with A' = A; a prefix that fails
+    _factor_whole(A, b, limit, raw_qr) with A' = A; a prefix that fails
     costs at most half of that QR.
     """
     n = A.shape[1]
@@ -415,7 +416,7 @@ def _factor(A, b):
         factors = _factor_tall_qr(A[:2 * n], b[:2 * n])
         if factors is not None and _norm(A @ factors[1] - b) <= limit:
             return A[:2 * n], b[:2 * n], factors
-    return A, b, _factor_whole(A, b, limit)
+    return A, b, _factor_whole(A, b, limit, raw_qr)
 
 
 def _stacked(arrays):

@@ -15,10 +15,12 @@ promised across implementations.
 import functools
 import itertools
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._lapack import _block_qrs, _cpu_count
 from .affine import CONSISTENCY_RTOL, AffineSubspace, _BlockKernel, _block_list, _check_point, _norm
 from .errors import DimensionMismatch, InconsistentSystem, InvalidCoherence
 
@@ -34,8 +36,14 @@ class _NormalStream:
     A draw of `count` variates takes `pairs = ceil(count / 2)` uniforms u1,
     then `pairs` uniforms u2, and discards any leftover half, so the stream
     position after a draw depends only on the sequence of requested counts.
-    The u1 come from the stream itself and the u2 from one copy of it
-    advanced by `pairs`, so both are read in one pass in the calling thread.
+
+    The pairs are cut into one contiguous range per thread at multiples of
+    _BOX_MULLER_CHUNK, and a draw splits only while every thread gets at
+    least two whole chunks, up to one thread per available CPU.  Each range
+    starts two copies of the stream, advanced to its first u1 and its first
+    u2, so the bytes do not depend on the number of threads.  The calling
+    thread makes those copies and every range's buffers, so the draw's
+    threads allocate nothing.
     """
 
     def __init__(self, seed):
@@ -44,30 +52,45 @@ class _NormalStream:
     def draw(self, count, coherence=None):
         """`count` variates z, or (1 - coherence) * z + coherence if given."""
         pairs = (count + 1) // 2
+        whole = pairs // _BOX_MULLER_CHUNK
+        threads = max(1, min(_cpu_count(), whole // 2))
+        edges = [whole * k // threads * _BOX_MULLER_CHUNK for k in range(threads)] + [pairs]
         z = np.empty(2 * pairs)
         bits = self._rng.bit_generator
-        second = np.random.PCG64()
-        second.state = bits.state
-        _box_muller(self._rng, np.random.Generator(second.advance(pairs)), z, coherence)
-        bits.advance(pairs)
+        state = bits.state
+        ranges = [(_uniforms_from(state, lo), _uniforms_from(state, pairs + lo), lo, hi, z,
+                   coherence, [np.empty(min(hi - lo, _BOX_MULLER_CHUNK)) for _ in range(3)])
+                  for lo, hi in zip(edges, edges[1:])]
+        if threads == 1:
+            _box_muller(*ranges[0])
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for future in [pool.submit(_box_muller, *r) for r in ranges]:
+                    future.result()
+        bits.advance(2 * pairs)
         return z[:count]
 
 
-def _box_muller(first, second, z, coherence):
-    """Write z from len(z) / 2 pairs, whose u1 come from the generator
-    `first` and u2 from `second`.
+def _uniforms_from(state, offset):
+    """A generator on a copy of the PCG64 `state`, advanced by `offset` draws."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits.advance(offset))
 
-    The transform runs in chunks through three buffers of _BOX_MULLER_CHUNK
-    entries at most, with the same ufuncs on contiguous inputs as
-    whole-array code, so the bytes match it and no temporary of the
-    transform is as large as the draw.  The coherence map multiplies and
-    then adds, as `z *= 1 - c; z += c` on the whole draw would.
+
+def _box_muller(first, second, lo, hi, z, coherence, buffers):
+    """Write z[2 lo:2 hi] from pairs lo..hi-1 of a draw, whose u1 come from
+    the generator `first` and u2 from `second`.
+
+    The transform runs in chunks through the three equal `buffers`, with the
+    same ufuncs on contiguous inputs as whole-array code, so the bytes match
+    it and no temporary of the transform is as large as the draw.  The
+    coherence map multiplies and then adds, as `z *= 1 - c; z += c` on the
+    whole draw would.
     """
-    pairs = z.size // 2
-    chunk = min(pairs, _BOX_MULLER_CHUNK)
-    radius, angle, trig = np.empty(chunk), np.empty(chunk), np.empty(chunk)
-    for s in range(0, pairs, chunk):
-        e = min(s + chunk, pairs)
+    radius, angle, trig = buffers
+    for s in range(lo, hi, radius.size):
+        e = min(s + radius.size, hi)
         r, a, t, out = radius[:e - s], angle[:e - s], trig[:e - s], z[2 * s:2 * e]
         first.random(out=r)
         second.random(out=a)
@@ -276,10 +299,13 @@ def _draw(descriptor):
 
 def _partitioned(A, b, sizes, known_solution, descriptor):
     """The instance whose blocks are consecutive row ranges of A x = b with
-    `sizes` rows each, in order."""
+    `sizes` rows each, in order, built with the QRs of _block_qrs."""
     edges = list(itertools.accumulate(sizes, initial=0))
-    subspaces = tuple(AffineSubspace(A[lo:hi], b[lo:hi], label=i)
-                      for i, (lo, hi) in enumerate(zip(edges, edges[1:])))
+    blocks = [(A[lo:hi], b[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    with _block_qrs([A_i for A_i, _ in blocks]) as qrs:
+        # next(qrs) is bound to no name, so a QR does not outlive its block's build.
+        subspaces = tuple(AffineSubspace(A_i, b_i, label=i, raw_qr=next(qrs))
+                          for i, (A_i, b_i) in enumerate(blocks))
     return ProblemInstance(
         subspaces=subspaces,
         ambient_dim=A.shape[1],

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -71,15 +73,15 @@ def tall_solves(monkeypatch):
 
 @pytest.fixture
 def raw_qrs(monkeypatch):
-    """Shapes of h, X^T, of every Householder QR run."""
+    """(shape of h, thread) of every Householder QR run, in any thread."""
     calls = []
-    geqrf = _lapack._geqrf_in_place
+    run = _lapack._RawQR.run
 
-    def spy(h):
-        calls.append(h.shape)
-        return geqrf(h)
+    def spy(self):
+        calls.append((self.h.shape, threading.get_ident()))
+        return run(self)
 
-    monkeypatch.setattr(_lapack, "_geqrf_in_place", spy)
+    monkeypatch.setattr(_lapack._RawQR, "run", spy)
     return calls
 
 

@@ -388,6 +388,31 @@ class TestZeroWidthDistances:
             assert kernel.distances(x).tobytes() == np.stack(want, axis=-1).tobytes()
 
 
+class TestDistancesMemory:
+    def test_null_route_holds_one_chunk_temporary_at_a_time(self):
+        # distances forms a null-route group's differences in chunks of rows,
+        # each in one (g, rows, n) temporary that is freed before the next is
+        # made: the traced peak has room for the output, every group's
+        # coefficients and one chunk, and not for two chunks.
+        kernel = build_instance(2000, 100, 0.1, 7)._kernel  # 21 blocks of 95 x 100
+        X = np.random.default_rng(0).standard_normal((400, 100))
+        k, n = X.shape
+        coeffs = chunks = 0
+        for use_null, _, basis_t, _ in kernel.groups:
+            g, w, _ = basis_t.shape
+            assert use_null and k > max(1, k // g, w)
+            coeffs += 8 * k * g * w
+            chunks = max(chunks, 8 * g * max(1, k // g, w) * n)
+        kernel.distances(X)
+        tracemalloc.start()
+        try:
+            kernel.distances(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * k * kernel.block_count + coeffs + 1.25 * chunks
+
+
 class TestResidual:
     def test_zero_inside(self, rng):
         inst_planted = rng.standard_normal(4)
@@ -623,7 +648,7 @@ class TestTallPrefix:
         estimate_regularity(inst, 50, 0)
         # One QR, of [A | b] for the prefix rows: h holds its transpose.
         assert len(raw_qrs) == 1
-        cols, rows = raw_qrs[0]
+        (cols, rows), _ = raw_qrs[0]
         assert rows <= 2 * 100 and cols == 101
 
     def test_prefix_intersection_copies_no_stack(self):
@@ -900,7 +925,7 @@ class TestFactorGuards:
     def test_instances_factor_by_raw_qr_and_hold_one_basis(self, raw_qrs, build):
         inst = build()
         # One raw QR of A^T per block, whose h holds A: the wide route.
-        assert sorted(raw_qrs) == sorted(
+        assert sorted(shape for shape, _ in raw_qrs) == sorted(
             U.constraint_matrix.shape for U in inst.subspaces)
         n = inst.ambient_dim
         for U in inst.subspaces:

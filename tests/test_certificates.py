@@ -470,7 +470,7 @@ def certified_solves(monkeypatch):
 
 
 def test_hot_paths_call_no_numpy_linalg_wrapper(wrapper_calls, certified_solves, raw_qrs):
-    build_instance(1000, 150, 0.1, 3)  # seven wide blocks
+    build_instance(1000, 150, 0.1, 3)  # wide blocks, pooled where a CPU is spare
     assert len(raw_qrs) == 7
     for build, route in [
         (lambda: build_instance(1250, 10, 0.1, 1), "_certified_tall_solve"),

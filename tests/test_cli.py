@@ -342,9 +342,9 @@ class TestAnalyze:
         calls = []
         factor_qr = affine._factor_qr
 
-        def spy(A, b):
+        def spy(A, b, *raw_qr):
             calls.append(A.shape)
-            return factor_qr(A, b)
+            return factor_qr(A, b, *raw_qr)
 
         monkeypatch.setattr(affine, "_factor_qr", spy)
         assert run_cli("analyze", "--inst", str(two_block_descriptor),

@@ -1,8 +1,8 @@
 import hashlib
 import json
-import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -224,9 +224,9 @@ def instance_digests(instance):
     return [h.hexdigest() for h in hashes]
 
 
-# build_instance(2000, 100, 0.1, 7): its 100000 pairs are 6 whole chunks and
-# a part.  The right-hand sides and x* also pass through the BLAS's
-# matrix-vector products.
+# build_instance(2000, 100, 0.1, 7): its 100000 pairs are 6 whole chunks, so
+# the matrix draw splits across up to 3 threads.  The right-hand sides and
+# x* also pass through the BLAS's matrix-vector products.
 GOLDEN_2000_100_7 = [
     "186ca43b79072e7a3216bc3c065840127d808b3851410f197bdb51b32ab17900",
     "ccab5ce696b6cacffcf36a78e9b690fb2be23222115cda5909866a9977394de1",
@@ -234,45 +234,83 @@ GOLDEN_2000_100_7 = [
 ]
 
 
-def concurrently(count, task):
-    """[task(0), ..., task(count - 1)], run together: task(0) in the calling
-    thread and each other one in a thread of its own."""
-    results, errors = [None] * count, []
-    start = threading.Barrier(count)
+@pytest.fixture
+def box_muller_ranges(monkeypatch):
+    """(lo, hi, thread id) of every range a draw's threads fill."""
+    calls = []
+    fill = problems._box_muller
 
-    def run(i):
-        try:
-            start.wait(timeout=60)
-            results[i] = task(i)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
+    def spy(first, second, lo, hi, *rest):
+        calls.append((lo, hi, threading.get_ident()))
+        return fill(first, second, lo, hi, *rest)
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, count)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join(timeout=120)
-    assert not any(thread.is_alive() for thread in threads)
-    if errors:
-        raise errors[0]
-    return results
+    monkeypatch.setattr(problems, "_box_muller", spy)
+    return calls
 
 
 class TestSplitDraw:
-    """A draw reads its u1 and its u2 from two positions of one stream: its
-    bytes and the stream after it are the reference stream's."""
+    """The draw's bytes and the stream after it do not depend on the thread count."""
 
     CHUNK = problems._BOX_MULLER_CHUNK  # pairs per chunk
 
     def test_golden_protocol_instance(self):
         assert instance_digests(build_instance(2000, 100, 0.1, 7)) == GOLDEN_2000_100_7
 
-    def test_coherence_map_matches_the_whole_array_formula(self):
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 3), (8, 3)])
+    def test_thread_count_changes_no_byte(self, monkeypatch, box_muller_ranges, cpus, threads):
+        monkeypatch.setattr(problems, "_cpu_count", lambda: cpus)
+        inst = build_instance(2000, 100, 0.1, 7)
+        assert instance_digests(inst) == GOLDEN_2000_100_7
+        # The matrix draw in `threads` ranges at chunk multiples, then w alone.
+        matrix, w = box_muller_ranges[:-1], box_muller_ranges[-1]
+        assert len(matrix) == threads
+        assert [lo for lo, _, _ in matrix] == sorted(lo for lo, _, _ in matrix)
+        assert all(lo % self.CHUNK == 0 for lo, _, _ in matrix)
+        assert matrix[0][0] == 0 and matrix[-1][1] == 100000
+        assert all(a[1] == b[0] for a, b in zip(matrix, matrix[1:]))
+        assert w[:2] == (0, 1000) and w[2] == threading.get_ident()
+        if threads == 1:
+            assert matrix[0][2] == threading.get_ident()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_stream_after_a_split_draw_is_unchanged(self, monkeypatch, cpus):
+        count = 2 * 6 * self.CHUNK + 5
+        want = ReferenceNormalStream(3)
+        want_first = want.draw(count)
+        want_state = want._rng.bit_generator.state
+        want_next = want.draw(7)
+        monkeypatch.setattr(problems, "_cpu_count", lambda: cpus)
+        got = problems._NormalStream(3)
+        assert got.draw(count).tobytes() == want_first.tobytes()
+        assert got._rng.bit_generator.state == want_state
+        assert got.draw(7).tobytes() == want_next.tobytes()
+
+    def test_coherence_map_matches_the_whole_array_formula(self, monkeypatch):
+        monkeypatch.setattr(problems, "_cpu_count", lambda: 2)
         for c in (0.0, 0.1, 0.37, 1.0):
             got = problems._NormalStream(4).draw(4 * self.CHUNK + 3, coherence=c)
             z = ReferenceNormalStream(4).draw(4 * self.CHUNK + 3)
             assert got.tobytes() == ((1.0 - c) * z + c).tobytes(), c
+
+    def test_many_threads_under_fast_switching(self, monkeypatch, box_muller_ranges):
+        """8 threads on 16 whole chunks, switching every microsecond."""
+        monkeypatch.setattr(problems, "_cpu_count", lambda: 8)
+        count = 2 * 16 * self.CHUNK + 3
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: out.append(problems._NormalStream(9).draw(count)))
+            start = time.monotonic()
+            worker.start()
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - start < 120
+        assert len({ident for _, _, ident in box_muller_ranges}) > 1
+        assert len(box_muller_ranges) == 8
+        assert out[0].tobytes() == ReferenceNormalStream(9).draw(count).tobytes()
 
     # One variate, one pair, one chunk less a half pair, one chunk, one chunk
     # and a half pair, and six chunks and a partial pair.
@@ -291,59 +329,25 @@ class TestSplitDraw:
         assert got._rng.bit_generator.state == want_state
         assert got.draw(7).tobytes() == want_next.tobytes()
 
-    # A draw after one of `before` variates: its u2 copy starts where the
-    # first draw left the stream, past a discarded half pair when `before`
-    # is odd.
-    @pytest.mark.parametrize("before", [1, 2, 3, 8])
-    def test_stream_after_a_split_draw_is_unchanged(self, before):
-        count = 2 * 6 * self.CHUNK + 5
-        want = ReferenceNormalStream(3)
-        want.draw(before)
-        want_first = want.draw(count)
-        want_state = want._rng.bit_generator.state
-        want_next = want.draw(7)
-        got = problems._NormalStream(3)
-        got.draw(before)
-        assert got.draw(count).tobytes() == want_first.tobytes()
-        assert got._rng.bit_generator.state == want_state
-        assert got.draw(7).tobytes() == want_next.tobytes()
-
-    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (3, 3), (8, 3)])
-    def test_thread_count_changes_no_byte(self, monkeypatch, cpus, threads):
-        # `threads` callers build the golden instance at once, with `cpus`
-        # CPUs on offer: no build shares a stream or a buffer with another.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        digests = concurrently(threads, lambda i: instance_digests(build_instance(2000, 100, 0.1, 7)))
-        assert digests == [GOLDEN_2000_100_7] * threads
-
-    def test_many_threads_under_fast_switching(self):
-        """8 callers draw 16 whole chunks each, switching every microsecond."""
-        count = 2 * 16 * self.CHUNK + 3
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            draws = concurrently(8, lambda i: problems._NormalStream(9 + i).draw(count).tobytes())
-        finally:
-            sys.setswitchinterval(interval)
-        assert draws == [ReferenceNormalStream(9 + i).draw(count).tobytes() for i in range(8)]
-
-    def test_draw_allocates_its_output_and_three_chunks(self, monkeypatch):
-        # The transform's buffers are three chunks whatever the draw's size,
-        # so no temporary of a draw is as large as the draw.  (PCG64's state
-        # handling allocates a few entries of its own.)
-        count = 2 * 6 * self.CHUNK + 3
-        want = ReferenceNormalStream(5).draw(count)
-        empty, shapes = np.empty, []
+    def test_draw_threads_allocate_no_array(self, monkeypatch, box_muller_ranges):
+        # The calling thread makes every range's stream copies and buffers
+        # before the draw's threads start, so no thread of the draw holds
+        # memory of its own.
+        monkeypatch.setattr(problems, "_cpu_count", lambda: 3)
+        empty, calls = np.empty, []
 
         def spy(shape, *args, **kwargs):
-            shapes.append(shape)
+            calls.append((shape, threading.get_ident()))
             return empty(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "empty", spy)
+        count = 2 * 6 * self.CHUNK + 3
         got = problems._NormalStream(5).draw(count)
-        large = sorted(int(np.prod(shape)) for shape in shapes if np.prod(shape) > 4)
-        assert large == [self.CHUNK] * 3 + [count + 1]
-        assert got.tobytes() == want.tobytes()
+        assert len(box_muller_ranges) == 3
+        assert any(ident != threading.get_ident() for _, _, ident in box_muller_ranges)
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert [shape for shape, _ in calls].count(self.CHUNK) == 3 * 3
+        assert got.tobytes() == ReferenceNormalStream(5).draw(count).tobytes()
 
 
 def factor_digest(instance):
@@ -356,86 +360,70 @@ def factor_digest(instance):
     return h.hexdigest()
 
 
-# build_instance(1000, 150, 0.1, 3): 7 wide blocks of 143 x 150.  Like
-# GOLDEN_2000_100_7 it depends on the BLAS kernels numpy runs.
+# build_instance(1000, 150, 0.1, 3): 7 blocks of 143 x 150, above
+# _POOLED_BLOCK_ENTRIES.  Pinned from the serial build that preceded the
+# pool; like GOLDEN_2000_100_7 it depends on the BLAS kernels numpy runs.
 FACTORS_1000_150_3 = "eedb341d1acfbc62ad773a7624ef54eb27c15605e731c1e76a405f5f82ac6967"
 
 
-class TestSerialBuild:
-    """An instance is drawn and its blocks factored in the calling thread."""
-
-    @pytest.mark.parametrize("bound", [True, False])
-    def test_setup_starts_no_thread(self, monkeypatch, bound):
-        # Four CPUs on offer, and blocks and draws large enough that a
-        # threaded set-up would split or pool them.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        if not bound:
-            monkeypatch.setattr(_lapack, "_dgeqrf", lambda: None)
-        started = []
-
-        def refuse(thread):
-            started.append(thread.name)
-            raise RuntimeError("set-up started a thread")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert instance_digests(build_instance(2000, 100, 0.1, 7)) == GOLDEN_2000_100_7
-        assert factor_digest(build_instance(1000, 150, 0.1, 3)) == FACTORS_1000_150_3
-        under = build_underdetermined_instance(1000, [150] * 6, 0.1, 3)
-        assert [U.constraint_matrix.shape for U in under.subspaces] == [(150, 1000)] * 6
-        assert started == []
+class TestPooledBuild:
+    """Block QRs on a pool of threads change no byte and leave no thread."""
 
     @pytest.mark.parametrize("workers", [0, 1, 3])
     @pytest.mark.parametrize("bound", [True, False])
-    def test_worker_count_changes_no_byte(self, monkeypatch, workers, bound):
-        # The calling thread and `workers` threads build the instance at
-        # once, and each block's QR runs in the thread that builds it.
+    def test_worker_count_changes_no_byte(self, monkeypatch, raw_qrs, workers, bound):
         if not bound:
             monkeypatch.setattr(_lapack, "_dgeqrf", lambda: None)
-        geqrf, qrs = _lapack._geqrf_in_place, []
-
-        def spy(h):
-            qrs.append(threading.get_ident())
-            return geqrf(h)
-
-        def build(i):
-            return threading.get_ident(), factor_digest(build_instance(1000, 150, 0.1, 3))
-
-        monkeypatch.setattr(_lapack, "_geqrf_in_place", spy)
+        monkeypatch.setattr(_lapack, "_factor_workers", lambda: workers)
         before = threading.active_count()
-        builds = concurrently(workers + 1, build)
+        inst = build_instance(1000, 150, 0.1, 3)
+        assert factor_digest(inst) == FACTORS_1000_150_3
         assert threading.active_count() == before
-        assert [digest for _, digest in builds] == [FACTORS_1000_150_3] * (workers + 1)
-        assert builds[0][0] == threading.get_ident()
-        assert sorted(qrs) == sorted(ident for ident, _ in builds for _ in range(7))
+        main = threading.get_ident()
+        assert len(raw_qrs) == 7
+        assert all((ident != main) == (workers > 0) for _, ident in raw_qrs)
 
-    def test_small_blocks_stay_in_the_calling_thread(self, monkeypatch):
-        geqrf, qrs = _lapack._geqrf_in_place, []
+    @pytest.mark.parametrize("workers", [0, 1, 3])
+    @pytest.mark.parametrize("linked", [True, False])
+    def test_only_a_pooled_build_trims_the_heap(self, monkeypatch, workers, linked):
+        # A pooled build frees its QR buffers among the blocks' kept arrays,
+        # so it calls malloc_trim(0) before its QRs and after them; a serial
+        # build, and one whose blocks are too small for the pool, never do.
+        # Without the symbol the build is the same.
+        trims = []
+        symbol = _lapack._lapack_symbol
+        monkeypatch.setattr(_lapack, "_lapack_symbol", lambda names: symbol(names)
+                            if names != _lapack._MALLOC_TRIM_NAMES
+                            else (lambda pad: trims.append(pad.value)) if linked else None)
+        monkeypatch.setattr(_lapack, "_factor_workers", lambda: workers)
+        assert factor_digest(build_instance(1000, 150, 0.1, 3)) == FACTORS_1000_150_3
+        build_instance(1000, 100, 0.1, 3)  # 11 blocks of 91 x 100
+        assert trims == ([0, 0] if workers and linked else [])
 
-        def spy(h):
-            qrs.append(threading.get_ident())
-            return geqrf(h)
+    def test_small_blocks_stay_in_the_calling_thread(self, monkeypatch, raw_qrs):
+        monkeypatch.setattr(_lapack, "_factor_workers", lambda: 3)
+        inst = build_instance(1000, 100, 0.1, 3)  # 11 blocks of 91 x 100
+        assert inst.block_count == 11
+        assert [ident for _, ident in raw_qrs] == [threading.get_ident()] * 11
 
-        monkeypatch.setattr(_lapack, "_geqrf_in_place", spy)
-        caller, built = [], []
+    @pytest.mark.parametrize("cpus, blas, workers", [
+        (1, 1, 0), (2, 1, 1), (2, 2, 0), (8, 2, 3), (8, 3, 1), (4, None, 0), (4, 0, 0),
+    ])
+    def test_workers_fill_the_spare_cpus(self, monkeypatch, cpus, blas, workers):
+        monkeypatch.setattr(_lapack, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_lapack, "_blas_threads", lambda: blas)
+        assert _lapack._factor_workers() == workers
+        monkeypatch.setattr(_lapack, "_dgeqrf", lambda: None)
+        assert _lapack._factor_workers() == 0
 
-        def build():
-            caller.append(threading.get_ident())
-            built.append(build_instance(1000, 100, 0.1, 3))  # 11 blocks of 91 x 100
-
-        worker = threading.Thread(target=build)
-        worker.start()
-        worker.join(timeout=120)
-        assert not worker.is_alive()
-        assert built[0].block_count == 11
-        assert qrs == caller * 11
-
-    def test_repeated_builds_hold_a_steady_peak(self):
-        # Every buffer of a block's QR, its dgeqrf workspace too, is freed
-        # before the next block's, so the traced peak of a build does not
-        # grow from one build to the next: only small Python objects move
-        # it, by far less than one workspace.
+    def test_pool_threads_free_no_buffer(self, monkeypatch):
+        # The calling thread frees every buffer of a pooled QR, its dgeqrf
+        # workspace too, so the traced peak of a build does not depend on
+        # when the pool thread lets go of its job: only small Python objects
+        # move it, by far less than one workspace.
         if _lapack._dgeqrf() is None:
             pytest.skip("numpy links no ILP64 dgeqrf")
+        monkeypatch.setattr(_lapack, "_factor_workers", lambda: 1)
         A = gaussian_matrix(4000, 200, 0.1, 1)
         b = A @ np.linspace(-1.0, 1.0, 200)
         sizes = problems._partition_sizes(4000, 21)
@@ -451,7 +439,7 @@ class TestSerialBuild:
         workspace = 8 * _lapack._geqrf_lwork(200, max(sizes))
         assert max(peaks) - min(peaks) < workspace / 4
 
-    def test_inconsistent_block_mid_build_raises_as_serial(self):
+    def test_inconsistent_block_mid_build_raises_as_serial(self, monkeypatch):
         A = gaussian_matrix(1000, 150, 0.1, 3)
         b = A @ np.linspace(-1.0, 1.0, 150)
         sizes = problems._partition_sizes(1000, 7)
@@ -459,8 +447,16 @@ class TestSerialBuild:
         # Block 3 repeats a row with another right-hand side.
         A[lo + 1] = A[lo]
         b[lo + 1] = b[lo] + 1.0
-        with pytest.raises(InconsistentSystem, match="^rhs outside range"):
-            problems._partitioned(A, b, sizes, None, None)
+        errors = []
+        for workers in (0, 1, 3):
+            monkeypatch.setattr(_lapack, "_factor_workers", lambda: workers)
+            before = threading.active_count()
+            with pytest.raises(InconsistentSystem) as info:
+                problems._partitioned(A, b, sizes, None, None)
+            assert threading.active_count() == before
+            errors.append(str(info.value))
+        assert errors[0].startswith("rhs outside range")
+        assert errors == errors[:1] * 3
 
     @pytest.mark.parametrize("build", [
         lambda: build_instance(1000, 150, 0.1, 1),
