@@ -26,13 +26,13 @@ class AffineSubspace:
     is factored by one R-only Householder QR of [A | b], whose leading
     n x n triangle R and last column c = Q^T b give z0 = R^-1 c without
     forming Q; when R passes the same certificate it is kept at rank = n,
-    with an empty null basis, so its projection is the point z0.  The route
-    is _factor's, the one that the intersection takes too: a block of at
-    least 4n rows first tries its first 2n rows, and keeps all of its rows
-    either way.  Blocks that miss the certificate fall back to a
-    rank-revealing SVD with the numerical rank threshold
-    max(rows, n) * eps * sigma_max.  All routes give the same rank on every
-    block whose singular values clear the threshold by more than rounding.
+    with an empty null basis, so its projection is the point z0.  Blocks
+    that miss the certificate fall back to a rank-revealing SVD with the
+    numerical rank threshold max(rows, n) * eps * sigma_max.  All routes
+    give the same rank on every block whose singular values clear the
+    threshold by more than rounding.  The route is _factor's, the one that
+    the intersection takes too; a block keeps all of its rows even where
+    _factor describes its set by its first 2n.
 
     Only the thinner of the two orthonormal bases is stored: the
     direction-space basis N (n - rank columns) when n - rank <= rank, the
@@ -55,7 +55,9 @@ class AffineSubspace:
         or A or b is not finite.
 
     `raw_qr`, for a wide block only, is the _lapack._geqrf(A^T) of an
-    instance's pooled build, when it has already been computed.
+    instance's pooled build, when it has already been computed.  It is
+    trusted: nothing checks that it is the QR of this A^T, and the QR of
+    another matrix gives the factors of another set without an error.
     """
 
     def __init__(self, constraint_matrix, rhs, label=0, *, raw_qr=None):
@@ -334,37 +336,6 @@ def _norm(v):
     return scale * _norm(v / scale)
 
 
-def _factor_qr(A, b, raw_qr=None):
-    """Factors of a wide block, storing the thinner basis, or None if its QR
-    is not certified; `raw_qr` is _lapack._geqrf(A^T) if already computed."""
-    rows, n = A.shape
-    use_null = _uses_null(rows, n)
-    found = _lapack._certified_qr_basis(A, b, n - rows if use_null else rows, use_null, raw_qr)
-    return None if found is None else (rows, *found)
-
-
-def _factor_whole(A, b, limit, raw_qr=None):
-    """Factors of a whole block: its QR, or the SVD when that is not certified.
-
-    Raises InconsistentSystem when the anchor's misfit exceeds `limit` or
-    is not finite, and when an uncertified A is not finite.  `raw_qr` is
-    passed to _factor_qr.
-    """
-    factors = _factor_qr(A, b, raw_qr) if A.shape[0] <= A.shape[1] else _factor_tall_qr(A, b)
-    if factors is None:
-        # A non-finite A never passes a certificate, so only here is it checked.
-        if not np.isfinite(A).all():
-            raise InconsistentSystem("constraint matrix is not finite")
-        factors = _factor_svd(A, b)
-    misfit = _norm(A @ factors[1] - b)
-    # False for a nan misfit too, as from a non-finite A.
-    if not misfit <= limit:
-        raise InconsistentSystem(
-            f"rhs outside range of constraint matrix (residual {misfit:.3e})"
-        )
-    return factors
-
-
 def _factor_tall_qr(A, b):
     """Factors of a tall block from _lapack._certified_tall_solve, or None if not certified.
 
@@ -393,30 +364,58 @@ def _factor_svd(A, b):
 
 
 def _factor(A, b, raw_qr=None):
-    """(A', b', factors): the factors of {x : A x = b} and the rows A' x = b'
-    that they describe it by.
+    """(A', b', factors): the factors (rank, z0, basis) of {x : A x = b},
+    storing the thinner basis, and the rows A' x = b' that describe it.
 
-    The limit on the anchor's misfit is CONSISTENCY_RTOL * (1 + ||b||).  A
-    stack of at least 4n rows first tries its first 2n rows, by one R-only
-    QR (_factor_tall_qr).  A certified prefix has full column rank, so A
-    does too, and the prefix's least-squares solution is the only candidate
-    for a point of the set.  It is kept, with A' = A[:2n], when the misfit
-    of all of A, one product over the stack, is within the limit: the
-    prefix rows pin the same point as the stack, so they describe the same
-    set.  The stack's own least-squares solution has the least misfit, so
-    every stack the whole-stack route accepts is still accepted, and up to
-    rounding none that it rejects is.  A shorter stack, a prefix that is
-    not certified or a point that fits only the prefix takes
-    _factor_whole(A, b, limit, raw_qr) with A' = A; a prefix that fails
-    costs at most half of that QR.
+    The limit on the anchor's misfit is CONSISTENCY_RTOL * (1 + ||b||).
+    The route, top to bottom:
+
+    - A stack of at least 4n rows first tries its first 2n rows, by one
+      R-only QR (_factor_tall_qr).  A certified prefix has full column
+      rank, so A does too, and the prefix's least-squares solution is the
+      only candidate for a point of the set.  It is kept, with A' = A[:2n],
+      when the misfit of all of A, one product over the stack, is within
+      the limit: the prefix rows pin the same point as the stack, so they
+      describe the same set.  The stack's own least-squares solution has
+      the least misfit, so every stack the whole-stack route accepts is
+      still accepted, and up to rounding none that it rejects is.  A
+      prefix that fails costs at most half of the whole QR.
+    - Otherwise A' = A, and all of A is factored.  A wide A (rows <= n)
+      takes one certified QR of A^T, _lapack._certified_qr_basis, at
+      rank = rows; `raw_qr` is its _lapack._geqrf(A^T) when an instance's
+      pooled build has already computed it.  A tall A takes one certified
+      R-only QR of [A | b] (_factor_tall_qr), at rank = n.
+    - An A that misses its certificate takes the SVD (_factor_svd).  A
+      non-finite A never passes a certificate, so only there is A checked
+      to be finite.
+    - Last, the misfit of the anchor z0 over all of A is held to the limit.
+
+    Raises InconsistentSystem when that misfit exceeds the limit or is not
+    finite, and when an uncertified A is not finite.
     """
-    n = A.shape[1]
+    rows, n = A.shape
     limit = CONSISTENCY_RTOL * (1.0 + _norm(b))
-    if A.shape[0] >= 4 * n:
+    if rows >= 4 * n:
         factors = _factor_tall_qr(A[:2 * n], b[:2 * n])
         if factors is not None and _norm(A @ factors[1] - b) <= limit:
             return A[:2 * n], b[:2 * n], factors
-    return A, b, _factor_whole(A, b, limit, raw_qr)
+    if rows > n:
+        factors = _factor_tall_qr(A, b)
+    else:
+        use_null = _uses_null(rows, n)
+        found = _lapack._certified_qr_basis(A, b, n - rows if use_null else rows, use_null, raw_qr)
+        factors = None if found is None else (rows, *found)
+    if factors is None:
+        if not np.isfinite(A).all():
+            raise InconsistentSystem("constraint matrix is not finite")
+        factors = _factor_svd(A, b)
+    misfit = _norm(A @ factors[1] - b)
+    # False for a nan misfit too, as from a non-finite A.
+    if not misfit <= limit:
+        raise InconsistentSystem(
+            f"rhs outside range of constraint matrix (residual {misfit:.3e})"
+        )
+    return A, b, factors
 
 
 def _stacked(arrays):

@@ -42,9 +42,9 @@ DEFAULT_BENCH = {
     "coherence_values": [0.0, 0.1, 0.2],
     "methods": ["crm", "pcrm"],
     "seeds": [1, 2, 3],
-    "tolerance": 1e-5,
-    "max_iterations": 10_000,
-    "workers": [1],
+    "tolerance": SolverConfig.tolerance,
+    "max_iterations": SolverConfig.max_iterations,
+    "workers": [SolverConfig.workers],
     "out": "bench_results.csv",
 }
 
@@ -225,6 +225,9 @@ def cmd_bench(args):
         with contextlib.ExitStack() as outputs:
             fh = outputs.enter_context(_output(out_path, "w"))
             agg = outputs.enter_context(_output(args.aggregate, "w"))
+            if agg:
+                # Run on leaving, on an interrupt too, over the records finished by then.
+                outputs.callback(_write_aggregate, agg, records)
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
             fh.flush()
@@ -252,8 +255,6 @@ def cmd_bench(args):
                     records.append(record)
                     writer.writerow(record.to_row())
                     fh.flush()
-            if agg:
-                _write_aggregate(agg, records)
     except KeyboardInterrupt:
         print("interrupted; partial results flushed", file=sys.stderr)
         return 130
@@ -328,10 +329,10 @@ def build_parser():
     p_solve.add_argument("--inst", required=True)
     p_solve.add_argument("--method", required=True,
                          choices=[m.value for m in Method])
-    p_solve.add_argument("--workers", type=int, default=1,
+    p_solve.add_argument("--workers", type=int, default=SolverConfig.workers,
                          help="recorded in the CSV; does not change the computation")
-    p_solve.add_argument("--tolerance", type=float, default=1e-5)
-    p_solve.add_argument("--max-iterations", type=int, default=10_000)
+    p_solve.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
+    p_solve.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
     p_solve.add_argument("--stop-rule", default="auto",
                          choices=["auto"] + sorted(rule.value for rule in StopRule))
     p_solve.add_argument("--weights", default=None,

@@ -129,17 +129,13 @@ def _check_coherence(c):
     return c
 
 
-def _coherent_matrix(stream, m, n, c):
-    return stream.draw(m * n, coherence=c).reshape(m, n)
-
-
 def gaussian_matrix(m, n, c, seed):
     """m x n matrix with entries (1 - c) * N(0, 1) + c, deterministic in seed."""
     c = _check_coherence(c)
     m, n = _check_integer("m", m), _check_integer("n", n)
     if m < 1 or n < 1:
         raise ValueError(f"matrix dimensions must be positive, got {m} x {n}")
-    return _coherent_matrix(_NormalStream(seed), m, n, c)
+    return _NormalStream(seed).draw(m * n, coherence=c).reshape(m, n)
 
 
 def block_count(m, n):
@@ -284,7 +280,7 @@ def _draw(descriptor):
     """The instance a checked descriptor describes, drawn from its seed."""
     d = descriptor
     stream = _NormalStream(d.seed)
-    A = _coherent_matrix(stream, d.m, d.n, d.coherence)
+    A = stream.draw(d.m * d.n, coherence=d.coherence).reshape(d.m, d.n)
     # A protocol instance plants x* = A^T w; an underdetermined one plants a
     # drawn point that it does not keep.
     x_star = None if d.block_rows else A.T @ stream.draw(d.m)

@@ -47,6 +47,10 @@ class TestConstruction:
         U = AffineSubspace([[1.0, 0.0], [2.0, 0.0]], [0.0, 0.0])
         assert U.rank == 1
 
+    def test_repr_names_shape_rank_and_label(self):
+        U = AffineSubspace([[1.0, 0.0, 0.0]], [2.0], label=3)
+        assert repr(U) == "AffineSubspace(1x3, rank=1, label=3)"
+
     def test_inconsistent_rows_rejected(self):
         # 2 x1 = 2 contradicts 2 x1 = 5
         with pytest.raises(InconsistentSystem):

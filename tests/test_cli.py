@@ -10,15 +10,15 @@ import pytest
 
 from circumproj import (
     GenerationDescriptor,
-    affine,
     angle_report,
     build_underdetermined_instance,
     instance_from_descriptor,
     verify_error_bound,
 )
-from circumproj import cli
+from circumproj import _lapack, cli
 from circumproj.cli import CSV_HEADER, main
 from circumproj.errors import NumericalBreakdown
+from circumproj.solvers import Method, SolverConfig
 
 
 def run_cli(*argv):
@@ -226,6 +226,36 @@ class TestBench:
         runs_idx = rows[0].index("runs")
         assert all(r[runs_idx] == "2" for r in rows[1:])  # means over both coherences
 
+    def test_interrupt_keeps_the_finished_records_in_both_outputs(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "m_values": [60], "n_values": [12], "coherence_values": [0.1],
+            "methods": ["crm", "pcrm"], "seeds": [1, 2],
+        }))
+        build = cli.build_instance
+        cells = []
+
+        def build_then_interrupt(*args):
+            cells.append(args)
+            if len(cells) == 2:
+                raise KeyboardInterrupt
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_instance", build_then_interrupt)
+        out, agg = tmp_path / "bench.csv", tmp_path / "agg.csv"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out),
+                       "--aggregate", str(agg)) == 130
+        assert "interrupted; partial results flushed" in capsys.readouterr().err
+        rows = read_csv(out)
+        assert rows[0] == CSV_HEADER
+        assert [(r[0], r[CSV_HEADER.index("seed")]) for r in rows[1:]] == [
+            ("crm", "1"), ("pcrm", "1")]
+        aggregated = read_csv(agg)
+        assert aggregated[0][0] == "method"
+        runs = aggregated[0].index("runs")
+        assert [(r[0], r[runs]) for r in aggregated[1:]] == [("crm", "1"), ("pcrm", "1")]
+
     def test_empty_methods_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"methods": []}))
@@ -320,6 +350,16 @@ class TestBench:
         assert rows[1][CSV_HEADER.index("converged")] == "false"
 
 
+def test_cli_defaults_are_the_solver_config_defaults():
+    default = SolverConfig(Method.CRM)
+    args = cli.build_parser().parse_args(["solve", "--inst", "inst.json", "--method", "crm"])
+    assert (args.tolerance, args.max_iterations, args.workers) == (
+        default.tolerance, default.max_iterations, default.workers)
+    bench = cli.DEFAULT_BENCH
+    assert (bench["tolerance"], bench["max_iterations"], bench["workers"]) == (
+        default.tolerance, default.max_iterations, [default.workers])
+
+
 class TestAnalyze:
     @pytest.fixture
     def two_block_descriptor(self, tmp_path):
@@ -340,13 +380,13 @@ class TestAnalyze:
 
     def test_angles_factor_the_pair_once(self, two_block_descriptor, capsys, monkeypatch):
         calls = []
-        factor_qr = affine._factor_qr
+        certified_qr_basis = _lapack._certified_qr_basis
 
-        def spy(A, b, *raw_qr):
+        def spy(A, b, *args):
             calls.append(A.shape)
-            return factor_qr(A, b, *raw_qr)
+            return certified_qr_basis(A, b, *args)
 
-        monkeypatch.setattr(affine, "_factor_qr", spy)
+        monkeypatch.setattr(_lapack, "_certified_qr_basis", spy)
         assert run_cli("analyze", "--inst", str(two_block_descriptor),
                        "--mode", "angles", "--samples", "50") == 0
         # Two 2x6 blocks from the descriptor, then their 4x6 stack once.

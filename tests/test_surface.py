@@ -113,7 +113,7 @@ def test_condition_limit_is_defined_once():
 
 # Code lines as `tools/code_lines.py` counts them: the package total and the
 # command line, the module the ROADMAP budgets on its own.
-CODE_LINE_BUDGET = {"total": 1362, "cli.py": 306}
+CODE_LINE_BUDGET = {"total": 1356, "cli.py": 306}
 
 
 def test_code_lines_stay_within_the_budget():
