@@ -243,20 +243,45 @@ class _Crm(_Operator):
 
     Each reflection 2 P_i(y) - y feeds the next, so the step works block by
     block, through the block's projection without AffineSubspace's shape
-    check, since x was checked once.  The kernel serves the residual only,
-    so a step-only operator (`crm_step`) is handed None.
+    check, since x was checked once.  A block whose stored null basis has
+    width 0 or 1 (a point or a line) writes its reflection straight into
+    its row of `points`, by the operations of `2.0 * U._project(y) - y` in
+    their order: z + c N (c = y N, one term, so the bytes of (y N) N^T) or
+    z + 0.0, then doubled, then less y.  That skips a block's two matmul
+    calls and temporaries, which cost more than moving one vector.  The
+    circumcenter is a new array, so a step never returns a view of
+    `points`.  The kernel serves the residual only, so a step-only operator
+    (`crm_step`) is handed None.
     """
 
     def __init__(self, kernel, subspaces):
         super().__init__(kernel)
-        self.subspaces = subspaces
         self.points = np.empty((len(subspaces) + 1, subspaces[0].ambient_dim))
+        # Per block: its projection, or, on a null basis of width 0 or 1, None,
+        # that basis (None at width 0), its one column and the anchor.
+        self.blocks = []
+        for U in subspaces:
+            B = U._basis
+            if U._use_null and B.shape[1] <= 1:
+                self.blocks.append((None, B if B.size else None, B.ravel(), U.anchor))
+            else:
+                self.blocks.append((U._project, None, None, None))
 
     def step(self, x):
         pts = self.points
         pts[0] = y = x
-        for i, U in enumerate(self.subspaces):
-            y = pts[i + 1] = 2.0 * U._project(y) - y
+        for row, (project, basis, column, anchor) in zip(pts[1:], self.blocks):
+            if project is not None:
+                y = row[...] = 2.0 * project(y) - y
+                continue
+            if basis is None:
+                np.add(anchor, 0.0, out=row)
+            else:
+                np.multiply(y @ basis, column, out=row)
+                row += anchor
+            row *= 2.0
+            row -= y
+            y = row
         return circumcenter(pts)
 
 
@@ -319,7 +344,8 @@ def solve(instance, config, x0=None):
     is the one an inline call gives.
 
     Raises MissingReference when stop_rule is REL_ERR_TO_KNOWN but the
-    instance has no known solution, and NumericalBreakdown (with the partial
+    instance has no known solution, InvalidWeights when config.weights does
+    not fit the instance's blocks, and NumericalBreakdown (with the partial
     trace and the last finite iterate attached) when an iterate stops being
     finite or a CRM or P-CRM circumcenter cannot be formed.
     """
@@ -338,13 +364,14 @@ def solve(instance, config, x0=None):
 
     method = config.method
     if method in (Method.FSPM, Method.CIMMINO):
+        # The presets are valid by construction; only a caller's weights are checked.
         if config.weights is not None:
-            weights = config.weights
+            weights = validate_weights(config.weights, m)
         elif method is Method.CIMMINO:
             weights = cimmino_weights(m)
         else:
             weights = uniform_weights(m)
-        operator = _Fspm(kernel, validate_weights(weights, m))
+        operator = _Fspm(kernel, weights)
     elif method is Method.CRM:
         operator = _Crm(kernel, subspaces)
     else:

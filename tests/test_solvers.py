@@ -65,6 +65,23 @@ class TestWeights:
         with pytest.raises(InvalidWeights):
             validate_weights(bad, 2)
 
+    @pytest.mark.parametrize("method", ["fspm", "cimmino"])
+    def test_solve_checks_only_a_callers_weights(self, monkeypatch, method):
+        inst = build_instance(60, 12, 0.1, 1)
+        m = inst.block_count
+        checked = []
+        real = solvers.validate_weights
+        monkeypatch.setattr(solvers, "validate_weights",
+                            lambda w, count: checked.append(count) or real(w, count))
+        config = dict(method=method, max_iterations=2)
+        solve(inst, SolverConfig(**config))
+        assert checked == []  # the presets are valid by construction
+        solve(inst, SolverConfig(**config, weights=uniform_weights(m)))
+        assert checked == [m]
+        for bad in (uniform_weights(m + 1), np.full(m + 1, 1.0), -uniform_weights(m)):
+            with pytest.raises(InvalidWeights):
+                solve(inst, SolverConfig(**config, weights=bad))
+
     @pytest.mark.parametrize("count", [0, -1, 2.5, True])
     @pytest.mark.parametrize("preset", [uniform_weights, cimmino_weights])
     def test_presets_need_a_block_count(self, preset, count):
@@ -135,6 +152,18 @@ def mixed_blocks(seed=5, n=10):
     dependent = gen.standard_normal((2, n))
     mats.append(np.vstack([dependent, dependent[0] - 3.0 * dependent[1]]))
     return [AffineSubspace(A, A @ planted, label=i) for i, A in enumerate(mats)]
+
+
+def narrow_blocks(seed=5, n=10):
+    """mixed_blocks with a 9-row and a 10-row block through the same planted
+    point between them: null bases of widths 1 and 0 amid the other routes."""
+    planted = np.random.default_rng(seed).standard_normal(n)
+    line, point = np.random.default_rng(seed + 1).standard_normal((2, n, n))
+    line = line[:n - 1]
+    blocks = mixed_blocks(seed, n)
+    blocks[3:3] = [AffineSubspace(line, line @ planted, label=7),
+                   AffineSubspace(point, point @ planted, label=8)]
+    return blocks
 
 
 def differences(kernel, x):
@@ -426,6 +455,45 @@ class TestCrmStep:
 
         monkeypatch.setattr(affine._BlockKernel, "__init__", refuse)
         np.testing.assert_array_equal(crm_step(x, blocks), expected)
+
+
+    @pytest.mark.parametrize("build", [narrow_blocks,
+                                       lambda: build_instance(1250, 10, 0.1, 1).subspaces])
+    def test_narrow_null_blocks_reflect_as_the_chain_bitwise(self, rng, build):
+        # Blocks with null bases of widths 0 and 1 write their reflections in
+        # place; tobytes() also compares the signs of zeros.
+        blocks = list(build())
+        widths = [U._basis.shape[1] for U in blocks if U._use_null]
+        assert 0 in widths and 1 in widths
+        x = rng.standard_normal(10)
+        chain = [x]
+        for U in blocks:
+            chain.append(U.reflect(chain[-1]))
+        operator = solvers._Crm(None, blocks)
+        got = operator.step(x)
+        assert operator.points.tobytes() == np.stack(chain).tobytes()
+        assert got.tobytes() == circumcenter(np.stack(chain)).tobytes()
+        assert crm_step(x, blocks).tobytes() == got.tobytes()
+
+    def test_a_point_block_reflects_negative_zeros_as_the_projection_does(self):
+        # P(x) = z + (x N) N^T adds +0.0 to the anchor, so a -0.0 in z reflects x = 0 to +0.0.
+        z = np.array([-0.0, 1.0, -2.0])
+        point = AffineSubspace._from_factors(np.eye(3), z, (3, z, np.zeros((3, 0))), 0)
+        x = np.zeros(3)
+        operator = solvers._Crm(None, [point])
+        operator.step(x)
+        assert operator.points[1].tobytes() == point.reflect(x).tobytes()
+        assert not np.signbit(operator.points[1, 0])
+
+    def test_a_step_never_returns_a_view_of_the_reflections(self, rng):
+        # solve keeps iterates by reference, and the next step writes `points`.
+        operator = solvers._Crm(None, narrow_blocks())
+        x = rng.standard_normal(10)
+        for _ in range(3):
+            y = operator.step(x)
+            assert not np.shares_memory(y, operator.points)
+            assert not np.shares_memory(y, x)
+            x = y
 
 
 class TestPcrmStep:
@@ -790,14 +858,31 @@ class TestCrmResidualBatches:
         rows = sum(basis_t.shape[0] * basis_t.shape[1] for _, _, basis_t, _ in kernel.groups)
         assert rows == self.BATCH
 
+    @staticmethod
+    def line_instance(n=10, lines=3):
+        """Nearly parallel lines through a planted point in R^n: null bases of
+        width 1, which CRM reflects through in place.  CRM takes 36 iterations to
+        1e-10 under rel_err, more than 2 batches of 3 stacked rows."""
+        gen = np.random.default_rng(1)
+        planted = gen.standard_normal(n)
+        blocks = []
+        for i in range(lines):
+            d = np.eye(n)[0] + 0.01 * gen.standard_normal(n)
+            q, _ = np.linalg.qr(np.column_stack([d, gen.standard_normal((n, n - 1))]))
+            A = q[:, 1:].T
+            blocks.append(AffineSubspace(A, A @ planted, label=i))
+        return ProblemInstance(subspaces=tuple(blocks), ambient_dim=n, known_solution=planted)
+
     @pytest.mark.parametrize("rule", [StopRule.REL_ERR_TO_KNOWN, StopRule.STEP_NORM])
-    def test_recorded_residuals_are_the_kernel_residuals_of_the_iterates(self, rule):
-        inst = self.slow_instance()
+    @pytest.mark.parametrize("instance", ["slow_instance", "line_instance"])
+    def test_recorded_residuals_are_the_kernel_residuals_of_the_iterates(self, rule, instance):
+        inst = getattr(self, instance)()
         res = solve(inst, SolverConfig(method=Method.CRM, tolerance=1e-10, stop_rule=rule))
         trace = res.trace
         assert trace.status is Status.CONVERGED
         # More iterates than two batches: the residuals are taken at least three times.
-        assert len(trace.iterations) > 2 * self.BATCH
+        batch = sum(basis_t.shape[0] * basis_t.shape[1] for _, _, basis_t, _ in inst._kernel.groups)
+        assert len(trace.iterations) > 2 * batch
         xs = self.replay(inst, len(trace.iterations))
         np.testing.assert_array_equal(xs[-1], res.point)
         for recorded, dist, x in zip(trace.residuals, trace.distances, xs, strict=True):
