@@ -96,6 +96,19 @@ class AffineSubspace:
         self._basis[...] = basis
         for arr in (self.constraint_matrix, self.rhs, self.anchor, self._basis):
             arr.setflags(write=False)
+        # A point or a line (a null basis of width 0 or 1), which CRM reflects
+        # in place (solvers._Crm), keeps the parts of 2 P(y) - y that do not
+        # depend on y: its basis, the basis's column and z0, or at width 0,
+        # where P(y) = z0 + 0.0, the whole 2.0 * (z0 + 0.0).
+        w = basis.shape[1]
+        if not self._use_null or w > 1:
+            self._narrow = None
+        elif w:
+            self._narrow = (self._basis, self._basis[:, 0], z0)
+        else:
+            twice = 2.0 * (z0 + 0.0)
+            twice.setflags(write=False)
+            self._narrow = (None, None, twice)
 
     @property
     def ambient_dim(self):

@@ -246,41 +246,38 @@ class _Crm(_Operator):
     check, since x was checked once.  A block whose stored null basis has
     width 0 or 1 (a point or a line) writes its reflection straight into
     its row of `points`, by the operations of `2.0 * U._project(y) - y` in
-    their order: z + c N (c = y N, one term, so the bytes of (y N) N^T) or
-    z + 0.0, then doubled, then less y.  That skips a block's two matmul
-    calls and temporaries, which cost more than moving one vector.  The
+    their order, from the parts the block kept at construction (`_narrow`):
+    c = y N, one term, so c N has the bytes of (y N) N^T, then + z0, doubled
+    and less y; at width 0, 2.0 * (z0 + 0.0), kept whole, less y.  That
+    skips a block's two matmul calls and temporaries, which cost more than
+    moving one vector, and the step builds nothing per block.  The
     circumcenter is a new array, so a step never returns a view of
-    `points`.  The kernel serves the residual only, so a step-only operator
-    (`crm_step`) is handed None.
+    `points`, which the next step overwrites.  The kernel serves the
+    residual only, so a step-only operator (`crm_step`) is handed None.
     """
 
     def __init__(self, kernel, subspaces):
         super().__init__(kernel)
+        self.subspaces = subspaces
         self.points = np.empty((len(subspaces) + 1, subspaces[0].ambient_dim))
-        # Per block: its projection, or, on a null basis of width 0 or 1, None,
-        # that basis (None at width 0), its one column and the anchor.
-        self.blocks = []
-        for U in subspaces:
-            B = U._basis
-            if U._use_null and B.shape[1] <= 1:
-                self.blocks.append((None, B if B.size else None, B.ravel(), U.anchor))
-            else:
-                self.blocks.append((U._project, None, None, None))
 
     def step(self, x):
         pts = self.points
         pts[0] = y = x
-        for row, (project, basis, column, anchor) in zip(pts[1:], self.blocks):
-            if project is not None:
-                y = row[...] = 2.0 * project(y) - y
+        for i, U in enumerate(self.subspaces, 1):
+            narrow = U._narrow
+            if narrow is None:
+                y = pts[i] = 2.0 * U._project(y) - y
                 continue
+            row = pts[i]
+            basis, column, anchor = narrow
             if basis is None:
-                np.add(anchor, 0.0, out=row)
+                np.subtract(anchor, y, out=row)
             else:
                 np.multiply(y @ basis, column, out=row)
                 row += anchor
-            row *= 2.0
-            row -= y
+                row *= 2.0
+                row -= y
             y = row
         return circumcenter(pts)
 

@@ -67,6 +67,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             U.direction_basis()[0, 0] = 5.0
 
+    def test_points_and_lines_keep_their_reflection_parts_read_only(self):
+        # CRM reflects through a point or a line in place from these parts.
+        gen = np.random.default_rng(0)
+        planted = gen.standard_normal(5)
+        point, line, plane, hyperplane = (
+            AffineSubspace(A, A @ planted)
+            for A in (gen.standard_normal((rows, 5)) for rows in (5, 4, 3, 1)))
+        basis, column, anchor = line._narrow
+        assert basis is line._basis and anchor is line.anchor
+        assert np.shares_memory(column, basis) and column.shape == (5,)
+        assert point._narrow[:2] == (None, None)
+        assert point._narrow[2].tobytes() == (2.0 * (point.anchor + 0.0)).tobytes()
+        # A null basis of width 2 and the row route keep none.
+        assert plane._narrow is None and hyperplane._narrow is None
+        assert not column.flags.writeable and not point._narrow[2].flags.writeable
+
     @pytest.mark.parametrize("arrange", [
         lambda A, b: (A, b),
         lambda A, b: (np.vstack([A, A])[2:], b[:, None]),
