@@ -456,7 +456,6 @@ class TestCrmStep:
         monkeypatch.setattr(affine._BlockKernel, "__init__", refuse)
         np.testing.assert_array_equal(crm_step(x, blocks), expected)
 
-
     @pytest.mark.parametrize("build", [narrow_blocks,
                                        lambda: build_instance(1250, 10, 0.1, 1).subspaces])
     def test_narrow_null_blocks_reflect_as_the_chain_bitwise(self, rng, build):
@@ -881,7 +880,8 @@ class TestCrmResidualBatches:
         trace = res.trace
         assert trace.status is Status.CONVERGED
         # More iterates than two batches: the residuals are taken at least three times.
-        batch = sum(basis_t.shape[0] * basis_t.shape[1] for _, _, basis_t, _ in inst._kernel.groups)
+        batch = sum(basis_t.shape[0] * basis_t.shape[1]
+                    for _, _, basis_t, _ in inst._kernel.groups)
         assert len(trace.iterations) > 2 * batch
         xs = self.replay(inst, len(trace.iterations))
         np.testing.assert_array_equal(xs[-1], res.point)
